@@ -30,6 +30,7 @@ __all__ = [
     "laplace_cdf",
     "laplace_quantile",
     "calibration_report",
+    "calibration_report_arrays",
     "report_to_csv",
     "records_from_csv",
 ]
@@ -57,22 +58,31 @@ def standard_score(record: PredictionRecord) -> float:
     return record.residual / record.scale
 
 
-def laplace_cdf(z: float) -> float:
-    """CDF of the standard Laplace distribution."""
-    if not math.isfinite(z):
+def laplace_cdf(z: float | np.ndarray) -> float | np.ndarray:
+    """CDF of the standard Laplace distribution.
+
+    Takes a float or an array; a float gives a float, an array an array of
+    the same shape. Non-finite input raises ``ValueError``.
+    """
+    arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"z must be finite, got {z}")
-    if z < 0.0:
-        return 0.5 * math.exp(z)
-    return 1.0 - 0.5 * math.exp(-z)
+    tail = 0.5 * np.exp(-np.abs(arr))
+    cdf = np.where(arr < 0.0, tail, 1.0 - tail)
+    return float(cdf) if arr.ndim == 0 else cdf
 
 
-def laplace_quantile(p: float) -> float:
-    """Inverse CDF of the standard Laplace distribution, p in (0, 1)."""
-    if not (0.0 < p < 1.0):
+def laplace_quantile(p: float | np.ndarray) -> float | np.ndarray:
+    """Inverse CDF of the standard Laplace distribution, p in (0, 1).
+
+    Takes a float or an array; a float gives a float, an array an array of
+    the same shape. Any p outside (0, 1) raises ``ValueError``.
+    """
+    arr = np.asarray(p, dtype=float)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if p < 0.5:
-        return math.log(2.0 * p)
-    return -math.log(2.0 * (1.0 - p))
+    q = np.where(arr < 0.5, np.log(2.0 * arr), -np.log(2.0 * (1.0 - arr)))
+    return float(q) if arr.ndim == 0 else q
 
 
 @dataclass(frozen=True)
@@ -111,10 +121,37 @@ def calibration_report(
     ``max_workers > 1`` the records are partitioned across threads and the
     integer counts merged, so the result is independent of partitioning.
     """
-    if not records:
+    n = len(records)
+    residuals = np.fromiter((r.residual for r in records), dtype=float, count=n)
+    scales = np.fromiter((r.scale for r in records), dtype=float, count=n)
+    return calibration_report_arrays(residuals, scales, grid, max_workers)
+
+
+def calibration_report_arrays(
+    residuals: np.ndarray,
+    scales: np.ndarray,
+    grid: Sequence[float] = DEFAULT_GRID,
+    max_workers: int = 1,
+) -> CalibrationReport:
+    """``calibration_report`` over parallel residual and scale arrays.
+
+    Validates what ``PredictionRecord`` validates (finite residuals,
+    positive finite scales) and rejects a standard score that overflows.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    if residuals.ndim != 1 or residuals.shape != scales.shape:
+        raise ValueError("residuals and scales must be 1-d arrays of equal length")
+    if residuals.size == 0:
         raise ValueError("records must be non-empty")
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("residuals must be finite")
+    if not (np.all(scales > 0.0) and np.all(np.isfinite(scales))):
+        raise ValueError("scales must be positive and finite")
     grid_arr = _check_grid(grid)
-    scores = np.array([laplace_cdf(standard_score(r)) for r in records])
+    with np.errstate(over="ignore"):
+        z = residuals / scales
+    scores = laplace_cdf(z)
 
     workers = max(1, int(max_workers))
     if workers > 1 and scores.size > 1:
@@ -125,10 +162,10 @@ def calibration_report(
     else:
         counts = _counts(np.sort(scores), grid_arr)
 
-    observed = counts / float(len(records))
-    curve = tuple((float(p), float(o)) for p, o in zip(grid_arr, observed))
+    observed = counts / float(scores.size)
+    curve = tuple(zip(grid_arr.tolist(), observed.tolist()))
     ece = float(np.mean(np.abs(observed - grid_arr)))
-    return CalibrationReport(curve=curve, ece=ece, n=len(records))
+    return CalibrationReport(curve=curve, ece=ece, n=int(scores.size))
 
 
 def report_to_csv(report: CalibrationReport) -> str:

@@ -24,7 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from ._util import fmt_sig
-from .calibration import PredictionRecord, calibration_report
+# calibration_report is unused here but stays importable from this module:
+# perfbench/tracing.py wraps synth_trainer.calibration_report.
+from .calibration import (  # noqa: F401
+    calibration_report,
+    calibration_report_arrays,
+    laplace_quantile,
+)
 from .distributions import LaplaceParams, kld_loss, kld_loss_zero_label_scale
 from .label_uncertainty import fit_mapping, map_iou
 
@@ -211,11 +217,6 @@ class Dataset:
     quality: np.ndarray
 
 
-def _laplace_quantiles(u: np.ndarray) -> np.ndarray:
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
-
-
 def _noise_scales(profile: NoiseProfile, quality: np.ndarray) -> np.ndarray:
     if isinstance(profile, ConstantNoise):
         return np.full(quality.shape, profile.b)
@@ -238,7 +239,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
         features = rng.uniform(-1.0, 1.0, (n, d))
         quality = 0.5 * (features[:, 0] + 1.0)
         scales = _noise_scales(config.noise, quality)
-        noise = scales * _laplace_quantiles(rng.random(n))
+        noise = scales * laplace_quantile(np.clip(rng.random(n), 1e-12, 1.0 - 1e-12))
         true_targets = features @ w_true + c_true
         return Dataset(
             features=features,
@@ -251,18 +252,39 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
     return make(config.n_train), make(config.n_test)
 
 
-@dataclass
 class Predictor:
     """Two-head linear model: location head plus log-scale head.
 
-    The scale head is parameterized in log space and exponentiated, so the
-    predicted scale is positive by construction.
+    The parameters live in one ``(2, d+1)`` block ``theta``: row 0 is the
+    location head, row 1 the log-scale head, and the last column holds each
+    head's bias, so ``theta @ [*x, 1]`` is (location, log-scale) for a
+    sample. The scale head is parameterized in log space and exponentiated,
+    so the predicted scale is positive by construction.
     """
 
-    weights_mean: list[float]
-    bias_mean: float
-    weights_logscale: list[float]
-    bias_logscale: float
+    def __init__(
+        self,
+        weights_mean: Sequence[float],
+        bias_mean: float,
+        weights_logscale: Sequence[float],
+        bias_logscale: float,
+    ) -> None:
+        self.theta = np.array(
+            [[*weights_mean, bias_mean], [*weights_logscale, bias_logscale]], dtype=float
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Predictor):
+            return NotImplemented
+        return bool(np.array_equal(self.theta, other.theta))
+
+    __hash__ = None  # theta is mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"Predictor(weights_mean={self.weights_mean!r}, bias_mean={self.bias_mean!r}, "
+            f"weights_logscale={self.weights_logscale!r}, bias_logscale={self.bias_logscale!r})"
+        )
 
     @classmethod
     def initial(cls, feature_dim: int) -> "Predictor":
@@ -270,27 +292,40 @@ class Predictor:
         # well away from the small-scale singularity.
         return cls([0.0] * feature_dim, 0.0, [0.0] * feature_dim, math.log(1.0))
 
+    @property
+    def weights_mean(self) -> list[float]:
+        return self.theta[0, :-1].tolist()
+
+    @property
+    def bias_mean(self) -> float:
+        return float(self.theta[0, -1])
+
+    @property
+    def weights_logscale(self) -> list[float]:
+        return self.theta[1, :-1].tolist()
+
+    @property
+    def bias_logscale(self) -> float:
+        return float(self.theta[1, -1])
+
     def copy(self) -> "Predictor":
         return Predictor(
-            list(self.weights_mean), self.bias_mean, list(self.weights_logscale), self.bias_logscale
+            self.weights_mean, self.bias_mean, self.weights_logscale, self.bias_logscale
         )
 
     def as_vector(self) -> list[float]:
-        return [*self.weights_mean, self.bias_mean, *self.weights_logscale, self.bias_logscale]
+        """Mean weights, mean bias, log-scale weights, log-scale bias."""
+        return self.theta.ravel().tolist()
 
     def predict_one(self, x: Sequence[float]) -> tuple[float, float]:
         """(predicted location, log-scale head output) for one sample."""
-        loc = self.bias_mean
-        log_scale = self.bias_logscale
-        for j, xj in enumerate(x):
-            loc += self.weights_mean[j] * xj
-            log_scale += self.weights_logscale[j] * xj
+        loc, log_scale = self.theta.dot(np.append(x, 1.0)).tolist()
         return loc, log_scale
 
     def predict_batch(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(locations, scales) over a feature matrix."""
-        locs = features @ np.asarray(self.weights_mean) + self.bias_mean
-        log_scales = features @ np.asarray(self.weights_logscale) + self.bias_logscale
+        locs = features @ self.theta[0, :-1] + self.theta[0, -1]
+        log_scales = features @ self.theta[1, :-1] + self.theta[1, -1]
         return locs, np.exp(log_scales)
 
 
@@ -310,31 +345,45 @@ def resolve_label_scales(config: SynthConfig, data: Dataset) -> np.ndarray | Non
     return np.array([map_iou(mapping, q) for q in data.quality])
 
 
-def sample_param_grads(
-    predictor: Predictor, x: Sequence[float], label: float, label_scale: float | None
-) -> tuple[float, list[float]]:
-    """Loss at one sample and its unclipped gradient w.r.t. every parameter.
+def _sample_step(
+    theta: np.ndarray, x_row: np.ndarray, label: float, label_scale: float | None
+) -> tuple[float, float, float, float] | None:
+    """Forward pass and loss at one sample: the SGD step kernel.
 
-    Gradient layout matches ``Predictor.as_vector``: mean weights, mean
-    bias, log-scale weights, log-scale bias. The log-scale chain multiplies
-    the scale partial by the predicted scale (d exp(s)/ds = exp(s)).
+    ``x_row`` is the sample's features followed by a 1, so one dot product
+    with the ``(2, d+1)`` block gives both heads. Returns
+    ``(loss, location, d loss/d location, d loss/d log-scale)``, or None
+    when the head outputs are out of range (the run would diverge). The
+    log-scale partial multiplies the scale partial by the predicted scale
+    (d exp(s)/ds = exp(s)); the gradient w.r.t. the block is the outer
+    product of the two head partials with ``x_row``.
     """
-    loc, log_scale = predictor.predict_one(x)
+    loc, log_scale = theta.dot(x_row).tolist()
     if not (math.isfinite(loc) and -_LOGSCALE_LIMIT < log_scale < _LOGSCALE_LIMIT):
-        raise ValueError("predictor output is out of range; training would have diverged")
+        return None
     scale = math.exp(log_scale)
     pred = LaplaceParams(loc, scale)
     if label_scale is None:
         grad = kld_loss_zero_label_scale(label, pred)
     else:
         grad = kld_loss(LaplaceParams(label, label_scale), pred)
-    g_loc = grad.d_location
-    g_log = grad.d_scale * scale
-    flat = [g_loc * xj for xj in x]
-    flat.append(g_loc)
-    flat.extend(g_log * xj for xj in x)
-    flat.append(g_log)
-    return grad.value, flat
+    return grad.value, loc, grad.d_location, grad.d_scale * scale
+
+
+def sample_param_grads(
+    predictor: Predictor, x: Sequence[float], label: float, label_scale: float | None
+) -> tuple[float, list[float]]:
+    """Loss at one sample and its unclipped gradient w.r.t. every parameter.
+
+    Gradient layout matches ``Predictor.as_vector``: mean weights, mean
+    bias, log-scale weights, log-scale bias.
+    """
+    x_row = np.append(x, 1.0)
+    step = _sample_step(predictor.theta, x_row, label, label_scale)
+    if step is None:
+        raise ValueError("predictor output is out of range; training would have diverged")
+    value, _, g_loc, g_log = step
+    return value, np.multiply.outer((g_loc, g_log), x_row).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -371,11 +420,7 @@ def _evaluate(predictor: Predictor, data: Dataset) -> tuple[float, float]:
     if not finite:
         return math.inf, math.nan
     mae = float(np.mean(np.abs(data.true_targets - locs)))
-    records = [
-        PredictionRecord(residual=float(r), scale=float(s))
-        for r, s in zip(data.labels - locs, scales)
-    ]
-    return mae, calibration_report(records).ece
+    return mae, calibration_report_arrays(data.labels - locs, scales).ece
 
 
 def train(
@@ -386,11 +431,12 @@ def train(
 ) -> tuple[Predictor, TrainReport]:
     """Per-sample SGD with the analytic loss gradients chained by hand.
 
-    The per-parameter gradient is clipped by its global L2 norm at
-    ``grad_clip`` before the constant-learning-rate update. A non-finite
-    loss (or a scale-head output that would under/overflow exp) marks the
-    run diverged and halts it; the report records the fact instead of
-    raising.
+    Each step runs as numpy operations on the predictor's ``(2, d+1)``
+    parameter block. The per-parameter gradient is clipped by its global L2
+    norm at ``grad_clip`` before the constant-learning-rate update. A
+    non-finite loss (or a scale-head output that would under/overflow exp)
+    marks the run diverged and halts it; the report records the fact
+    instead of raising.
 
     With ``average_tail_epochs > 0`` the returned predictor (and the one
     scored on the test set) is the average of the iterates visited during
@@ -408,15 +454,18 @@ def train(
         raise ValueError(f"dataset feature_dim {d} != config feature_dim {config.feature_dim}")
 
     scales_arr = resolve_label_scales(config, train_set)
-    label_scales = None if scales_arr is None else [float(b) for b in scales_arr]
-    xs = [tuple(float(v) for v in row) for row in train_set.features]
-    ys = [float(v) for v in train_set.labels]
+    label_scales = [None] * n if scales_arr is None else scales_arr.tolist()
+    rows = np.hstack((train_set.features, np.ones((n, 1))))
+    x_rows = list(rows)
+    # Squared norm of [*x, 1]: the per-parameter gradient's norm is the head
+    # gradient's norm times sqrt of this.
+    sq_norms = np.einsum("ij,ij->i", rows, rows).tolist()
+    ys = train_set.labels.tolist()
 
     predictor = (init or Predictor.initial(d)).copy()
-    wm = predictor.weights_mean
-    ws = predictor.weights_logscale
-    cm = predictor.bias_mean
-    cs = predictor.bias_logscale
+    theta = predictor.theta
+    head_step = np.empty((2, 1))
+    update = np.empty_like(theta)
     lr = config.learning_rate
     clip = config.grad_clip
 
@@ -424,68 +473,42 @@ def train(
     stats: list[EpochStats] = []
     diverged = False
     avg_start = max(0, config.epochs - config.average_tail_epochs)
-    acc = [0.0] * (2 * d + 2)  # wm..., cm, ws..., cs
+    acc = np.zeros_like(theta)
     acc_count = 0
 
     for epoch_idx in range(config.epochs):
         averaging = config.average_tail_epochs > 0 and epoch_idx >= avg_start
-        perm = order_rng.permutation(n)
         total_loss = 0.0
         total_abs = 0.0
         seen = 0
-        for idx in perm:
-            x = xs[idx]
-            y = ys[idx]
-            loc = cm
-            log_scale = cs
-            for j in range(d):
-                loc += wm[j] * x[j]
-                log_scale += ws[j] * x[j]
-            if not (math.isfinite(loc) and -_LOGSCALE_LIMIT < log_scale < _LOGSCALE_LIMIT):
+        for idx in order_rng.permutation(n).tolist():
+            step = _sample_step(theta, x_rows[idx], ys[idx], label_scales[idx])
+            if step is None:
                 diverged = True
                 total_loss = math.inf
                 break
-            scale = math.exp(log_scale)
-            pred = LaplaceParams(loc, scale)
-            if label_scales is None:
-                grad = kld_loss_zero_label_scale(y, pred)
-            else:
-                grad = kld_loss(LaplaceParams(y, label_scales[idx]), pred)
+            value, loc, g_loc, g_log = step
             seen += 1
-            total_abs += abs(y - loc)
-            g_loc = grad.d_location
-            g_log = grad.d_scale * scale
-            if not (math.isfinite(grad.value) and math.isfinite(g_loc) and math.isfinite(g_log)):
+            total_abs += abs(ys[idx] - loc)
+            if not (math.isfinite(value) and math.isfinite(g_loc) and math.isfinite(g_log)):
                 diverged = True
                 total_loss = math.inf
                 break
-            total_loss += grad.value
+            total_loss += value
 
-            sq = 1.0
-            for j in range(d):
-                sq += x[j] * x[j]
-            norm = math.sqrt((g_loc * g_loc + g_log * g_log) * sq)
+            norm = math.sqrt((g_loc * g_loc + g_log * g_log) * sq_norms[idx])
             if norm > clip:
                 factor = clip / norm
                 g_loc *= factor
                 g_log *= factor
-            step_loc = lr * g_loc
-            step_log = lr * g_log
-            for j in range(d):
-                wm[j] -= step_loc * x[j]
-                ws[j] -= step_log * x[j]
-            cm -= step_loc
-            cs -= step_log
+            head_step[0, 0] = lr * g_loc
+            head_step[1, 0] = lr * g_log
+            np.multiply(head_step, x_rows[idx], out=update)
+            theta -= update
             if averaging:
-                for j in range(d):
-                    acc[j] += wm[j]
-                    acc[d + 1 + j] += ws[j]
-                acc[d] += cm
-                acc[2 * d + 1] += cs
+                acc += theta
                 acc_count += 1
 
-        predictor.bias_mean = cm
-        predictor.bias_logscale = cs
         if seen:
             mean_loss = total_loss / seen
             mean_abs = total_abs / seen
@@ -498,15 +521,8 @@ def train(
         if diverged:
             break
 
-    predictor.bias_mean = cm
-    predictor.bias_logscale = cs
     if not diverged and acc_count > 0:
-        predictor = Predictor(
-            [a / acc_count for a in acc[:d]],
-            acc[d] / acc_count,
-            [a / acc_count for a in acc[d + 1 : 2 * d + 1]],
-            acc[2 * d + 1] / acc_count,
-        )
+        predictor.theta = acc / acc_count
     if diverged:
         test_mae, test_ece = math.inf, math.nan
     else:

@@ -11,6 +11,7 @@ from lkld.calibration import (
     CalibrationReport,
     PredictionRecord,
     calibration_report,
+    calibration_report_arrays,
     laplace_cdf,
     laplace_quantile,
     records_from_csv,
@@ -60,6 +61,26 @@ class TestLaplaceCdf:
     def test_quantile_round_trip(self):
         for p in np.linspace(0.01, 0.99, 43):
             assert laplace_cdf(laplace_quantile(float(p))) == pytest.approx(p, abs=1e-12)
+
+    def test_arrays_match_scalars(self):
+        p = np.linspace(0.001, 0.999, 37)
+        q = laplace_quantile(p)
+        assert isinstance(laplace_quantile(0.3), float)
+        assert isinstance(laplace_cdf(0.3), float)
+        np.testing.assert_array_equal(q, [laplace_quantile(float(v)) for v in p])
+        np.testing.assert_array_equal(laplace_cdf(q), [laplace_cdf(float(v)) for v in q])
+
+    def test_out_of_domain_rejected(self):
+        for p in (0.0, 1.0, -0.5, float("nan")):
+            with pytest.raises(ValueError):
+                laplace_quantile(p)
+        with pytest.raises(ValueError):
+            laplace_quantile(np.array([0.5, 1.0]))
+        for z in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                laplace_cdf(z)
+        with pytest.raises(ValueError):
+            laplace_cdf(np.array([0.0, -math.inf]))
 
 
 class TestCalibrationReport:
@@ -132,6 +153,47 @@ class TestCalibrationReport:
             calibration_report(perfect_records(10), grid=(0.5, 0.5))
         with pytest.raises(ValueError):
             calibration_report(perfect_records(10), grid=(0.0, 0.5))
+
+    def test_array_core_matches_records(self):
+        rng = np.random.default_rng(34)
+        for n, grid in ((1, DEFAULT_GRID), (40, (0.1, 0.5, 0.9)), (3000, DEFAULT_GRID)):
+            residuals = rng.normal(0, 2, n)
+            scales = 10.0 ** rng.uniform(-2, 1, n)
+            records = [PredictionRecord(float(r), float(s)) for r, s in zip(residuals, scales)]
+            from_arrays = calibration_report_arrays(residuals, scales, grid)
+            from_records = calibration_report(records, grid)
+            assert from_arrays.curve == from_records.curve
+            assert from_arrays.ece == from_records.ece
+            assert from_arrays.n == from_records.n == n
+
+    @pytest.mark.parametrize(
+        "residual,scale",
+        [
+            (math.nan, 1.0),  # non-finite residual
+            (math.inf, 1.0),
+            (0.5, 0.0),  # non-positive scale
+            (0.5, -1.0),
+            (0.5, math.inf),
+            (1e300, 1e-10),  # standard score overflows to inf
+        ],
+    )
+    def test_array_core_rejects_what_records_reject(self, residual, scale):
+        residuals = np.array([0.1, residual, -0.2])
+        scales = np.array([1.0, scale, 0.5])
+        with pytest.raises(ValueError):
+            calibration_report_arrays(residuals, scales)
+        with pytest.raises(ValueError):
+            calibration_report(
+                [PredictionRecord(float(r), float(s)) for r, s in zip(residuals, scales)]
+            )
+
+    def test_array_core_validation(self):
+        with pytest.raises(ValueError):
+            calibration_report_arrays(np.array([]), np.array([]))
+        with pytest.raises(ValueError):
+            calibration_report_arrays(np.zeros(3), np.ones(2))
+        with pytest.raises(ValueError):
+            calibration_report_arrays(np.zeros(3), np.ones(3), grid=(0.5, 0.5))
 
     def test_default_grid(self):
         assert len(DEFAULT_GRID) == 99

@@ -1,6 +1,7 @@
 """Tests for the synthetic data generator, SGD trainer, and comparison runner."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from lkld.synth_trainer import (
     train_report_to_csv,
 )
 
-from oracles import central_difference
+from oracles import central_difference, reference_train
 
 
 def small_config(**overrides):
@@ -68,6 +69,52 @@ class TestGenerate:
             np.testing.assert_array_equal(a.labels, b.labels)
             np.testing.assert_array_equal(a.true_scales, b.true_scales)
             np.testing.assert_array_equal(a.quality, b.quality)
+
+    # sha256 of each float64 array's bytes; changing the draw order, the
+    # inverse CDF or its clipping changes every dataset downstream.
+    PINNED_DATASETS = {
+        "constant": (
+            dict(n_train=50, n_test=30, feature_dim=4, noise=ConstantNoise(0.2), seed=1),
+            {
+                "train.features": "39a2df3ad8011cd435f928a383d1d17f644f857cbef5dfa9e7bbaba81bc3ebb1",
+                "train.true_targets": "3f901690937859d34c449f6dcb75a97934769b76ef367f78bd39385acb50bef8",
+                "train.labels": "401a8978ce93b1a37501a2f43bb3c36391951618b4f226a6e038c0a24298268d",
+                "train.true_scales": "17faad0521124d18b31cf84417a0fe579990a2a4ecc8304c3aaf82cce2d351e0",
+                "train.quality": "2eb974c7d536fe37ceddaa334f8f5f3e40fa7d0366b70e6bd8dd31624d6edc23",
+                "test.features": "43ff196c9860b27831a9617a5ea33d58bc5d72431fa6c40cf0445dcd5972b092",
+                "test.true_targets": "5e7c63295cbdd43bc1333b46f07c524031c55620048b12641096ccafc7756477",
+                "test.labels": "3c30c3b92abea6cc54fc0703d9551ed919a9d3c15443378f1d61aa3cbd2259bd",
+                "test.true_scales": "deabbc4899fd40dd7d6efff537ea56781123b166eb05af3bc2b986661a284068",
+                "test.quality": "948ee21ea38bd9df99f8e66ede4bf685ae2df096b672f12ecbd67fa6d4969fa6",
+            },
+        ),
+        "feature_dependent": (
+            dict(n_train=40, n_test=25, feature_dim=3, noise=FeatureDependentNoise(0.1, 0.5), seed=7),
+            {
+                "train.features": "dedfa9f210f5dd51352105d128802f6e75aaef60a2ccbd2739b15e58b5fc24b5",
+                "train.true_targets": "ea282c6b3ac828e6ab863493ecf7a28b591687ccc86ddc5400a4129cd4ab527e",
+                "train.labels": "0f540c29b6b28a3084159e0d743c6f29280d9c40ae890295ccc2cac0db2758a7",
+                "train.true_scales": "52ee654d7ba36cd1265d0a8a4c8dbe998362f1f56aece62051bebe46132f9b6d",
+                "train.quality": "398969ba3e5cce6961eb919811f619f06f2add41e47474ea5dfc4d0e2013a0de",
+                "test.features": "5217767a511567010a09a43a110759d77192e80717a2260eae0dd268df5e0828",
+                "test.true_targets": "5d8cc0b949e7c154a7d7ac5683ff4a2421945ed45d1cfa08e120bb2937679c56",
+                "test.labels": "b3e136db8933cdf8ee381b44b6d24afa6795f24573dc14fbdf453aae86232e02",
+                "test.true_scales": "37bcd6a95f161cd4217d8d2555b03bd8571aa70dc2644c1472ddc1f74750b152",
+                "test.quality": "4ee8bc137b80f659ddef93556d0bdd1a4eb285c64723067678500822187b3215",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
+    def test_datasets_are_pinned(self, name):
+        settings, expected = self.PINNED_DATASETS[name]
+        train_set, test_set = generate(SynthConfig(**settings))
+        digests = {
+            f"{split}.{field.name}": hashlib.sha256(getattr(data, field.name).tobytes()).hexdigest()
+            for split, data in (("train", train_set), ("test", test_set))
+            for field in dataclasses.fields(Dataset)
+        }
+        assert digests == expected
 
     def test_feature_dependent_noise_tracks_quality(self):
         cfg = small_config(noise=FeatureDependentNoise(0.1, 0.5))
@@ -129,6 +176,87 @@ class TestGradientChain:
                 assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-7)
             assert math.isfinite(loss)
 
+    @pytest.mark.parametrize("label_scale", [ZeroLabelScale(), OracleLabelScale()])
+    def test_train_applies_the_sample_gradient(self, label_scale):
+        # One sample, one epoch, unit rate, no clipping or averaging: the
+        # update train() applies is exactly sample_param_grads' gradient.
+        rng = np.random.default_rng(23)
+        d = 3
+        init = Predictor(list(rng.normal(0, 0.5, d)), 0.1, list(rng.normal(0, 0.3, d)), -0.2)
+        features = rng.uniform(-1, 1, (1, d))
+        data = Dataset(
+            features=features,
+            true_targets=np.array([0.2]),
+            labels=np.array([0.4]),
+            true_scales=np.array([0.3]),
+            quality=np.array([0.5]),
+        )
+        cfg = small_config(
+            n_train=1, feature_dim=d, epochs=1, learning_rate=1.0, grad_clip=1e12,
+            average_tail_epochs=0, label_scale=label_scale,
+        )
+        label_b = None if isinstance(label_scale, ZeroLabelScale) else 0.3
+        _, grads = sample_param_grads(init, tuple(features[0]), 0.4, label_b)
+        assert math.sqrt(sum(g * g for g in grads)) < cfg.grad_clip
+        predictor, _ = train(cfg, data, data, init=init)
+        assert predictor.as_vector() == [p - g for p, g in zip(init.as_vector(), grads)]
+
+
+def assert_runs_match(got, want):
+    """Same parameters, per-epoch stats and final metrics within 1e-9 (relative)."""
+    (got_pred, got_report), (want_pred, want_report) = got, want
+    assert got_report.diverged == want_report.diverged
+    assert len(got_report.epoch_stats) == len(want_report.epoch_stats)
+    np.testing.assert_allclose(got_pred.as_vector(), want_pred.as_vector(), rtol=1e-9, atol=0)
+    np.testing.assert_allclose(
+        [dataclasses.astuple(s) for s in got_report.epoch_stats],
+        [dataclasses.astuple(s) for s in want_report.epoch_stats],
+        rtol=1e-9,
+        atol=0,
+    )
+    np.testing.assert_allclose(
+        [got_report.test_mae, got_report.test_ece],
+        [want_report.test_mae, want_report.test_ece],
+        rtol=1e-9,
+        atol=0,
+    )
+
+
+class TestReferenceLoop:
+    """train() against the scalar-loop oracle: only the summation order differs."""
+
+    @pytest.mark.parametrize(
+        "label_scale", [ZeroLabelScale(), OracleLabelScale(), HeuristicLabelScale((0.5, 0.25, 0.1))]
+    )
+    def test_clipped_and_averaged(self, label_scale):
+        cfg = small_config(
+            n_train=64, noise=FeatureDependentNoise(0.1, 0.5), label_scale=label_scale,
+            epochs=5, grad_clip=0.05, average_tail_epochs=2,
+        )
+        data, _ = generate(cfg)
+        label_scales = resolve_label_scales(cfg, data)
+        # A step from the initial predictor already exceeds the clip norm.
+        _, grads = sample_param_grads(
+            Predictor.initial(cfg.feature_dim), tuple(data.features[0]), float(data.labels[0]),
+            None if label_scales is None else float(label_scales[0]),
+        )
+        assert math.sqrt(sum(g * g for g in grads)) > cfg.grad_clip
+        assert_runs_match(train(cfg), reference_train(cfg))
+
+    def test_given_init_without_averaging(self):
+        cfg = small_config(epochs=3, average_tail_epochs=0, grad_clip=1e12)
+        init = Predictor([0.3, -0.2, 0.1, 0.5], 0.2, [0.05, 0.0, -0.1, 0.02], math.log(0.5))
+        init_vector = init.as_vector()
+        assert_runs_match(train(cfg, init=init), reference_train(cfg, init=init))
+        assert init.as_vector() == init_vector  # train() works on a copy
+
+    def test_early_divergence(self):
+        cfg = small_config(label_scale=ZeroLabelScale(), learning_rate=5.0, grad_clip=1e12, epochs=5)
+        got = train(cfg)
+        assert got[1].diverged
+        assert len(got[1].epoch_stats) < cfg.epochs
+        assert_runs_match(got, reference_train(cfg))
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
@@ -136,6 +264,7 @@ class TestTrain:
         predictor, report = train(cfg)
         init = Predictor.initial(cfg.feature_dim)
         assert predictor.as_vector() == init.as_vector()
+        assert predictor == init
         assert report.epoch_stats == ()
         assert not report.diverged
 

@@ -1,11 +1,9 @@
-"""Small shared helpers: float formatting, atomic file writes, worker counts."""
+"""Small shared helpers: float formatting and atomic file writes."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-
-THREADS_ENV_VAR = "LKLD_THREADS"
 
 
 def fmt_sig(x: float, digits: int = 9) -> str:
@@ -28,17 +26,3 @@ def write_text_atomic(path: str, text: str) -> None:
             pass
         raise
 
-
-def worker_count(raw: str | None = None) -> int:
-    """Resolve the worker cap from LKLD_THREADS (0 = one per CPU; unset = 1)."""
-    if raw is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 0, got {n}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,33 +104,24 @@ def _check_grid(grid: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _counts(sorted_scores: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    # Inclusive comparison: a score CDF equal to the grid point counts.
-    return np.searchsorted(sorted_scores, grid, side="right")
-
-
 def calibration_report(
     records: Sequence[PredictionRecord],
     grid: Sequence[float] = DEFAULT_GRID,
-    max_workers: int = 1,
 ) -> CalibrationReport:
     """Observed cumulative fractions of Laplace-CDF scores at each grid point.
 
-    ``observed(p) = |{records : cdf(standard_score) <= p}| / n``. With
-    ``max_workers > 1`` the records are partitioned across threads and the
-    integer counts merged, so the result is independent of partitioning.
+    ``observed(p) = |{records : cdf(standard_score) <= p}| / n``.
     """
     n = len(records)
     residuals = np.fromiter((r.residual for r in records), dtype=float, count=n)
     scales = np.fromiter((r.scale for r in records), dtype=float, count=n)
-    return calibration_report_arrays(residuals, scales, grid, max_workers)
+    return calibration_report_arrays(residuals, scales, grid)
 
 
 def calibration_report_arrays(
     residuals: np.ndarray,
     scales: np.ndarray,
     grid: Sequence[float] = DEFAULT_GRID,
-    max_workers: int = 1,
 ) -> CalibrationReport:
     """``calibration_report`` over parallel residual and scale arrays.
 
@@ -151,18 +141,9 @@ def calibration_report_arrays(
     grid_arr = _check_grid(grid)
     with np.errstate(over="ignore"):
         z = residuals / scales
-    scores = laplace_cdf(z)
-
-    workers = max(1, int(max_workers))
-    if workers > 1 and scores.size > 1:
-        chunks = [np.sort(c) for c in np.array_split(scores, min(workers, scores.size))]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda c: _counts(c, grid_arr), chunks))
-        counts = np.sum(partials, axis=0)
-    else:
-        counts = _counts(np.sort(scores), grid_arr)
-
-    observed = counts / float(scores.size)
+    scores = np.sort(laplace_cdf(z))
+    # Inclusive comparison: a score CDF equal to the grid point counts.
+    observed = np.searchsorted(scores, grid_arr, side="right") / float(scores.size)
     curve = tuple(zip(grid_arr.tolist(), observed.tolist()))
     ece = float(np.mean(np.abs(observed - grid_arr)))
     return CalibrationReport(curve=curve, ece=ece, n=int(scores.size))

@@ -10,16 +10,20 @@ records CSV, whose format is pinned at 6.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
 import os
+import string
 import sys
 
-from ._util import fmt_sig, worker_count, write_text_atomic
+from ._util import fmt_sig, write_text_atomic
 from . import calibration, distributions, label_uncertainty, synth_trainer
 
 RANGE_TOL = 1e-12
+# Kept verbatim in per-class file names; see class_file_part.
+CLASS_FILE_SAFE = frozenset(string.ascii_letters + string.digits + "-_")
 
 
 def parse_range(raw: str) -> list[float]:
@@ -171,9 +175,7 @@ def cmd_labelunc(args: argparse.Namespace) -> int:
             )
     doc = _read_json(args.tracks)
     tracks = label_uncertainty.tracks_from_json(doc)
-    records = label_uncertainty.evaluate_tracks(
-        tracks, mapping=default, per_class=per_class, max_workers=worker_count()
-    )
+    records = label_uncertainty.evaluate_tracks(tracks, mapping=default, per_class=per_class)
     _emit(label_uncertainty.records_to_csv(records), args.output)
     return 0
 
@@ -206,22 +208,20 @@ def cmd_fit_map(args: argparse.Namespace) -> int:
 def cmd_iou_hist(args: argparse.Namespace) -> int:
     _check_output(args.output)
     _check_input(args.records)
-    with open(args.records, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
+    with open(args.records, "r", encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if not rows:
         raise ValueError("records CSV is empty")
-    header = lines[0].split(",")
+    header = rows[0]
     if "iou" not in header:
         raise ValueError("records CSV must have an 'iou' column")
     iou_col = header.index("iou")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
+    for rowno, cells in enumerate(rows[1:], start=2):
         try:
             iou_value = float(cells[iou_col])
         except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: bad iou cell: {exc}") from exc
+            raise ValueError(f"row {rowno}: bad iou cell: {exc}") from exc
         records.append(
             label_uncertainty.LabelUncertaintyRecord(
                 label_id="", class_name="", iou=iou_value, scale_b=1.0, n_points=0, n_sweeps=1
@@ -232,22 +232,46 @@ def cmd_iou_hist(args: argparse.Namespace) -> int:
     return 0
 
 
+def class_file_part(name: str) -> str:
+    """Injective, filesystem-safe file-name part for a class name.
+
+    Letters, digits, ``-`` and ``_`` stay as they are; every other UTF-8
+    byte becomes ``%XX`` (uppercase hex), so ``a/b`` gives ``a%2Fb`` and
+    ``..`` gives ``%2E%2E``. The empty name gives ``%``, which no other
+    name can produce.
+    """
+    if not name:
+        return "%"
+    return "".join(
+        chr(b) if chr(b) in CLASS_FILE_SAFE else f"%{b:02X}" for b in name.encode("utf-8")
+    )
+
+
 def cmd_calib(args: argparse.Namespace) -> int:
     _check_output(args.output)
     _check_input(args.records)
     with open(args.records, "r", encoding="utf-8") as handle:
         records = calibration.records_from_csv(handle.read())
     grid = parse_range(args.grid) if args.grid else calibration.DEFAULT_GRID
-    workers = worker_count()
-    pooled = calibration.calibration_report(records, grid, max_workers=workers)
+    by_class: dict[str, list[calibration.PredictionRecord]] = {}
+    if args.per_class:
+        for r in records:
+            by_class.setdefault(r.class_name, []).append(r)
+    stem, ext = os.path.splitext(args.output)
+    paths = {cls: f"{stem}.{class_file_part(cls)}{ext}" for cls in sorted(by_class)}
+    # Names that differ only in letter case share a file on case-insensitive
+    # filesystems, so they count as the same path everywhere.
+    seen: dict[str, str] = {}
+    for path in [args.output, *paths.values()]:
+        key = os.path.normcase(os.path.abspath(path)).casefold()
+        if key in seen:
+            raise ValueError(f"outputs {seen[key]} and {path} would overwrite each other")
+        seen[key] = path
+    pooled = calibration.calibration_report(records, grid)
     _emit(calibration.report_to_csv(pooled), args.output)
-    if args.per_class and args.output is not None:
-        stem, ext = os.path.splitext(args.output)
-        for cls in sorted({r.class_name for r in records}):
-            subset = [r for r in records if r.class_name == cls]
-            report = calibration.calibration_report(subset, grid, max_workers=workers)
-            safe = cls.replace(os.sep, "_") or "unlabeled"
-            write_text_atomic(f"{stem}.{safe}{ext}", calibration.report_to_csv(report))
+    for cls, path in paths.items():
+        report = calibration.calibration_report(by_class[cls], grid)
+        write_text_atomic(path, calibration.report_to_csv(report))
     return 0
 
 

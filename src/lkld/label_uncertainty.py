@@ -2,11 +2,12 @@
 
 A tracked box label is observed over several sensor sweeps, each sweep
 contributing a pose for the box and the points seen inside it. The points
-are carried rigidly into one reference sweep, the convex hull of the
-accumulated cloud is compared against the label rectangle via IoU, and the
-IoU is mapped to a Laplace scale through an exponential fit anchored at
-IoU 0, 0.5, and 1. A sparse, ambiguous label yields a low IoU and a large
-scale; a well-supported label yields a small one.
+are carried rigidly into the reference label's own frame, the convex hull
+of the accumulated cloud is compared against the label rectangle via IoU,
+and the IoU is mapped to a Laplace scale through an exponential fit
+anchored at IoU 0, 0.5, and 1. A sparse, ambiguous label yields a low IoU
+and a large scale; a well-supported label yields a small one. Working in
+the label frame keeps the IoU independent of where the global origin is.
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ._util import fmt_sig
-from .geometry import OrientedRect, Point2, convex_hull, iou, rect_to_polygon, rigid_transform
+# perfbench/tracing.py wraps convex_hull, iou and rigid_transform under this
+# module's names: label_iou calls the first two through them, and
+# rigid_transform, unused here, is imported only so that name exists.
+from .geometry import OrientedRect, Point2, convex_hull, iou, rect_to_polygon, rigid_transform  # noqa: F401
 
 __all__ = [
     "LabelTrack",
@@ -52,7 +57,8 @@ class LabelTrack:
     """One object's per-sweep rectangle poses and the points observed inside it.
 
     Coordinates are in a shared global frame. Every sweep with points must
-    also carry a pose; sweeps may have a pose but no points.
+    also carry a pose; sweeps may have a pose but no points. Each point is
+    an ``(x, y)`` pair, stored as a ``Point2``.
     """
 
     label_id: str
@@ -69,7 +75,7 @@ class LabelTrack:
                 f"track {self.label_id!r} has points in sweeps without poses: {sorted(missing)}"
             )
         self.points = {
-            sweep: [Point2(float(p[0]), float(p[1])) for p in pts]
+            sweep: [Point2(float(x), float(y)) for x, y in pts]
             for sweep, pts in self.points.items()
         }
 
@@ -87,30 +93,41 @@ def choose_reference_sweep(track: LabelTrack) -> int:
     return max(track.poses, key=lambda sweep: (len(track.points.get(sweep, ())), -sweep))
 
 
-def aggregate_points(track: LabelTrack, reference_sweep: int) -> list[Point2]:
-    """Rigidly carry every sweep's points into the reference sweep's label frame."""
+def aggregate_points(track: LabelTrack, reference_sweep: int) -> np.ndarray:
+    """Every sweep's points in the reference label's frame, as an ``(n, 2)`` array.
+
+    A point rigidly attached to the box has the same box-local coordinates
+    in every sweep, so each sweep's block is expressed in that sweep's own
+    label frame, ``R(-theta_s) (p - c_s)``. The reference label is then the
+    axis-aligned box centred at the origin. Blocks follow sweep id order.
+    """
     if reference_sweep not in track.poses:
         raise ValueError(
             f"reference sweep {reference_sweep} not among poses of track {track.label_id!r}"
         )
-    ref_pose = track.poses[reference_sweep].pose
-    out: list[Point2] = []
+    blocks = [np.empty((0, 2))]
     for sweep in sorted(track.points):
-        from_pose = track.poses[sweep].pose
-        for p in track.points[sweep]:
-            out.append(rigid_transform(p, from_pose, ref_pose))
-    return out
+        pts = track.points[sweep]
+        if pts:
+            center, theta = track.poses[sweep].pose
+            c, s = math.cos(theta), math.sin(theta)
+            # Row vectors: (p - c) @ R(-theta)^T.
+            blocks.append((np.asarray(pts, dtype=float) - center) @ np.array([[c, -s], [s, c]]))
+    return np.concatenate(blocks)
 
 
 def label_iou(track: LabelTrack, reference_sweep: int) -> float:
     """IoU between the hull of the aggregated points and the reference rectangle.
 
-    Fewer than three non-collinear aggregated points give a degenerate hull
-    and an IoU of 0.
+    Both live in the reference label's frame, where the rectangle is the
+    axis-aligned ``length x width`` box centred at the origin, so the result
+    does not depend on the global origin. Fewer than three non-collinear
+    aggregated points give a degenerate hull and an IoU of 0.
     """
     cloud = aggregate_points(track, reference_sweep)
-    hull = convex_hull(cloud)
-    label_poly = rect_to_polygon(track.poses[reference_sweep])
+    hull = convex_hull(cloud.tolist())
+    ref = track.poses[reference_sweep]
+    label_poly = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, ref.length, ref.width))
     return iou(hull, label_poly)
 
 
@@ -217,13 +234,10 @@ def evaluate_tracks(
     tracks: Sequence[LabelTrack],
     mapping: UncertaintyMapping | None = None,
     per_class: Mapping[str, UncertaintyMapping] | None = None,
-    max_workers: int = 1,
 ) -> list[LabelUncertaintyRecord]:
     """Evaluate many tracks, one mapping per class with an optional default.
 
-    Track processing is independent per label; with ``max_workers > 1`` the
-    work is spread over a thread pool and the records are merged back in
-    label-id order so output is identical regardless of scheduling.
+    Records come back in label-id order.
     """
     per_class = dict(per_class or {})
 
@@ -235,11 +249,7 @@ def evaluate_tracks(
             )
         return chosen
 
-    if max_workers > 1 and len(tracks) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(lambda t: evaluate_track(t, pick(t)), tracks))
-    else:
-        records = [evaluate_track(t, pick(t)) for t in tracks]
+    records = [evaluate_track(t, pick(t)) for t in tracks]
     return sorted(records, key=lambda r: r.label_id)
 
 
@@ -275,13 +285,12 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
                     length=float(pose["length"]),
                     width=float(pose["width"]),
                 )
-            points: dict[int, list[Point2]] = {}
-            for entry in raw.get("points", []):
-                sweep = int(entry["sweep_id"])
-                points[sweep] = [Point2(float(x), float(y)) for x, y in entry["xy"]]
+            points = {int(entry["sweep_id"]): entry["xy"] for entry in raw.get("points", [])}
+            tracks.append(
+                LabelTrack(label_id=label_id, class_name=class_name, poses=poses, points=points)
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed track at {where}: {exc}") from exc
-        tracks.append(LabelTrack(label_id=label_id, class_name=class_name, poses=poses, points=points))
     return tracks
 
 

@@ -171,13 +171,6 @@ def test_criterion_07_calibration_sanity():
         assert calibration_report(halved).ece > 0.05
         assert calibration_report(doubled).ece > 0.05
 
-        rng = np.random.default_rng(77)
-        noisy = [
-            PredictionRecord(float(r), float(s))
-            for r, s in zip(rng.normal(0, 1, 5000), 10.0 ** rng.uniform(-1, 1, 5000))
-        ]
-        assert calibration_report(noisy, max_workers=1) == calibration_report(noisy, max_workers=8)
-
 
 def _duel(base):
     """(oracle report, pure-NLL report) trained on shared data."""

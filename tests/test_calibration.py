@@ -136,16 +136,6 @@ class TestCalibrationReport:
         assert ece_1 < ece_2
         assert ece_1 < ece_half
 
-    def test_partitioned_report_equals_serial(self):
-        rng = np.random.default_rng(33)
-        records = [
-            PredictionRecord(float(r), float(s))
-            for r, s in zip(rng.normal(0, 1, 777), 10.0 ** rng.uniform(-1, 0.5, 777))
-        ]
-        serial = calibration_report(records, max_workers=1)
-        threaded = calibration_report(records, max_workers=5)
-        assert serial == threaded
-
     def test_validation(self):
         with pytest.raises(ValueError):
             calibration_report([])

@@ -4,8 +4,16 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from lkld.cli import main, parse_anchors, parse_range
+from lkld.calibration import PredictionRecord, calibration_report, report_to_csv
+from lkld.cli import CLASS_FILE_SAFE, class_file_part, main, parse_anchors, parse_range
+from lkld.label_uncertainty import (
+    LabelUncertaintyRecord,
+    histogram_to_csv,
+    iou_histogram,
+    records_to_csv,
+)
 
 
 SAMPLE_TRACKS = {
@@ -129,6 +137,26 @@ class TestLabelUncCommands:
         assert code == 0
         assert hist.read_text() == "bin_low,bin_high,count\n0,0.5,1\n0.5,1,1\n"
 
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        rows=st.lists(st.tuples(st.text(), st.text(), st.integers(0, 1000)), max_size=8),
+        bins=st.integers(1, 7),
+    )
+    @example(rows=[("veh,1", "vehicle", 250), ('say "hi"', '"', 900), ("", "", 1000)], bins=4)
+    def test_iou_hist_reads_any_records_csv(self, tmp_path, rows, bins):
+        # IoUs k/1000 survive the 6-digit records format exactly.
+        records = [
+            LabelUncertaintyRecord(label_id, cls, k / 1000, 1.0, 0, 1) for label_id, cls, k in rows
+        ]
+        path = tmp_path / "records.csv"
+        path.write_text(records_to_csv(records), encoding="utf-8")
+        hist = tmp_path / "hist.csv"
+        code = main(["iou-hist", "--records", str(path), "--bins", str(bins), "-o", str(hist)])
+        assert code == 0
+        assert hist.read_text() == histogram_to_csv(iou_histogram(records, bins))
+
     def test_labelunc_empty_track_list(self, tmp_path):
         tracks = tmp_path / "tracks.json"
         tracks.write_text(json.dumps({"tracks": []}))
@@ -170,6 +198,51 @@ class TestCalibCommand:
         assert text.strip().split("\n")[-1].startswith("ece,")
         assert (tmp_path / "calib.vehicle.csv").exists()
         assert (tmp_path / "calib.bike.csv").exists()
+
+    @pytest.mark.parametrize(
+        "first, second, names",
+        [
+            ("", "unlabeled", ("calib.%.csv", "calib.unlabeled.csv")),
+            ("a/b", "a_b", ("calib.a%2Fb.csv", "calib.a_b.csv")),
+            ("..", ".", ("calib.%2E%2E.csv", "calib.%2E.csv")),
+        ],
+    )
+    def test_per_class_names_never_share_a_file(self, tmp_path, first, second, names):
+        # Pairs a lossy file-name mapping would merge, and dot-only names.
+        subsets = {
+            first: [PredictionRecord(0.1 * k - 0.5, 0.4, first) for k in range(10)],
+            second: [PredictionRecord(0.05 * k - 0.2, 0.3, second) for k in range(8)],
+        }
+        csv_in = tmp_path / "preds.csv"
+        rows = ["residual,scale,class_name"]
+        rows += [f'{r.residual!r},{r.scale!r},"{r.class_name}"' for s in subsets.values() for r in s]
+        csv_in.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "calib.csv"
+        code = main(["calib", "--records", str(csv_in), "--per-class", "-o", str(out)])
+        assert code == 0
+        for cls, name in zip((first, second), names):
+            want = report_to_csv(calibration_report(subsets[cls]))
+            assert (tmp_path / name).read_text() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["preds.csv", "calib.csv", *names]
+        )
+
+    def test_per_class_names_differing_in_case_are_rejected(self, tmp_path, capsys):
+        csv_in = tmp_path / "preds.csv"
+        csv_in.write_text("residual,scale,class_name\n0.1,0.4,Car\n-0.2,0.3,car\n")
+        out = tmp_path / "calib.csv"
+        code = main(["calib", "--records", str(csv_in), "--per-class", "-o", str(out)])
+        assert code == 1
+        assert "overwrite each other" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
+
+    @given(st.text(), st.text())
+    @example("", "%")
+    @example("a/b", "a_b")
+    def test_class_file_part_is_injective_and_safe(self, a, b):
+        part_a, part_b = class_file_part(a), class_file_part(b)
+        assert (part_a == part_b) == (a == b)
+        assert part_a and set(part_a) <= CLASS_FILE_SAFE | set("%0123456789ABCDEF")
 
 
 class TestTrainAndCompareCommands:
@@ -241,21 +314,3 @@ class TestExitCodesAndAtomicity:
                      "--atol", "1e-16", "-o", str(out)])
         assert code == 1
         assert out.exists()
-
-
-class TestThreadEnvironment:
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        csv_in = tmp_path / "preds.csv"
-        rows = ["residual,scale,class_name"]
-        rows += [f"{0.01 * k - 0.3},0.25,vehicle" for k in range(64)]
-        csv_in.write_text("\n".join(rows) + "\n")
-
-        out_serial = tmp_path / "serial.csv"
-        monkeypatch.setenv("LKLD_THREADS", "1")
-        assert main(["calib", "--records", str(csv_in), "-o", str(out_serial)]) == 0
-
-        out_threaded = tmp_path / "threaded.csv"
-        monkeypatch.setenv("LKLD_THREADS", "4")
-        assert main(["calib", "--records", str(csv_in), "-o", str(out_threaded)]) == 0
-
-        assert out_serial.read_bytes() == out_threaded.read_bytes()

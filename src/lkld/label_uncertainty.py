@@ -303,11 +303,16 @@ def records_to_csv(records: Sequence[LabelUncertaintyRecord]) -> str:
     """Records as CSV with 6 significant digits on the float columns."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # csv.reader ends a row at a bare "\r", which the minimal quoting leaves
+    # unquoted under a "\n" line terminator; rows holding one quote every cell.
+    quoting_writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(RECORDS_CSV_HEADER)
     for r in records:
-        writer.writerow(
-            [r.label_id, r.class_name, fmt_sig(r.iou, 6), fmt_sig(r.scale_b, 6), r.n_points, r.n_sweeps]
-        )
+        row = [r.label_id, r.class_name, fmt_sig(r.iou, 6), fmt_sig(r.scale_b, 6), r.n_points, r.n_sweeps]
+        if "\r" in r.label_id or "\r" in r.class_name:
+            quoting_writer.writerow(row)
+        else:
+            writer.writerow(row)
     return buf.getvalue()
 
 

@@ -145,6 +145,7 @@ class TestLabelUncCommands:
         bins=st.integers(1, 7),
     )
     @example(rows=[("veh,1", "vehicle", 250), ('say "hi"', '"', 900), ("", "", 1000)], bins=4)
+    @example(rows=[("", "\r", 0), ("a\r\nb", "c\rd", 500)], bins=1)
     def test_iou_hist_reads_any_records_csv(self, tmp_path, rows, bins):
         # IoUs k/1000 survive the 6-digit records format exactly.
         records = [

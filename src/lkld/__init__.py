@@ -8,11 +8,10 @@ training harness demonstrating the loss behavior under noisy labels.
 
 from .calibration import (
     CalibrationReport,
-    PredictionRecord,
+    PredictionColumns,
     calibration_report,
     laplace_cdf,
     laplace_quantile,
-    standard_score,
 )
 from .distributions import (
     GradCheckResult,

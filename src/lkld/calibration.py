@@ -22,39 +22,17 @@ import numpy as np
 from ._util import fmt_sig
 
 __all__ = [
-    "PredictionRecord",
     "CalibrationReport",
     "DEFAULT_GRID",
-    "standard_score",
+    "PredictionColumns",
     "laplace_cdf",
     "laplace_quantile",
     "calibration_report",
-    "calibration_report_arrays",
     "report_to_csv",
     "records_from_csv",
 ]
 
 DEFAULT_GRID: tuple[float, ...] = tuple(i / 100.0 for i in range(1, 100))
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One residual (label minus predicted location) with its predicted scale."""
-
-    residual: float
-    scale: float
-    class_name: str = ""
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.residual):
-            raise ValueError(f"residual must be finite, got {self.residual}")
-        if not (self.scale > 0.0) or not math.isfinite(self.scale):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-
-
-def standard_score(record: PredictionRecord) -> float:
-    """Residual in units of the predicted scale."""
-    return record.residual / record.scale
 
 
 def laplace_cdf(z: float | np.ndarray) -> float | np.ndarray:
@@ -93,40 +71,17 @@ class CalibrationReport:
     n: int
 
 
-def _check_grid(grid: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(grid, dtype=float)
-    if arr.size == 0:
-        raise ValueError("grid must be non-empty")
-    if not (np.all(arr > 0.0) and np.all(arr < 1.0)):
-        raise ValueError("grid points must lie strictly inside (0, 1)")
-    if not np.all(np.diff(arr) > 0.0):
-        raise ValueError("grid must be strictly increasing")
-    return arr
-
-
 def calibration_report(
-    records: Sequence[PredictionRecord],
-    grid: Sequence[float] = DEFAULT_GRID,
-) -> CalibrationReport:
-    """Observed cumulative fractions of Laplace-CDF scores at each grid point.
-
-    ``observed(p) = |{records : cdf(standard_score) <= p}| / n``.
-    """
-    n = len(records)
-    residuals = np.fromiter((r.residual for r in records), dtype=float, count=n)
-    scales = np.fromiter((r.scale for r in records), dtype=float, count=n)
-    return calibration_report_arrays(residuals, scales, grid)
-
-
-def calibration_report_arrays(
     residuals: np.ndarray,
     scales: np.ndarray,
     grid: Sequence[float] = DEFAULT_GRID,
 ) -> CalibrationReport:
-    """``calibration_report`` over parallel residual and scale arrays.
+    """Observed cumulative fractions of Laplace-CDF scores at each grid point.
 
-    Validates what ``PredictionRecord`` validates (finite residuals,
-    positive finite scales) and rejects a standard score that overflows.
+    ``observed(p) = |{i : cdf(residuals[i] / scales[i]) <= p}| / n`` over
+    parallel 1-d arrays of residuals (label minus predicted location) and
+    predicted scales. Residuals must be finite and scales positive and
+    finite; a standard score that overflows is rejected.
     """
     residuals = np.asarray(residuals, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -138,7 +93,13 @@ def calibration_report_arrays(
         raise ValueError("residuals must be finite")
     if not (np.all(scales > 0.0) and np.all(np.isfinite(scales))):
         raise ValueError("scales must be positive and finite")
-    grid_arr = _check_grid(grid)
+    grid_arr = np.asarray(grid, dtype=float)
+    if grid_arr.size == 0:
+        raise ValueError("grid must be non-empty")
+    if not (np.all(grid_arr > 0.0) and np.all(grid_arr < 1.0)):
+        raise ValueError("grid points must lie strictly inside (0, 1)")
+    if not np.all(np.diff(grid_arr) > 0.0):
+        raise ValueError("grid must be strictly increasing")
     with np.errstate(over="ignore"):
         z = residuals / scales
     scores = np.sort(laplace_cdf(z))
@@ -158,26 +119,52 @@ def report_to_csv(report: CalibrationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def records_from_csv(text: str) -> list[PredictionRecord]:
-    """Parse ``residual,scale,class_name`` rows (header required)."""
+@dataclass(frozen=True, eq=False)
+class PredictionColumns:
+    """Parsed prediction rows as float64 ``residuals`` and ``scales`` arrays
+    and a tuple of ``class_names`` (a numpy string array would drop trailing
+    NULs and merge classes such as ``"a"`` and ``"a\\x00"``)."""
+
+    residuals: np.ndarray
+    scales: np.ndarray
+    class_names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.class_names)
+
+
+def records_from_csv(text: str) -> PredictionColumns:
+    """Parse ``residual,scale,class_name`` rows (header required).
+
+    Each row is checked once: three columns, a finite residual and a
+    positive finite scale. Errors name the offending line.
+    """
     reader = csv.reader(io.StringIO(text))
+    residuals: list[float] = []
+    scales: list[float] = []
+    class_names: list[str] = []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("prediction CSV is empty") from None
-    expected = ["residual", "scale", "class_name"]
-    if [h.strip() for h in header] != expected:
-        raise ValueError(f"prediction CSV header must be {','.join(expected)!r}, got {header}")
-    records: list[PredictionRecord] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
-        try:
-            records.append(
-                PredictionRecord(residual=float(row[0]), scale=float(row[1]), class_name=row[2])
-            )
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    return records
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("prediction CSV is empty")
+        if [h.strip() for h in header] != ["residual", "scale", "class_name"]:
+            raise ValueError(f"prediction CSV header must be 'residual,scale,class_name', got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
+            try:
+                residual, scale = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            if not math.isfinite(residual):
+                raise ValueError(f"line {lineno}: residual must be finite, got {residual}")
+            if not (scale > 0.0 and math.isfinite(scale)):
+                raise ValueError(f"line {lineno}: scale must be positive and finite, got {scale}")
+            residuals.append(residual)
+            scales.append(scale)
+            class_names.append(row[2])
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    return PredictionColumns(np.array(residuals), np.array(scales), tuple(class_names))

@@ -17,6 +17,7 @@ import math
 import os
 import string
 import sys
+from collections.abc import Sequence
 
 from ._util import fmt_sig, write_text_atomic
 from . import calibration, distributions, label_uncertainty, synth_trainer
@@ -68,14 +69,29 @@ def _check_input(path: str) -> None:
         raise ValueError(f"input file not readable: {path}")
 
 
-def _check_output(path: str | None) -> None:
-    if path is None:
-        return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    if not os.path.isdir(directory):
-        raise ValueError(f"output directory does not exist: {directory}")
-    if not os.access(directory, os.W_OK):
-        raise ValueError(f"output directory not writable: {directory}")
+def _check_outputs(outputs: Sequence[str | None], inputs: Sequence[str] = ()) -> None:
+    """Reject outputs that cannot be written or would overwrite an input or each other.
+
+    ``None`` stands for stdout. Paths match after resolving symbolic links and
+    folding letter case, as names differing only in case share a file on some systems.
+    """
+    def key(path: str) -> str:
+        return os.path.normcase(os.path.realpath(path)).casefold()
+
+    sources = {key(path): path for path in inputs}
+    targets: dict[str, str] = {}
+    for path in filter(None, outputs):
+        directory = os.path.dirname(os.path.abspath(path)) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"output directory does not exist: {directory}")
+        if not os.access(directory, os.W_OK):
+            raise ValueError(f"output directory not writable: {directory}")
+        k = key(path)
+        if k in sources:
+            raise ValueError(f"output {path} would overwrite input {sources[k]}")
+        if k in targets:
+            raise ValueError(f"outputs {targets[k]} and {path} would overwrite each other")
+        targets[k] = path
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -96,7 +112,7 @@ def _round_sig(value: float) -> float:
 
 
 def cmd_loss_eval(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output])
     pred = distributions.LaplaceParams(args.pred_location, args.pred_scale)
     if args.loss == "nll":
         if args.label_scale is not None:
@@ -120,7 +136,7 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output])
     result = distributions.gradient_check(
         args.loss,
         samples=args.samples,
@@ -141,7 +157,7 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output])
     grid = distributions.surface_grid(
         args.loss,
         args.label_scale if args.label_scale is not None else 0.0,
@@ -164,7 +180,7 @@ def _mappings_from_args(args: argparse.Namespace):
 
 
 def cmd_labelunc(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output], [args.tracks])
     default, per_class = _mappings_from_args(args)
     for mapping in [default, *per_class.values()]:
         if mapping.linear:
@@ -181,7 +197,7 @@ def cmd_labelunc(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_map(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output])
     mapping = label_uncertainty.fit_mapping(*parse_anchors(args.anchors))
     if mapping.linear:
         print(
@@ -206,28 +222,30 @@ def cmd_fit_map(args: argparse.Namespace) -> int:
 
 
 def cmd_iou_hist(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output], [args.records])
     _check_input(args.records)
     with open(args.records, "r", encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError("records CSV is empty")
     header = rows[0]
     if "iou" not in header:
         raise ValueError("records CSV must have an 'iou' column")
     iou_col = header.index("iou")
-    records = []
+    ious = []
     for rowno, cells in enumerate(rows[1:], start=2):
         try:
             iou_value = float(cells[iou_col])
         except (IndexError, ValueError) as exc:
             raise ValueError(f"row {rowno}: bad iou cell: {exc}") from exc
-        records.append(
-            label_uncertainty.LabelUncertaintyRecord(
-                label_id="", class_name="", iou=iou_value, scale_b=1.0, n_points=0, n_sweeps=1
-            )
-        )
-    bins = label_uncertainty.iou_histogram(records, args.bins)
+        if not 0.0 <= iou_value <= 1.0:
+            raise ValueError(f"row {rowno}: iou must be in [0, 1], got {cells[iou_col]!r}")
+        ious.append(iou_value)
+    bins = label_uncertainty.iou_histogram(ious, args.bins)
     _emit(label_uncertainty.histogram_to_csv(bins), args.output)
     return 0
 
@@ -248,35 +266,28 @@ def class_file_part(name: str) -> str:
 
 
 def cmd_calib(args: argparse.Namespace) -> int:
-    _check_output(args.output)
     _check_input(args.records)
-    with open(args.records, "r", encoding="utf-8") as handle:
-        records = calibration.records_from_csv(handle.read())
+    with open(args.records, "r", encoding="utf-8", newline="") as handle:
+        preds = calibration.records_from_csv(handle.read())
     grid = parse_range(args.grid) if args.grid else calibration.DEFAULT_GRID
-    by_class: dict[str, list[calibration.PredictionRecord]] = {}
+    rows_by_class: dict[str, list[int]] = {}
     if args.per_class:
-        for r in records:
-            by_class.setdefault(r.class_name, []).append(r)
+        for i, cls in enumerate(preds.class_names):
+            rows_by_class.setdefault(cls, []).append(i)
     stem, ext = os.path.splitext(args.output)
-    paths = {cls: f"{stem}.{class_file_part(cls)}{ext}" for cls in sorted(by_class)}
-    # Names that differ only in letter case share a file on case-insensitive
-    # filesystems, so they count as the same path everywhere.
-    seen: dict[str, str] = {}
-    for path in [args.output, *paths.values()]:
-        key = os.path.normcase(os.path.abspath(path)).casefold()
-        if key in seen:
-            raise ValueError(f"outputs {seen[key]} and {path} would overwrite each other")
-        seen[key] = path
-    pooled = calibration.calibration_report(records, grid)
+    paths = {cls: f"{stem}.{class_file_part(cls)}{ext}" for cls in sorted(rows_by_class)}
+    _check_outputs([args.output, *paths.values()], [args.records])
+    pooled = calibration.calibration_report(preds.residuals, preds.scales, grid)
     _emit(calibration.report_to_csv(pooled), args.output)
     for cls, path in paths.items():
-        report = calibration.calibration_report(by_class[cls], grid)
+        rows = rows_by_class[cls]
+        report = calibration.calibration_report(preds.residuals[rows], preds.scales[rows], grid)
         write_text_atomic(path, calibration.report_to_csv(report))
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output], [args.config])
     config = synth_trainer.config_from_dict(_read_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -286,7 +297,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _check_output(args.output)
+    _check_outputs([args.output], [args.config])
     doc = _read_json(args.config)
     if not isinstance(doc, dict) or "modes" not in doc:
         raise ValueError("compare config must be an object with 'config' and 'modes'")

@@ -9,6 +9,7 @@ thread-safe.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -26,8 +27,8 @@ __all__ = [
     "contains_point",
 ]
 
-# Cross products at or below this magnitude count as collinear when building
-# hulls; keeps vertex output strictly convex and deterministic.
+# Hull corners whose cross product is at or below this count as collinear and
+# are dropped; keeps vertex output strictly convex and deterministic.
 COLLINEAR_EPS = 1e-12
 # Points within this distance of a clip line count as inside; avoids sliver
 # polygons from floating-point jitter.
@@ -148,17 +149,27 @@ def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
         for p in ordered:
             while len(chain) >= 2:
                 o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= COLLINEAR_EPS:
-                    chain.pop()
-                else:
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0:
                     break
+                chain.pop()
             chain.append(p)
         return chain
 
     lower = build(pts)
     upper = build(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    return ConvexPolygon(tuple(Point2(*p) for p in hull))
+    # Near-straight corners go only from the finished hull, each losing at most
+    # COLLINEAR_EPS / 2: in a partial chain two close points can flatten a far corner.
+    # The corner tested is ring[-1]; a lap of corners that all turn more ends the walk.
+    ring, kept = deque(Point2(*p) for p in lower[:-1] + upper[:-1]), 0
+    while kept < len(ring) and len(ring) >= 3:
+        if _cross(ring[-2], ring[-1], ring[0]) <= COLLINEAR_EPS:
+            ring.pop()  # ring[-2] has a new neighbour: it is tested next
+            kept = 0
+        else:
+            ring.rotate(-1)
+            kept += 1
+    ring.rotate(-ring.index(min(ring)))
+    return ConvexPolygon(tuple(ring))
 
 
 def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
@@ -261,8 +272,10 @@ def iou(a: ConvexPolygon, b: ConvexPolygon) -> float:
 
     A degenerate pair maps to 0 rather than NaN: an empty evidence hull
     carries maximal ambiguity, so downstream mappings assign maximal
-    uncertainty.
+    uncertainty. ``iou(a, b) == iou(b, a)`` exactly.
     """
+    if b.vertices < a.vertices:  # the CLIP_EPS sliver a clip keeps depends on the order
+        a, b = b, a
     inter = area(intersect_convex(a, b))
     union = area(a) + area(b) - inter
     if union <= 0.0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -199,20 +198,19 @@ class LabelUncertaintyRecord:
     n_sweeps: int
 
 
-def iou_histogram(
-    records: Sequence[LabelUncertaintyRecord], n_bins: int
-) -> list[tuple[float, float, int]]:
-    """Equal-width counts of record IoUs over [0, 1].
+def iou_histogram(ious: Sequence[float], n_bins: int) -> list[tuple[float, float, int]]:
+    """Equal-width counts of IoUs over [0, 1].
 
     Bins are right-open except the last, which is closed so an IoU of
-    exactly 1 lands in the top bin.
+    exactly 1 lands in the top bin. IoUs outside [0, 1] are rejected.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     counts = [0] * n_bins
-    for record in records:
-        idx = min(int(record.iou * n_bins), n_bins - 1)
-        counts[idx] += 1
+    for value in ious:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"iou must be in [0, 1], got {value}")
+        counts[min(int(value * n_bins), n_bins - 1)] += 1
     return [(i / n_bins, (i + 1) / n_bins, counts[i]) for i in range(n_bins)]
 
 
@@ -278,6 +276,8 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
             poses: dict[int, OrientedRect] = {}
             for pose in raw["poses"]:
                 sweep = int(pose["sweep_id"])
+                if sweep in poses:
+                    raise ValueError(f"duplicate sweep_id {sweep} in poses")
                 cx, cy = pose["center"]
                 poses[sweep] = OrientedRect(
                     center=Point2(float(cx), float(cy)),
@@ -285,18 +285,18 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
                     length=float(pose["length"]),
                     width=float(pose["width"]),
                 )
-            points = {int(entry["sweep_id"]): entry["xy"] for entry in raw.get("points", [])}
+            points: dict[int, object] = {}
+            for entry in raw.get("points", []):
+                sweep = int(entry["sweep_id"])
+                if sweep in points:
+                    raise ValueError(f"duplicate sweep_id {sweep} in points")
+                points[sweep] = entry["xy"]
             tracks.append(
                 LabelTrack(label_id=label_id, class_name=class_name, poses=poses, points=points)
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed track at {where}: {exc}") from exc
     return tracks
-
-
-def load_tracks(path: str) -> list[LabelTrack]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return tracks_from_json(json.load(handle))
 
 
 def records_to_csv(records: Sequence[LabelUncertaintyRecord]) -> str:

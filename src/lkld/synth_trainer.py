@@ -24,13 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import fmt_sig
-# calibration_report is unused here but stays importable from this module:
-# perfbench/tracing.py wraps synth_trainer.calibration_report.
-from .calibration import (  # noqa: F401
-    calibration_report,
-    calibration_report_arrays,
-    laplace_quantile,
-)
+from .calibration import calibration_report, laplace_quantile
 from .distributions import LaplaceParams, kld_loss, kld_loss_zero_label_scale
 from .label_uncertainty import fit_mapping, map_iou
 
@@ -317,11 +311,6 @@ class Predictor:
         """Mean weights, mean bias, log-scale weights, log-scale bias."""
         return self.theta.ravel().tolist()
 
-    def predict_one(self, x: Sequence[float]) -> tuple[float, float]:
-        """(predicted location, log-scale head output) for one sample."""
-        loc, log_scale = self.theta.dot(np.append(x, 1.0)).tolist()
-        return loc, log_scale
-
     def predict_batch(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(locations, scales) over a feature matrix."""
         locs = features @ self.theta[0, :-1] + self.theta[0, -1]
@@ -420,7 +409,7 @@ def _evaluate(predictor: Predictor, data: Dataset) -> tuple[float, float]:
     if not finite:
         return math.inf, math.nan
     mae = float(np.mean(np.abs(data.true_targets - locs)))
-    return mae, calibration_report_arrays(data.labels - locs, scales).ece
+    return mae, calibration_report(data.labels - locs, scales).ece
 
 
 def train(

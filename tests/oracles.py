@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull
 
-from lkld.calibration import PredictionRecord, calibration_report
+from lkld.calibration import calibration_report
 from lkld.distributions import LaplaceParams, kld_loss, kld_loss_zero_label_scale
 from lkld.synth_trainer import (
     _LOGSCALE_LIMIT,
@@ -101,11 +101,7 @@ def _reference_evaluate(wm, cm, ws, cs, data) -> tuple[float, float]:
     if not finite:
         return math.inf, math.nan
     mae = float(np.mean(np.abs(data.true_targets - locs)))
-    records = [
-        PredictionRecord(residual=float(r), scale=float(s))
-        for r, s in zip(data.labels - locs, scales)
-    ]
-    return mae, calibration_report(records).ece
+    return mae, calibration_report(data.labels - locs, scales).ece
 
 
 def reference_train(config, train_set=None, test_set=None, init=None):

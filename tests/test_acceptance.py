@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from lkld.calibration import PredictionRecord, calibration_report, laplace_quantile
+from lkld.calibration import calibration_report, laplace_quantile
 from lkld.cli import main
 from lkld.distributions import (
     LaplaceParams,
@@ -160,16 +160,11 @@ def test_criterion_06_mapping_anchor_round_trips():
 def test_criterion_07_calibration_sanity():
     with criterion(7, "calibration evaluator sanity"):
         n = 10_000
-        records = [
-            PredictionRecord(residual=laplace_quantile((i - 0.5) / n), scale=1.0)
-            for i in range(1, n + 1)
-        ]
-        assert calibration_report(records).ece < 0.001
+        residuals = laplace_quantile((np.arange(1, n + 1) - 0.5) / n)
+        assert calibration_report(residuals, np.full(n, 1.0)).ece < 0.001
 
-        halved = [PredictionRecord(r.residual, 0.5) for r in records]
-        doubled = [PredictionRecord(r.residual, 2.0) for r in records]
-        assert calibration_report(halved).ece > 0.05
-        assert calibration_report(doubled).ece > 0.05
+        assert calibration_report(residuals, np.full(n, 0.5)).ece > 0.05
+        assert calibration_report(residuals, np.full(n, 2.0)).ece > 0.05
 
 
 def _duel(base):

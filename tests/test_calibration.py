@@ -1,4 +1,4 @@
-"""Tests for standard scores, the Laplace CDF, and calibration reports."""
+"""Tests for the Laplace CDF, calibration reports, and the prediction CSV parser."""
 
 import math
 
@@ -9,40 +9,18 @@ from scipy import stats
 from lkld.calibration import (
     DEFAULT_GRID,
     CalibrationReport,
-    PredictionRecord,
     calibration_report,
-    calibration_report_arrays,
     laplace_cdf,
     laplace_quantile,
     records_from_csv,
     report_to_csv,
-    standard_score,
 )
 
 
 def perfect_records(n=10_000, scale=1.0):
-    """Residuals placed exactly at the rank quantiles of a standard Laplace."""
-    return [
-        PredictionRecord(residual=scale * laplace_quantile((i - 0.5) / n), scale=scale)
-        for i in range(1, n + 1)
-    ]
-
-
-class TestStandardScore:
-    def test_zero_residual(self):
-        assert standard_score(PredictionRecord(0.0, 0.5)) == 0.0
-
-    def test_positive_residual(self):
-        assert standard_score(PredictionRecord(1.0, 0.5)) == 2.0
-
-    def test_sign_preserved(self):
-        assert standard_score(PredictionRecord(-0.3, 0.1)) == pytest.approx(-3.0, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictionRecord(float("nan"), 1.0)
-        with pytest.raises(ValueError):
-            PredictionRecord(0.0, 0.0)
+    """(residuals, scales): residuals exactly at the rank quantiles of a Laplace of that scale."""
+    residuals = scale * laplace_quantile((np.arange(1, n + 1) - 0.5) / n)
+    return residuals, np.full(n, scale)
 
 
 class TestLaplaceCdf:
@@ -85,34 +63,30 @@ class TestLaplaceCdf:
 
 class TestCalibrationReport:
     def test_perfectly_calibrated_ranks(self):
-        report = calibration_report(perfect_records())
+        report = calibration_report(*perfect_records())
         assert report.ece < 0.001
         assert report.n == 10_000
 
     def test_halved_scales_are_visibly_overconfident(self):
-        records = [PredictionRecord(r.residual, r.scale * 0.5) for r in perfect_records()]
-        report = calibration_report(records)
+        residuals, scales = perfect_records()
+        report = calibration_report(residuals, scales * 0.5)
         assert report.ece > 0.05
         curve = dict(report.curve)
         assert curve[0.55] < 0.55  # tails too heavy for the claimed scale
 
     def test_single_record_boundary_convention(self):
-        report = calibration_report([PredictionRecord(0.0, 1.0)], grid=(0.25, 0.5, 0.75))
+        report = calibration_report([0.0], [1.0], grid=(0.25, 0.5, 0.75))
         assert report.curve == ((0.25, 0.0), (0.5, 1.0), (0.75, 1.0))
         assert report.ece == pytest.approx((0.25 + 0.5 + 0.25) / 3.0, abs=1e-15)
 
     def test_curve_monotone_for_arbitrary_inputs(self):
         rng = np.random.default_rng(31)
-        records = [
-            PredictionRecord(float(r), float(s))
-            for r, s in zip(rng.normal(0, 2, 500), 10.0 ** rng.uniform(-1, 1, 500))
-        ]
-        report = calibration_report(records)
+        report = calibration_report(rng.normal(0, 2, 500), 10.0 ** rng.uniform(-1, 1, 500))
         observed = [o for _, o in report.curve]
         assert all(b >= a for a, b in zip(observed, observed[1:]))
 
     def test_ece_is_mean_absolute_gap(self):
-        report = calibration_report(perfect_records(100), grid=(0.2, 0.4, 0.6, 0.8))
+        report = calibration_report(*perfect_records(100), grid=(0.2, 0.4, 0.6, 0.8))
         gaps = [abs(o - e) for e, o in report.curve]
         assert report.ece == pytest.approx(sum(gaps) / len(gaps), abs=1e-15)
 
@@ -121,40 +95,25 @@ class TestCalibrationReport:
         n = 50_000
         scales = 10.0 ** rng.uniform(-1, 1, n)
         residuals = scales * np.array([laplace_quantile(float(u)) for u in rng.uniform(1e-12, 1 - 1e-12, n)])
-        pit = [
-            laplace_cdf(standard_score(PredictionRecord(float(r), float(s))))
-            for r, s in zip(residuals, scales)
-        ]
+        pit = laplace_cdf(residuals / scales)
         statistic = stats.kstest(pit, "uniform").statistic
         assert statistic < 0.01
 
     def test_miscaling_in_either_direction_raises_ece(self):
-        base = perfect_records(5000)
-        ece_1 = calibration_report(base).ece
-        ece_2 = calibration_report([PredictionRecord(r.residual, 2.0 * r.scale) for r in base]).ece
-        ece_half = calibration_report([PredictionRecord(r.residual, 0.5 * r.scale) for r in base]).ece
+        residuals, scales = perfect_records(5000)
+        ece_1 = calibration_report(residuals, scales).ece
+        ece_2 = calibration_report(residuals, 2.0 * scales).ece
+        ece_half = calibration_report(residuals, 0.5 * scales).ece
         assert ece_1 < ece_2
         assert ece_1 < ece_half
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            calibration_report([])
+            calibration_report([], [])
         with pytest.raises(ValueError):
-            calibration_report(perfect_records(10), grid=(0.5, 0.5))
+            calibration_report(*perfect_records(10), grid=(0.5, 0.5))
         with pytest.raises(ValueError):
-            calibration_report(perfect_records(10), grid=(0.0, 0.5))
-
-    def test_array_core_matches_records(self):
-        rng = np.random.default_rng(34)
-        for n, grid in ((1, DEFAULT_GRID), (40, (0.1, 0.5, 0.9)), (3000, DEFAULT_GRID)):
-            residuals = rng.normal(0, 2, n)
-            scales = 10.0 ** rng.uniform(-2, 1, n)
-            records = [PredictionRecord(float(r), float(s)) for r, s in zip(residuals, scales)]
-            from_arrays = calibration_report_arrays(residuals, scales, grid)
-            from_records = calibration_report(records, grid)
-            assert from_arrays.curve == from_records.curve
-            assert from_arrays.ece == from_records.ece
-            assert from_arrays.n == from_records.n == n
+            calibration_report(*perfect_records(10), grid=(0.0, 0.5))
 
     @pytest.mark.parametrize(
         "residual,scale",
@@ -168,22 +127,16 @@ class TestCalibrationReport:
         ],
     )
     def test_array_core_rejects_what_records_reject(self, residual, scale):
-        residuals = np.array([0.1, residual, -0.2])
-        scales = np.array([1.0, scale, 0.5])
         with pytest.raises(ValueError):
-            calibration_report_arrays(residuals, scales)
-        with pytest.raises(ValueError):
-            calibration_report(
-                [PredictionRecord(float(r), float(s)) for r, s in zip(residuals, scales)]
-            )
+            calibration_report(np.array([0.1, residual, -0.2]), np.array([1.0, scale, 0.5]))
 
     def test_array_core_validation(self):
         with pytest.raises(ValueError):
-            calibration_report_arrays(np.array([]), np.array([]))
+            calibration_report(np.array([]), np.array([]))
         with pytest.raises(ValueError):
-            calibration_report_arrays(np.zeros(3), np.ones(2))
+            calibration_report(np.zeros(3), np.ones(2))
         with pytest.raises(ValueError):
-            calibration_report_arrays(np.zeros(3), np.ones(3), grid=(0.5, 0.5))
+            calibration_report(np.zeros(3), np.ones(3), grid=(0.5, 0.5))
 
     def test_default_grid(self):
         assert len(DEFAULT_GRID) == 99
@@ -199,10 +152,31 @@ class TestCsv:
 
     def test_parse_records(self):
         text = "residual,scale,class_name\n0.5,0.2,vehicle\n-0.1,1.5,bike\n"
-        records = records_from_csv(text)
-        assert len(records) == 2
-        assert records[0] == PredictionRecord(0.5, 0.2, "vehicle")
-        assert records[1].class_name == "bike"
+        preds = records_from_csv(text)
+        assert len(preds) == 2
+        assert preds.residuals.dtype == preds.scales.dtype == np.float64
+        assert preds.residuals.tolist() == [0.5, -0.1]
+        assert preds.scales.tolist() == [0.2, 1.5]
+        assert preds.class_names == ("vehicle", "bike")
+
+    def test_class_names_keep_trailing_nuls(self):
+        preds = records_from_csv('residual,scale,class_name\n0.5,0.2,a\n0.1,0.3,"a\x00"\n')
+        assert preds.class_names == ("a", "a\x00")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0,2.0\n", r"line 2: expected 3 columns, got 2"),
+            ("1.0,0.5,x\nabc,1.0,x\n", r"line 3: could not convert"),
+            ("1.0,0.5,x\n\ninf,1.0,x\n", r"line 4: residual must be finite"),
+            ("1.0,-1.0,x\n", r"line 2: scale must be positive and finite"),
+            ("1.0,nan,x\n", r"line 2: scale must be positive and finite"),
+            ("1.0,0.5,x\n1.0,0.5,\"" + "y" * 200_000 + "\"\n", r"line 3: field larger than field limit"),
+        ],
+    )
+    def test_parse_errors_name_the_line(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            records_from_csv("residual,scale,class_name\n" + body)
 
     def test_parse_rejects_bad_header_and_rows(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 """Tests for the command-line front end: outputs, exit codes, atomicity."""
 
+import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from lkld.calibration import PredictionRecord, calibration_report, report_to_csv
+from lkld.calibration import calibration_report, report_to_csv
 from lkld.cli import CLASS_FILE_SAFE, class_file_part, main, parse_anchors, parse_range
 from lkld.label_uncertainty import (
     LabelUncertaintyRecord,
@@ -36,6 +40,9 @@ SAMPLE_TRACKS = {
         },
     ]
 }
+
+CALIB_TEXT = "residual,scale,class_name\n0.1,0.4,car\n-0.2,0.3,bike\n"
+RECORDS_TEXT = "label_id,class_name,iou,scale_b,n_points,n_sweeps\nveh-1,car,0.5,0.1,4,1\n"
 
 TRAIN_CONFIG = {
     "n_train": 64,
@@ -156,7 +163,17 @@ class TestLabelUncCommands:
         hist = tmp_path / "hist.csv"
         code = main(["iou-hist", "--records", str(path), "--bins", str(bins), "-o", str(hist)])
         assert code == 0
-        assert hist.read_text() == histogram_to_csv(iou_histogram(records, bins))
+        assert hist.read_text() == histogram_to_csv(iou_histogram([r.iou for r in records], bins))
+
+    @pytest.mark.parametrize("cell", ["-0.5", "1.5", "inf", "nan"])
+    def test_iou_hist_rejects_iou_outside_unit_interval(self, tmp_path, capsys, cell):
+        records = tmp_path / "records.csv"
+        records.write_text(f"label_id,class_name,iou\na,car,0.5\nb,car,{cell}\n")
+        hist = tmp_path / "hist.csv"
+        code = main(["iou-hist", "--records", str(records), "--bins", "4", "-o", str(hist)])
+        assert code == 1
+        assert "row 3: iou must be in [0, 1]" in capsys.readouterr().err
+        assert not hist.exists()
 
     def test_labelunc_empty_track_list(self, tmp_path):
         tracks = tmp_path / "tracks.json"
@@ -211,18 +228,20 @@ class TestCalibCommand:
     def test_per_class_names_never_share_a_file(self, tmp_path, first, second, names):
         # Pairs a lossy file-name mapping would merge, and dot-only names.
         subsets = {
-            first: [PredictionRecord(0.1 * k - 0.5, 0.4, first) for k in range(10)],
-            second: [PredictionRecord(0.05 * k - 0.2, 0.3, second) for k in range(8)],
+            first: ([0.1 * k - 0.5 for k in range(10)], [0.4] * 10),
+            second: ([0.05 * k - 0.2 for k in range(8)], [0.3] * 8),
         }
         csv_in = tmp_path / "preds.csv"
         rows = ["residual,scale,class_name"]
-        rows += [f'{r.residual!r},{r.scale!r},"{r.class_name}"' for s in subsets.values() for r in s]
+        rows += [
+            f'{r!r},{s!r},"{cls}"' for cls, (rs, ss) in subsets.items() for r, s in zip(rs, ss)
+        ]
         csv_in.write_text("\n".join(rows) + "\n")
         out = tmp_path / "calib.csv"
         code = main(["calib", "--records", str(csv_in), "--per-class", "-o", str(out)])
         assert code == 0
         for cls, name in zip((first, second), names):
-            want = report_to_csv(calibration_report(subsets[cls]))
+            want = report_to_csv(calibration_report(*subsets[cls]))
             assert (tmp_path / name).read_text() == want
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["preds.csv", "calib.csv", *names]
@@ -236,6 +255,40 @@ class TestCalibCommand:
         assert code == 1
         assert "overwrite each other" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text(max_size=8), st.lists(st.integers(-50, 50), min_size=1, max_size=6)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda row: row[0],
+        )
+    )
+    @example([("a", [1, -2]), ("a\x00", [3])])
+    @example([("a\r", [1]), ("a\n", [2]), ("a\r\n", [3])])
+    def test_per_class_files_hold_each_class_curve(self, classes):
+        # Class names are arbitrary text; names that collide after case
+        # folding are rejected (see above), so they are left out here.
+        parts = [class_file_part(cls).casefold() for cls, _ in classes]
+        assume(len(set(parts)) == len(parts))
+        data = {cls: ([k / 10 for k in ks], [0.5 + abs(k) / 100 for k in ks]) for cls, ks in classes}
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["residual", "scale", "class_name"])
+        for cls, (residuals, scales) in data.items():
+            writer.writerows([r, s, cls] for r, s in zip(residuals, scales))
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_in = Path(tmp) / "preds.csv"
+            csv_in.write_text(buf.getvalue(), encoding="utf-8", newline="")
+            out = Path(tmp) / "calib.csv"
+            code = main(["calib", "--records", str(csv_in), "--per-class", "-o", str(out)])
+            assert code == 0
+            for cls, (residuals, scales) in data.items():
+                path = Path(tmp) / f"calib.{class_file_part(cls)}.csv"
+                want = report_to_csv(calibration_report(residuals, scales))
+                assert path.read_text(encoding="utf-8") == want
+            assert len(list(Path(tmp).iterdir())) == 2 + len(classes)
 
     @given(st.text(), st.text())
     @example("", "%")
@@ -307,6 +360,58 @@ class TestExitCodesAndAtomicity:
                      "-o", str(tmp_path / "missing" / "map.json")])
         assert code == 1
         assert "output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("calib.car.csv", CALIB_TEXT, ["calib", "--records", "{in}", "--per-class", "-o", "{dir}/calib.csv"]),
+            ("r.csv", RECORDS_TEXT, ["iou-hist", "--records", "{in}", "--bins", "2", "-o", "{in}"]),
+            ("preds.csv", CALIB_TEXT, ["calib", "--records", "{in}", "-o", "{dir}/PREDS.csv"]),
+            ("tracks.json", json.dumps(SAMPLE_TRACKS),
+             ["labelunc", "--tracks", "{in}", "--anchors", "2.0,0.05,0.01", "-o", "{in}"]),
+            ("config.json", json.dumps(TRAIN_CONFIG), ["train", "--config", "{in}", "-o", "{in}"]),
+            ("compare.json", json.dumps({"config": TRAIN_CONFIG, "modes": [{"mode": "zero"}]}),
+             ["compare", "--config", "{in}", "-o", "{dir}/./compare.json"]),
+        ],
+        ids=["calib-per-class", "iou-hist", "calib-case", "labelunc", "train", "compare"],
+    )
+    def test_output_never_overwrites_an_input(self, tmp_path, capsys, name, text, argv):
+        source = tmp_path / name
+        source.write_text(text)
+        argv = [a.replace("{in}", str(source)).replace("{dir}", str(tmp_path)) for a in argv]
+        assert main(argv) == 1
+        assert "would overwrite input" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert source.read_text() == text
+
+    def test_output_through_a_linked_directory_never_overwrites_an_input(self, tmp_path, capsys):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "alias").symlink_to(tmp_path / "data", target_is_directory=True)
+        source = tmp_path / "data" / "r.csv"
+        source.write_text(RECORDS_TEXT)
+        code = main(["iou-hist", "--records", str(source), "--bins", "2",
+                     "-o", str(tmp_path / "alias" / "r.csv")])
+        assert code == 1
+        assert "would overwrite input" in capsys.readouterr().err
+        assert source.read_text() == RECORDS_TEXT
+
+    @pytest.mark.parametrize(
+        "command, header, row",
+        [
+            (["calib"], "residual,scale,class_name", '0.1,0.5,"{big}"'),
+            (["iou-hist", "--bins", "2"], "label_id,class_name,iou", '"{big}",car,0.5'),
+        ],
+        ids=["calib", "iou-hist"],
+    )
+    def test_oversized_csv_field_is_a_domain_error(self, tmp_path, capsys, command, header, row):
+        # The csv module refuses fields over 131,072 characters.
+        source = tmp_path / "in.csv"
+        source.write_text(f"{header}\n{row.format(big='x' * 200_000)}\n")
+        out = tmp_path / "out.csv"
+        code = main([command[0], "--records", str(source), *command[1:], "-o", str(out)])
+        assert code == 1
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grad_check_failure_exit_code(self, tmp_path, capsys):
         # An absurdly tight tolerance forces reported failures.

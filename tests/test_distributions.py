@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lkld.distributions import (
     LaplaceParams,
@@ -143,6 +144,33 @@ class TestKldProperties:
             assert value >= 0.0
             if abs(y - y_hat) > 1e-6 or abs(b - b_hat) > 1e-6:
                 assert value > 0.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        location=st.floats(-1e6, 1e6),
+        error=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+        pred_scale=st.floats(1e-6, 1e6),
+        # b / b_hat around the log1p branch edges (0.5, 2) and out to 1e+-12.
+        ratio=st.one_of(
+            st.sampled_from(
+                [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+                 2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 1e-12, 1e12]
+            ),
+            st.floats(0.45, 0.55),
+            st.floats(1.9, 2.1),
+            st.floats(1e-12, 1e12),
+        ),
+    )
+    @example(location=0.0, error=1e-300, pred_scale=1.0, ratio=math.nextafter(0.5, 1.0))
+    def test_non_negative_across_scale_ratios(self, location, error, pred_scale, ratio):
+        label = LaplaceParams(location + error, ratio * pred_scale)
+        assert kld_loss(label, LaplaceParams(location, pred_scale)).value >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(location=st.floats(-1e12, 1e12), scale=st.floats(1e-12, 1e12))
+    def test_exactly_zero_at_a_match(self, location, scale):
+        params = LaplaceParams(location, scale)
+        assert kld_loss(params, params).value == 0.0
 
     def test_zero_error_location_gradient_vanishes(self):
         rng = np.random.default_rng(8)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lkld.geometry import (
     ConvexPolygon,
@@ -19,6 +20,13 @@ from lkld.geometry import (
 )
 
 from oracles import monte_carlo_intersection_area, random_convex_polygon
+
+# Point clouds for property tests: duplicates, collinear runs and clustered
+# points all come up; coordinates are bounded so areas stay well scaled.
+COORD = st.floats(-100.0, 100.0, allow_nan=False)
+CLOUDS = st.lists(st.builds(Point2, COORD, COORD), max_size=30)
+# Set before the property was first run and kept; iou now meets it exactly.
+IOU_SYMMETRY_TOL = 1e-9
 
 
 def square(x0=0.0, y0=0.0, side=1.0):
@@ -84,6 +92,18 @@ class TestConvexHull:
             hull = convex_hull(points)
             again = convex_hull(hull.vertices)
             assert again.vertices == hull.vertices
+
+    def test_close_points_do_not_hide_a_far_corner(self):
+        # (0, 0) and (3.7e-107, 0) are nearly one point; the corner at
+        # (1.4e-107, -1) between them in x order is a real one.
+        points = [Point2(0.0, 0.0), Point2(1.4e-107, -1.0), Point2(3.7e-107, 0.0), Point2(0.5, 0.0)]
+        assert area(convex_hull(points)) == pytest.approx(0.25, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(CLOUDS)
+    def test_hull_of_hull_vertices_is_the_hull(self, points):
+        hull = convex_hull(points)
+        assert convex_hull(hull.vertices) == hull
 
 
 class TestRectToPolygon:
@@ -205,6 +225,20 @@ class TestIou:
             v = iou(a, b)
             assert 0.0 <= v <= 1.0
             assert v == pytest.approx(iou(b, a), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(CLOUDS, CLOUDS)
+    @example(
+        [Point2(0.0, 0.0), Point2(0.0, -1.0), Point2(1.0, 0.0)],
+        [Point2(1.0, 1.0), Point2(3.7e-107, 5e-40), Point2(1.4e-107, -1.0)],
+    )
+    @example(  # clipping either way round keeps a different CLIP_EPS sliver
+        [Point2(0.0, 0.0), Point2(0.0, 0.5), Point2(1.0, 0.0)],
+        [Point2(1.0, 0.0), Point2(79.0, 0.0078125), Point2(1e-05, 0.0)],
+    )
+    def test_symmetric_for_arbitrary_hulls(self, points_a, points_b):
+        a, b = convex_hull(points_a), convex_hull(points_b)
+        assert abs(iou(a, b) - iou(b, a)) <= IOU_SYMMETRY_TOL
 
     def test_rigid_transform_invariance(self):
         rng = np.random.default_rng(80)

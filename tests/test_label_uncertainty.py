@@ -204,16 +204,9 @@ class TestMapIou:
             map_iou(mapping, float("nan"))
 
 
-def record_with_iou(value, label_id="x"):
-    return LabelUncertaintyRecord(
-        label_id=label_id, class_name="vehicle", iou=value, scale_b=0.1, n_points=1, n_sweeps=1
-    )
-
-
 class TestIouHistogram:
     def test_bin_edge_convention(self):
-        records = [record_with_iou(v) for v in (0.0, 0.5, 1.0)]
-        bins = iou_histogram(records, 2)
+        bins = iou_histogram([0.0, 0.5, 1.0], 2)
         assert bins == [(0.0, 0.5, 1), (0.5, 1.0, 2)]
 
     def test_empty_records(self):
@@ -222,13 +215,17 @@ class TestIouHistogram:
 
     def test_counts_conserved_on_synthetic_ious(self):
         rng = np.random.default_rng(21)
-        records = [record_with_iou(float(v)) for v in rng.beta(2.0, 5.0, 10_000)]
-        bins = iou_histogram(records, 17)
+        bins = iou_histogram(rng.beta(2.0, 5.0, 10_000).tolist(), 17)
         assert sum(count for _, _, count in bins) == 10_000
 
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError):
             iou_histogram([], 0)
+
+    @pytest.mark.parametrize("value", [-0.5, -1e-12, 1.5, math.inf, math.nan])
+    def test_rejects_iou_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match=r"iou must be in \[0, 1\]"):
+            iou_histogram([0.25, value], 4)
 
 
 class TestHullGrowth:
@@ -311,6 +308,16 @@ class TestJsonAndCsv:
         doc = self.sample_doc()
         doc["tracks"][0]["points"].append({"sweep_id": 9, "xy": [[0, 0]]})
         with pytest.raises(ValueError, match=r"tracks\[0\].*sweeps without poses"):
+            tracks_from_json(doc)
+
+    @pytest.mark.parametrize("block", ["poses", "points"])
+    def test_duplicate_sweep_ids_rejected(self, block):
+        doc = self.sample_doc()
+        entries = doc["tracks"][0][block]
+        entries.append(dict(entries[0]))
+        with pytest.raises(
+            ValueError, match=rf"malformed track at tracks\[0\]: duplicate sweep_id 0 in {block}"
+        ):
             tracks_from_json(doc)
 
     @pytest.mark.parametrize("bad_point", [[0.5], [0.5, 0.2, 0.0], 0.5, ["x", 0.2]])

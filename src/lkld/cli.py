@@ -69,11 +69,20 @@ def _check_input(path: str) -> None:
         raise ValueError(f"input file not readable: {path}")
 
 
+def _name_max(directory: str) -> int:
+    """Longest file name, in bytes, that a directory takes (255 where not reported)."""
+    try:
+        return os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, ValueError, OSError):
+        return 255
+
+
 def _check_outputs(outputs: Sequence[str | None], inputs: Sequence[str] = ()) -> None:
     """Reject outputs that cannot be written or would overwrite an input or each other.
 
     ``None`` stands for stdout. Paths match after resolving symbolic links and
     folding letter case, as names differing only in case share a file on some systems.
+    Every check runs before anything is written, so a rejected run writes nothing.
     """
     def key(path: str) -> str:
         return os.path.normcase(os.path.realpath(path)).casefold()
@@ -86,6 +95,9 @@ def _check_outputs(outputs: Sequence[str | None], inputs: Sequence[str] = ()) ->
             raise ValueError(f"output directory does not exist: {directory}")
         if not os.access(directory, os.W_OK):
             raise ValueError(f"output directory not writable: {directory}")
+        name_max = _name_max(directory)
+        if len(os.fsencode(os.path.basename(path))) > name_max:
+            raise ValueError(f"output file name is longer than {name_max} bytes: {path}")
         k = key(path)
         if k in sources:
             raise ValueError(f"output {path} would overwrite input {sources[k]}")

@@ -13,6 +13,12 @@ so a caller can chain them through a model head by hand:
 The NLL rewards shrinking the predicted scale without bound when the error
 is small; the divergence is zero exactly when the prediction matches the
 label distribution, and its gradients vanish there.
+
+Each formula lives once, in a float kernel (``nll_terms``, ``kld_terms``)
+that takes plain floats and returns a ``(value, d_location, d_scale)``
+tuple without validating them. The ``*_loss`` functions validate through
+``LaplaceParams`` and wrap the kernel's tuple in a ``LossGrad``; the SGD
+trainer calls the kernels directly, having checked its inputs once.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ __all__ = [
     "LossGrad",
     "SurfaceGrid",
     "GradCheckResult",
+    "nll_terms",
+    "kld_terms",
     "nll_loss",
     "kld_loss",
     "kld_loss_zero_label_scale",
@@ -75,26 +83,26 @@ def _sgn(x: float) -> float:
     return math.copysign(1.0, x)
 
 
-def nll_loss(label_location: float, pred: LaplaceParams) -> LossGrad:
-    """Negative log likelihood of a Laplace prediction at a point label.
+def nll_terms(y: float, loc: float, b_hat: float) -> tuple[float, float, float]:
+    """NLL of a Laplace prediction ``(loc, b_hat)`` at a point label ``y``, on floats.
 
     value      = log(2*b_hat) + |y - y_hat| / b_hat
     d_location = -sgn(y - y_hat) / b_hat
     d_scale    = (1/b_hat) * (1 - |y - y_hat| / b_hat)
+
+    Returns ``(value, d_location, d_scale)``. Inputs are not validated:
+    ``b_hat`` must be positive and finite, ``y`` and ``loc`` finite.
     """
-    if not math.isfinite(label_location):
-        raise ValueError(f"label_location must be finite, got {label_location}")
-    b_hat = pred.scale
-    err = label_location - pred.location
+    err = y - loc
     abs_err = abs(err)
     value = math.log(2.0 * b_hat) + abs_err / b_hat
     d_location = -_sgn(err) / b_hat
     d_scale = (1.0 - abs_err / b_hat) / b_hat
-    return LossGrad(value, d_location, d_scale)
+    return value, d_location, d_scale
 
 
-def kld_loss(label: LaplaceParams, pred: LaplaceParams) -> LossGrad:
-    """KL divergence from a Laplace label distribution to a Laplace prediction.
+def kld_terms(y: float, b: float, loc: float, b_hat: float) -> tuple[float, float, float]:
+    """KL divergence from a Laplace label ``(y, b)`` to a prediction ``(loc, b_hat)``.
 
     value      = log(b_hat/b) + (b*exp(-|y - y_hat|/b) + |y - y_hat|) / b_hat - 1
     d_location = -sgn(y - y_hat)/b_hat * (1 - exp(-|y - y_hat|/b))
@@ -103,11 +111,11 @@ def kld_loss(label: LaplaceParams, pred: LaplaceParams) -> LossGrad:
     The value is grouped as two individually non-negative brackets,
     ``(s + r*expm1(-s/r)) + ((r-1) - log1p(r-1))`` with ``r = b/b_hat`` and
     ``s = |y - y_hat|/b_hat``, so near-identical distributions cannot round
-    to a negative divergence.
+    to a negative divergence. Returns ``(value, d_location, d_scale)``.
+    Inputs are not validated: both scales must be positive and finite, both
+    locations finite.
     """
-    b = label.scale
-    b_hat = pred.scale
-    err = label.location - pred.location
+    err = y - loc
     abs_err = abs(err)
     r = b / b_hat
     s = abs_err / b_hat
@@ -121,7 +129,19 @@ def kld_loss(label: LaplaceParams, pred: LaplaceParams) -> LossGrad:
         value = math.log(b_hat) - math.log(b) + (b * (decay + 1.0) + abs_err) / b_hat - 1.0
     d_location = _sgn(err) * decay / b_hat
     d_scale = (1.0 - (b * (decay + 1.0) + abs_err) / b_hat) / b_hat
-    return LossGrad(value, d_location, d_scale)
+    return value, d_location, d_scale
+
+
+def nll_loss(label_location: float, pred: LaplaceParams) -> LossGrad:
+    """Negative log likelihood of a Laplace prediction at a point label (see ``nll_terms``)."""
+    if not math.isfinite(label_location):
+        raise ValueError(f"label_location must be finite, got {label_location}")
+    return LossGrad(*nll_terms(label_location, pred.location, pred.scale))
+
+
+def kld_loss(label: LaplaceParams, pred: LaplaceParams) -> LossGrad:
+    """KL divergence from a Laplace label to a Laplace prediction (see ``kld_terms``)."""
+    return LossGrad(*kld_terms(label.location, label.scale, pred.location, pred.scale))
 
 
 def kld_loss_zero_label_scale(label_location: float, pred: LaplaceParams) -> LossGrad:

@@ -194,16 +194,23 @@ def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
 
 
 def area(poly: ConvexPolygon) -> float:
-    """Shoelace area; 0 for degenerate polygons."""
+    """Shoelace area about the first vertex; 0 for degenerate polygons.
+
+    Taking coordinates relative to a vertex keeps the products as small as
+    the polygon: about the global origin, a unit square at 1e8 would sum
+    terms of 1e16 and lose every digit of its area.
+    """
     v = poly.vertices
-    n = len(v)
-    if n < 3:
+    if len(v) < 3:
         return 0.0
+    ox, oy = v[0]
+    ax, ay = v[1].x - ox, v[1].y - oy
     total = 0.0
-    for i in range(n):
-        a = v[i]
-        b = v[(i + 1) % n]
-        total += a.x * b.y - a.y * b.x
+    for bx, by in v[2:]:
+        bx -= ox
+        by -= oy
+        total += ax * by - ay * bx
+        ax, ay = bx, by
     return 0.5 * total
 
 
@@ -228,10 +235,13 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
 
     Degenerate inputs yield the empty polygon. The clipped vertex set is
     re-canonicalized through convex_hull, which dedupes coincident corners
-    and drops collinear jitter.
+    and drops collinear jitter. The pair is clipped in a fixed order, so
+    ``intersect_convex(a, b) == intersect_convex(b, a)`` exactly.
     """
     if len(a) < 3 or len(b) < 3:
         return EMPTY_POLYGON
+    if b.vertices < a.vertices:  # the CLIP_EPS sliver a clip keeps depends on the order
+        a, b = b, a
 
     output: list[tuple[float, float]] = [(p.x, p.y) for p in a.vertices]
     bv = b.vertices
@@ -274,8 +284,6 @@ def iou(a: ConvexPolygon, b: ConvexPolygon) -> float:
     carries maximal ambiguity, so downstream mappings assign maximal
     uncertainty. ``iou(a, b) == iou(b, a)`` exactly.
     """
-    if b.vertices < a.vertices:  # the CLIP_EPS sliver a clip keeps depends on the order
-        a, b = b, a
     inter = area(intersect_convex(a, b))
     union = area(a) + area(b) - inter
     if union <= 0.0:

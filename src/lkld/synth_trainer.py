@@ -25,7 +25,9 @@ import numpy as np
 
 from ._util import fmt_sig
 from .calibration import calibration_report, laplace_quantile
-from .distributions import LaplaceParams, kld_loss, kld_loss_zero_label_scale
+from .distributions import kld_terms, nll_terms
+# Unused: imported only so the names perfbench/tracing.py wraps exist here.
+from .distributions import kld_loss, kld_loss_zero_label_scale  # noqa: F401
 from .label_uncertainty import fit_mapping, map_iou
 
 __all__ = [
@@ -334,6 +336,20 @@ def resolve_label_scales(config: SynthConfig, data: Dataset) -> np.ndarray | Non
     return np.array([map_iou(mapping, q) for q in data.quality])
 
 
+def _check_labels(labels: np.ndarray, label_scales: np.ndarray | None) -> None:
+    """Reject what the loss kernels take on trust: non-finite labels and label scales <= 0."""
+    bad = np.flatnonzero(~np.isfinite(labels))
+    if bad.size:
+        raise ValueError(f"labels must be finite, got {labels[bad[0]]} at sample {bad[0]}")
+    if label_scales is not None:
+        bad = np.flatnonzero(~((label_scales > 0.0) & np.isfinite(label_scales)))
+        if bad.size:
+            raise ValueError(
+                "label scales must be positive and finite, "
+                f"got {label_scales[bad[0]]} at sample {bad[0]}"
+            )
+
+
 def _sample_step(
     theta: np.ndarray, x_row: np.ndarray, label: float, label_scale: float | None
 ) -> tuple[float, float, float, float] | None:
@@ -351,12 +367,11 @@ def _sample_step(
     if not (math.isfinite(loc) and -_LOGSCALE_LIMIT < log_scale < _LOGSCALE_LIMIT):
         return None
     scale = math.exp(log_scale)
-    pred = LaplaceParams(loc, scale)
     if label_scale is None:
-        grad = kld_loss_zero_label_scale(label, pred)
+        value, d_loc, d_scale = nll_terms(label, loc, scale)
     else:
-        grad = kld_loss(LaplaceParams(label, label_scale), pred)
-    return grad.value, loc, grad.d_location, grad.d_scale * scale
+        value, d_loc, d_scale = kld_terms(label, label_scale, loc, scale)
+    return value, loc, d_loc, d_scale * scale
 
 
 def sample_param_grads(
@@ -367,6 +382,10 @@ def sample_param_grads(
     Gradient layout matches ``Predictor.as_vector``: mean weights, mean
     bias, log-scale weights, log-scale bias.
     """
+    _check_labels(
+        np.array([label], dtype=float),
+        None if label_scale is None else np.array([label_scale], dtype=float),
+    )
     x_row = np.append(x, 1.0)
     step = _sample_step(predictor.theta, x_row, label, label_scale)
     if step is None:
@@ -443,6 +462,7 @@ def train(
         raise ValueError(f"dataset feature_dim {d} != config feature_dim {config.feature_dim}")
 
     scales_arr = resolve_label_scales(config, train_set)
+    _check_labels(train_set.labels, scales_arr)
     label_scales = [None] * n if scales_arr is None else scales_arr.tolist()
     rows = np.hstack((train_set.features, np.ones((n, 1))))
     x_rows = list(rows)

@@ -256,6 +256,20 @@ class TestCalibCommand:
         assert "overwrite each other" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
 
+    def test_per_class_name_too_long_writes_nothing(self, tmp_path, capsys):
+        # 100 "é" encode to 600 bytes of "%C3%A9" in the file name, longer than
+        # any common file system allows; the pooled curve must not be left behind.
+        csv_in = tmp_path / "preds.csv"
+        csv_in.write_text(
+            "residual,scale,class_name\n0.1,0.4,car\n-0.2,0.3," + "é" * 100 + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        code = main(["calib", "--records", str(csv_in), "--per-class", "-o", str(out)])
+        assert code == 1
+        assert "file name is longer than" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(

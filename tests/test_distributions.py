@@ -1,6 +1,7 @@
 """Tests for the Laplace loss functions, their gradients, and loss surfaces."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,11 +12,29 @@ from lkld.distributions import (
     gradient_check,
     kld_loss,
     kld_loss_zero_label_scale,
+    kld_terms,
     nll_loss,
+    nll_terms,
     surface_grid,
 )
 
 from oracles import central_difference, kl_divergence_quadrature
+
+# Label-to-predicted scale ratios b / b_hat around the log1p branch edges
+# (0.5, 2) and out to 1e+-12.
+SCALE_RATIOS = st.one_of(
+    st.sampled_from(
+        [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+         2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 1e-12, 1e12]
+    ),
+    st.floats(0.45, 0.55),
+    st.floats(1.9, 2.1),
+    st.floats(1e-12, 1e12),
+)
+
+
+def bits(*values: float) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
 
 
 class TestNllLoss:
@@ -125,6 +144,33 @@ class TestZeroLabelScaleLimit:
                     assert (a.value, a.d_location, a.d_scale) == (b.value, b.d_location, b.d_scale)
 
 
+class TestFloatKernels:
+    """The ``*_loss`` wrappers return exactly their float kernel's tuple."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        location=st.floats(-1e6, 1e6),
+        error=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+        pred_scale=st.floats(1e-6, 1e6),
+        ratio=SCALE_RATIOS,
+    )
+    @example(location=0.0, error=0.0, pred_scale=1.0, ratio=1.0)
+    @example(location=1.0, error=-0.5, pred_scale=1e-6, ratio=1e12)
+    def test_wrappers_equal_terms_bitwise(self, location, error, pred_scale, ratio):
+        y, label_scale = location + error, ratio * pred_scale
+        pred = LaplaceParams(location, pred_scale)
+        cases = [
+            (nll_loss(y, pred), nll_terms(y, location, pred_scale)),
+            (kld_loss_zero_label_scale(y, pred), nll_terms(y, location, pred_scale)),
+            (
+                kld_loss(LaplaceParams(y, label_scale), pred),
+                kld_terms(y, label_scale, location, pred_scale),
+            ),
+        ]
+        for grad, terms in cases:
+            assert bits(grad.value, grad.d_location, grad.d_scale) == bits(*terms)
+
+
 class TestGradientConsistency:
     @pytest.mark.parametrize("loss_kind", ["nll", "kld"])
     def test_analytic_gradients_match_finite_differences(self, loss_kind):
@@ -150,16 +196,7 @@ class TestKldProperties:
         location=st.floats(-1e6, 1e6),
         error=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
         pred_scale=st.floats(1e-6, 1e6),
-        # b / b_hat around the log1p branch edges (0.5, 2) and out to 1e+-12.
-        ratio=st.one_of(
-            st.sampled_from(
-                [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
-                 2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 1e-12, 1e12]
-            ),
-            st.floats(0.45, 0.55),
-            st.floats(1.9, 2.1),
-            st.floats(1e-12, 1e12),
-        ),
+        ratio=SCALE_RATIOS,
     )
     @example(location=0.0, error=1e-300, pred_scale=1.0, ratio=math.nextafter(0.5, 1.0))
     def test_non_negative_across_scale_ratios(self, location, error, pred_scale, ratio):

@@ -27,6 +27,21 @@ COORD = st.floats(-100.0, 100.0, allow_nan=False)
 CLOUDS = st.lists(st.builds(Point2, COORD, COORD), max_size=30)
 # Set before the property was first run and kept; iou now meets it exactly.
 IOU_SYMMETRY_TOL = 1e-9
+# The tolerance label_iou keeps at offsets up to 1e8.
+RIGID_MOTION_IOU_TOL = 1e-6
+
+
+def _is_fat(hull):
+    # Coordinates at 1e8 round by up to 7.5e-9, which moves an area by about
+    # that times the perimeter; an area of at least the perimeter keeps the
+    # IoU's share of that within the tolerance.
+    v = hull.vertices
+    perimeter = sum(math.dist(v[i - 1], v[i]) for i in range(len(v)))
+    return len(v) >= 3 and area(hull) >= perimeter
+
+
+# Hulls of clouds in [-100, 100] that are not slivers.
+FAT_HULL = CLOUDS.map(convex_hull).filter(_is_fat)
 
 
 def square(x0=0.0, y0=0.0, side=1.0):
@@ -181,6 +196,16 @@ class TestIntersectConvex:
             assert ab == pytest.approx(ba, abs=1e-9)
             assert ab <= min(area(a), area(b)) + 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(CLOUDS, CLOUDS)
+    @example(  # clipping either way round would keep a different CLIP_EPS sliver
+        [Point2(0.0, 0.0), Point2(0.0, 0.5), Point2(1.0, 0.0)],
+        [Point2(1.0, 0.0), Point2(79.0, 0.0078125), Point2(1e-05, 0.0)],
+    )
+    def test_exactly_symmetric_for_arbitrary_hulls(self, points_a, points_b):
+        a, b = convex_hull(points_a), convex_hull(points_b)
+        assert intersect_convex(a, b).vertices == intersect_convex(b, a).vertices
+
 
 class TestArea:
     def test_unit_square(self):
@@ -239,6 +264,21 @@ class TestIou:
     def test_symmetric_for_arbitrary_hulls(self, points_a, points_b):
         a, b = convex_hull(points_a), convex_hull(points_b)
         assert abs(iou(a, b) - iou(b, a)) <= IOU_SYMMETRY_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        FAT_HULL,
+        FAT_HULL,
+        st.floats(-math.pi, math.pi),
+        st.floats(-1e8, 1e8),
+        st.floats(-1e8, 1e8),
+    )
+    @example(square(), square(x0=0.5), 0.7, 1e8, -1e8)
+    def test_invariant_under_a_common_rigid_motion(self, a, b, phi, tx, ty):
+        motion = ((Point2(0.0, 0.0), 0.0), (Point2(tx, ty), phi))
+        a2 = convex_hull(rigid_transform(p, *motion) for p in a.vertices)
+        b2 = convex_hull(rigid_transform(p, *motion) for p in b.vertices)
+        assert iou(a2, b2) == pytest.approx(iou(a, b), abs=RIGID_MOTION_IOU_TOL)
 
     def test_rigid_transform_invariance(self):
         rng = np.random.default_rng(80)

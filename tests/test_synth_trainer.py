@@ -460,6 +460,63 @@ class TestConfigSerialization:
             config_from_dict([1, 2])
 
 
+class TestInputChecks:
+    """The step kernel takes labels on trust; the entry points check them once."""
+
+    def test_nan_label_is_rejected(self):
+        cfg = small_config()
+        data, test = generate(cfg)
+        labels = data.labels.copy()
+        labels[7] = math.nan
+        with pytest.raises(ValueError, match="labels must be finite"):
+            train(cfg, dataclasses.replace(data, labels=labels), test)
+
+    def test_infinite_oracle_scale_is_rejected(self):
+        cfg = small_config()
+        data, test = generate(cfg)
+        scales = data.true_scales.copy()
+        scales[3] = math.inf
+        with pytest.raises(ValueError, match="label scales must be positive and finite"):
+            train(cfg, dataclasses.replace(data, true_scales=scales), test)
+
+    @pytest.mark.parametrize("label_scale", [None, 0.3])
+    def test_sample_param_grads_rejects_nan_label(self, label_scale):
+        predictor = Predictor.initial(2)
+        with pytest.raises(ValueError, match="labels must be finite"):
+            sample_param_grads(predictor, (0.1, -0.2), math.nan, label_scale)
+
+    @pytest.mark.parametrize("label_scale", [0.0, -1.0, math.inf, math.nan])
+    def test_sample_param_grads_rejects_bad_label_scale(self, label_scale):
+        predictor = Predictor.initial(2)
+        with pytest.raises(ValueError, match="label scales must be positive and finite"):
+            sample_param_grads(predictor, (0.1, -0.2), 0.4, label_scale)
+
+
+class TestByteIdentity:
+    # sha256 of train_report_to_csv for the default config at seed 3 with 20
+    # epochs, one per label-scale mode. Any change to the arithmetic of the
+    # step, the losses or the evaluation shows here.
+    PINS = {
+        "zero": "e3f90e7c64ffe76ca2c52fad7af8e393d53e9cb3ac0b9a8c75c36d4a5cc2096c",
+        "oracle": "cdee7a9cc370c107a6b2094b34060a27161a01c4fee44922e1e1a036fc512123",
+        "constant": "92d3f092ab59474c346cf20b5a6a1dd25cd97f262e94d61fa2d9b4ff926a11bb",
+        "heuristic": "624b752c82db04cb13c594dd4f1f441d3bb2eddad4abe757484b39346bc6a3be",
+    }
+    MODES = {
+        "zero": ZeroLabelScale(),
+        "oracle": OracleLabelScale(),
+        "constant": ConstantLabelScale(0.3),
+        "heuristic": HeuristicLabelScale((0.5, 0.25, 0.1)),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_train_report_bytes_are_pinned(self, mode):
+        cfg = SynthConfig(seed=3, epochs=20, label_scale=self.MODES[mode])
+        _, report = train(cfg)
+        text = train_report_to_csv(cfg, report)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[mode]
+
+
 class TestReportCsv:
     def test_train_report_layout(self):
         cfg = small_config(epochs=2)

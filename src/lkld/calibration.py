@@ -137,7 +137,8 @@ def records_from_csv(text: str) -> PredictionColumns:
     """Parse ``residual,scale,class_name`` rows (header required).
 
     Each row is checked once: three columns, a finite residual and a
-    positive finite scale. Errors name the offending line.
+    positive finite scale. Errors name the file line on which the offending
+    row ends, as ``csv.reader`` counts lines.
     """
     reader = csv.reader(io.StringIO(text))
     residuals: list[float] = []
@@ -149,19 +150,21 @@ def records_from_csv(text: str) -> PredictionColumns:
             raise ValueError("prediction CSV is empty")
         if [h.strip() for h in header] != ["residual", "scale", "class_name"]:
             raise ValueError(f"prediction CSV header must be 'residual,scale,class_name', got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
+                raise ValueError(f"line {reader.line_num}: expected 3 columns, got {len(row)}")
             try:
                 residual, scale = float(row[0]), float(row[1])
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
             if not math.isfinite(residual):
-                raise ValueError(f"line {lineno}: residual must be finite, got {residual}")
+                raise ValueError(f"line {reader.line_num}: residual must be finite, got {residual}")
             if not (scale > 0.0 and math.isfinite(scale)):
-                raise ValueError(f"line {lineno}: scale must be positive and finite, got {scale}")
+                raise ValueError(
+                    f"line {reader.line_num}: scale must be positive and finite, got {scale}"
+                )
             residuals.append(residual)
             scales.append(scale)
             class_names.append(row[2])

@@ -236,27 +236,30 @@ def cmd_fit_map(args: argparse.Namespace) -> int:
 def cmd_iou_hist(args: argparse.Namespace) -> int:
     _check_outputs([args.output], [args.records])
     _check_input(args.records)
+    ious = []
     with open(args.records, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            rows = [row for row in reader if row]
+            header = next((row for row in reader if row), None)
+            if header is None:
+                raise ValueError("records CSV is empty")
+            if "iou" not in header:
+                raise ValueError("records CSV must have an 'iou' column")
+            iou_col = header.index("iou")
+            for cells in reader:
+                if not cells:
+                    continue
+                try:
+                    iou_value = float(cells[iou_col])
+                except (IndexError, ValueError) as exc:
+                    raise ValueError(f"line {reader.line_num}: bad iou cell: {exc}") from exc
+                if not 0.0 <= iou_value <= 1.0:
+                    raise ValueError(
+                        f"line {reader.line_num}: iou must be in [0, 1], got {cells[iou_col]!r}"
+                    )
+                ious.append(iou_value)
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise ValueError("records CSV is empty")
-    header = rows[0]
-    if "iou" not in header:
-        raise ValueError("records CSV must have an 'iou' column")
-    iou_col = header.index("iou")
-    ious = []
-    for rowno, cells in enumerate(rows[1:], start=2):
-        try:
-            iou_value = float(cells[iou_col])
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"row {rowno}: bad iou cell: {exc}") from exc
-        if not 0.0 <= iou_value <= 1.0:
-            raise ValueError(f"row {rowno}: iou must be in [0, 1], got {cells[iou_col]!r}")
-        ious.append(iou_value)
     bins = label_uncertainty.iou_histogram(ious, args.bins)
     _emit(label_uncertainty.histogram_to_csv(bins), args.output)
     return 0

@@ -1,7 +1,8 @@
 """2D geometry for oriented box labels in the bird's-eye plane.
 
-Rigid transforms between label frames, convex hulls (monotone chain),
-convex polygon intersection (half-plane clipping), shoelace areas, and IoU.
+Rigid transforms between label frames, convex hulls (monotone chain, with an
+Akl-Toussaint prefilter for point arrays), convex polygon intersection
+(half-plane clipping), shoelace areas, and IoU.
 All polygons are counter-clockwise vertex tuples; everything is pure and
 thread-safe.
 """
@@ -12,6 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Point2",
@@ -33,6 +36,13 @@ COLLINEAR_EPS = 1e-12
 # Points within this distance of a clip line count as inside; avoids sliver
 # polygons from floating-point jitter.
 CLIP_EPS = 1e-9
+# Hull input arrays longer than this are prefiltered; below it the numpy
+# calls cost more than the monotone chain saves.
+PREFILTER_MIN_POINTS = 40
+# A point is dropped only if each edge's cross product exceeds this times the
+# squared span of the cloud: far above rounding (about 1e-16 of the same
+# scale), so no point on or near the extreme polygon is ever dropped.
+PREFILTER_MARGIN = 1e-9
 
 
 class Point2(NamedTuple):
@@ -129,14 +139,50 @@ def rigid_transform(p: Point2, from_pose: Pose, to_pose: Pose) -> Point2:
     )
 
 
-def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
+def _drop_interior(pts: np.ndarray) -> np.ndarray:
+    """Rows of an ``(n, 2)`` array not strictly inside its extreme polygon.
+
+    Akl-Toussaint: the points of least and greatest x, y, x + y and x - y,
+    taken in counter-clockwise order, span a polygon inside the hull, and a
+    point strictly inside it (by PREFILTER_MARGIN) cannot be a hull vertex.
+    Rows keep their order. Short or non-finite inputs come back whole.
+    """
+    if len(pts) <= PREFILTER_MIN_POINTS or not np.isfinite(pts).all():
+        return pts
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    # Equal points project equally, so each takes its first index in every
+    # direction: consecutive distinct indices are distinct points.
+    ring = [x.argmin(), s.argmin(), y.argmin(), d.argmax(), x.argmax(), s.argmax(), y.argmax(), d.argmin()]
+    edges = [(i, j) for i, j in zip(ring, ring[1:] + ring[:1]) if i != j]
+    if not edges:
+        return pts
+    a, b = pts[np.array(edges).T]
+    e = b - a
+    span = max(x[ring[4]] - x[ring[0]], y[ring[6]] - y[ring[2]])
+    cross = e[:, :1] * (y - a[:, 1:]) - e[:, 1:] * (x - a[:, :1])
+    return pts[~(cross > PREFILTER_MARGIN * span * span).all(axis=0)]
+
+
+def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     """Minimal CCW convex polygon containing all points (monotone chain).
 
-    Exact duplicates are dropped before the scan; collinear boundary points
-    are removed. Fewer than three non-collinear points yield a degenerate
-    polygon with area 0. Output starts at the lexicographically smallest
-    vertex, which keeps downstream CSV dumps reproducible.
+    ``points`` is an iterable of ``(x, y)`` pairs or an ``(n, 2)`` array. An
+    array of more than PREFILTER_MIN_POINTS finite rows first loses every
+    point strictly inside the polygon of its 8 extreme points (Akl and
+    Toussaint, 1978); the survivors take the same path as an iterable, so the
+    output does not depend on the input's type. Exact duplicates are dropped
+    before the scan (the first one seen is kept, so ``-0.0`` or ``0.0``
+    follows the input order); collinear boundary points are removed. Fewer
+    than three non-collinear points yield a degenerate polygon with area 0.
+    Output starts at the lexicographically smallest vertex, which keeps
+    downstream CSV dumps reproducible.
     """
+    if isinstance(points, np.ndarray):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError(f"hull input array must have shape (n, 2), got {points.shape}")
+        points = _drop_interior(points).tolist()
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     for x, y in pts:
         if not (math.isfinite(x) and math.isfinite(y)):

@@ -51,19 +51,37 @@ MIN_SCALE = 1e-6
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
 
 
+def _xy_array(pts: object) -> np.ndarray:
+    """One sweep's points as a float64 ``(k, 2)`` array; anything else raises.
+
+    Entries numpy can only hold as objects, such as a ``None`` coordinate
+    (which a float conversion would read as NaN), are rejected.
+    """
+    arr = np.array(pts)
+    if arr.dtype == object:
+        raise ValueError("point coordinates must be numbers")
+    arr = arr.astype(float, copy=False)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"points must be (x, y) pairs, got an array of shape {arr.shape}")
+    return arr
+
+
 @dataclass
 class LabelTrack:
     """One object's per-sweep rectangle poses and the points observed inside it.
 
     Coordinates are in a shared global frame. Every sweep with points must
-    also carry a pose; sweeps may have a pose but no points. Each point is
-    an ``(x, y)`` pair, stored as a ``Point2``.
+    also carry a pose; sweeps may have a pose but no points. Each sweep's
+    points, given as ``(x, y)`` pairs, are stored as one float64 ``(k, 2)``
+    array.
     """
 
     label_id: str
     class_name: str
     poses: dict[int, OrientedRect]
-    points: dict[int, list[Point2]] = field(default_factory=dict)
+    points: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.poses:
@@ -73,10 +91,7 @@ class LabelTrack:
             raise ValueError(
                 f"track {self.label_id!r} has points in sweeps without poses: {sorted(missing)}"
             )
-        self.points = {
-            sweep: [Point2(float(x), float(y)) for x, y in pts]
-            for sweep, pts in self.points.items()
-        }
+        self.points = {sweep: _xy_array(pts) for sweep, pts in self.points.items()}
 
     @property
     def n_points(self) -> int:
@@ -107,11 +122,11 @@ def aggregate_points(track: LabelTrack, reference_sweep: int) -> np.ndarray:
     blocks = [np.empty((0, 2))]
     for sweep in sorted(track.points):
         pts = track.points[sweep]
-        if pts:
+        if len(pts):
             center, theta = track.poses[sweep].pose
             c, s = math.cos(theta), math.sin(theta)
             # Row vectors: (p - c) @ R(-theta)^T.
-            blocks.append((np.asarray(pts, dtype=float) - center) @ np.array([[c, -s], [s, c]]))
+            blocks.append((pts - center) @ np.array([[c, -s], [s, c]]))
     return np.concatenate(blocks)
 
 
@@ -124,7 +139,7 @@ def label_iou(track: LabelTrack, reference_sweep: int) -> float:
     aggregated points give a degenerate hull and an IoU of 0.
     """
     cloud = aggregate_points(track, reference_sweep)
-    hull = convex_hull(cloud.tolist())
+    hull = convex_hull(cloud)
     ref = track.poses[reference_sweep]
     label_poly = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, ref.length, ref.width))
     return iou(hull, label_poly)

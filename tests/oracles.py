@@ -7,12 +7,14 @@ numpy-only containment test, and reference polygons come from scipy's
 convex hull. ``reference_train`` is the trainer's per-sample SGD written as
 scalar Python loops, one parameter at a time; it shares only the loss
 functions, the dataset generator and the record-based calibration report
-with the library.
+with the library. ``reference_convex_hull`` is the library's monotone chain
+without the Akl-Toussaint prefilter, run on every point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.integrate import quad
@@ -20,6 +22,7 @@ from scipy.spatial import ConvexHull
 
 from lkld.calibration import calibration_report
 from lkld.distributions import LaplaceParams, kld_loss, kld_loss_zero_label_scale
+from lkld.geometry import COLLINEAR_EPS, ConvexPolygon, Point2
 from lkld.synth_trainer import (
     _LOGSCALE_LIMIT,
     EpochStats,
@@ -88,6 +91,48 @@ def random_convex_polygon(rng: np.random.Generator, n_points: int = 8, scale: fl
         verts = cloud[hull.vertices]  # scipy returns CCW order in 2D
         if len(verts) >= 3:
             return verts
+
+
+def reference_convex_hull(points) -> ConvexPolygon:
+    """``geometry.convex_hull`` on an iterable of points, as it was before the prefilter.
+
+    Dedupes with the first point seen kept, sorts, builds both monotone
+    chains on every point and removes near-straight corners from the
+    finished ring; the output starts at its smallest vertex.
+    """
+    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"hull input coordinates must be finite, got ({x}, {y})")
+    if len(pts) <= 2:
+        return ConvexPolygon(tuple(Point2(*p) for p in pts))
+
+    def build(ordered):
+        chain = []
+        for p in ordered:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0:
+                    break
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    def cross(o, a, b):
+        return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+    lower = build(pts)
+    upper = build(pts[::-1])
+    ring, kept = deque(Point2(*p) for p in lower[:-1] + upper[:-1]), 0
+    while kept < len(ring) and len(ring) >= 3:
+        if cross(ring[-2], ring[-1], ring[0]) <= COLLINEAR_EPS:
+            ring.pop()
+            kept = 0
+        else:
+            ring.rotate(-1)
+            kept += 1
+    ring.rotate(-ring.index(min(ring)))
+    return ConvexPolygon(tuple(ring))
 
 
 def _reference_evaluate(wm, cm, ws, cs, data) -> tuple[float, float]:

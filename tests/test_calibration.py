@@ -169,6 +169,7 @@ class TestCsv:
             ("1.0,2.0\n", r"line 2: expected 3 columns, got 2"),
             ("1.0,0.5,x\nabc,1.0,x\n", r"line 3: could not convert"),
             ("1.0,0.5,x\n\ninf,1.0,x\n", r"line 4: residual must be finite"),
+            ("1.0,0.5,\"a\nb\"\n\nabc,1.0,x\n", r"line 5: could not convert"),
             ("1.0,-1.0,x\n", r"line 2: scale must be positive and finite"),
             ("1.0,nan,x\n", r"line 2: scale must be positive and finite"),
             ("1.0,0.5,x\n1.0,0.5,\"" + "y" * 200_000 + "\"\n", r"line 3: field larger than field limit"),

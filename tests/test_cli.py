@@ -1,12 +1,14 @@
 """Tests for the command-line front end: outputs, exit codes, atomicity."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
@@ -125,7 +127,47 @@ class TestLossEvalAndGradCheck:
         assert ",0," in body.split("\n")[1]  # zero failures
 
 
+def seeded_tracks(seed: int, n_tracks: int) -> dict:
+    """Tracks document with every third track a large cloud (6 sweeps, 60-199
+    points each) and the rest small (3 sweeps, 0-19 points each). Points fill
+    up to 1.2 times the box, so IoUs spread below 1."""
+    rng = np.random.default_rng(seed)
+    tracks = []
+    for i in range(n_tracks):
+        large = i % 3 == 0
+        length, width = rng.uniform(0.8, 5.0), rng.uniform(0.6, 2.2)
+        ox, oy = rng.uniform(-1000.0, 1000.0, 2)
+        heading = rng.uniform(-math.pi, math.pi)
+        poses, points = [], []
+        for sweep in range(6 if large else 3):
+            theta = heading + rng.normal(0.0, 0.05)
+            cx, cy = ox + 0.8 * sweep * math.cos(heading), oy + 0.8 * sweep * math.sin(heading)
+            m = int(rng.integers(60, 200)) if large else int(rng.integers(0, 20))
+            lx, ly = (rng.uniform(-0.6, 0.6, (m, 2)) * [length, width]).T
+            c, s = math.cos(theta), math.sin(theta)
+            xy = np.stack([c * lx - s * ly + cx, s * lx + c * ly + cy], axis=1)
+            poses.append({"sweep_id": sweep, "center": [cx, cy], "theta": theta,
+                          "length": length, "width": width})
+            points.append({"sweep_id": sweep, "xy": xy.tolist()})
+        tracks.append({"label_id": f"trk-{i:02d}", "class_name": "car" if large else "pedestrian",
+                       "poses": poses, "points": points})
+    return {"tracks": tracks}
+
+
 class TestLabelUncCommands:
+    # sha256 of the records CSV for seeded_tracks(11, 24); any change to the
+    # parse, the frame change, the hull or the IoU shows here.
+    RECORDS_PIN = "51a1ffb9f7c18c167345dd30c458a8352bd8671454b6e4fd2cea6ba887e88484"
+
+    def test_labelunc_records_are_pinned(self, tmp_path):
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(seeded_tracks(11, 24)))
+        records = tmp_path / "records.csv"
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "--class-anchors", "pedestrian:0.25,0.05,0.01", "-o", str(records)])
+        assert code == 0
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == self.RECORDS_PIN
+
     def test_labelunc_and_iou_hist(self, tmp_path):
         tracks = tmp_path / "tracks.json"
         tracks.write_text(json.dumps(SAMPLE_TRACKS))
@@ -172,7 +214,7 @@ class TestLabelUncCommands:
         hist = tmp_path / "hist.csv"
         code = main(["iou-hist", "--records", str(records), "--bins", "4", "-o", str(hist)])
         assert code == 1
-        assert "row 3: iou must be in [0, 1]" in capsys.readouterr().err
+        assert "line 3: iou must be in [0, 1]" in capsys.readouterr().err
         assert not hist.exists()
 
     def test_labelunc_empty_track_list(self, tmp_path):
@@ -425,6 +467,28 @@ class TestExitCodesAndAtomicity:
         code = main([command[0], "--records", str(source), *command[1:], "-o", str(out)])
         assert code == 1
         assert "line 2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, header, multiline_row, bad_row, message",
+        [
+            (["calib"], "residual,scale,class_name", '0.1,0.5,"a\nb"', "abc,0.5,car",
+             "line 5: could not convert"),
+            (["iou-hist", "--bins", "2"], "label_id,class_name,iou", '"a\nb",car,0.5', "c,car,abc",
+             "line 5: bad iou cell"),
+        ],
+        ids=["calib", "iou-hist"],
+    )
+    def test_csv_errors_name_the_file_line(
+        self, tmp_path, capsys, command, header, multiline_row, bad_row, message
+    ):
+        # A quoted cell spans lines 2-3 and line 4 is blank: the bad row is on line 5.
+        source = tmp_path / "in.csv"
+        source.write_text(f"{header}\n{multiline_row}\n\n{bad_row}\n")
+        out = tmp_path / "out.csv"
+        code = main([command[0], "--records", str(source), *command[1:], "-o", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_grad_check_failure_exit_code(self, tmp_path, capsys):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lkld.geometry import (
+    PREFILTER_MIN_POINTS,
     ConvexPolygon,
     OrientedRect,
     Point2,
+    _drop_interior,
     area,
     contains_point,
     convex_hull,
@@ -19,7 +21,7 @@ from lkld.geometry import (
     rigid_transform,
 )
 
-from oracles import monte_carlo_intersection_area, random_convex_polygon
+from oracles import monte_carlo_intersection_area, random_convex_polygon, reference_convex_hull
 
 # Point clouds for property tests: duplicates, collinear runs and clustered
 # points all come up; coordinates are bounded so areas stay well scaled.
@@ -42,6 +44,36 @@ def _is_fat(hull):
 
 # Hulls of clouds in [-100, 100] that are not slivers.
 FAT_HULL = CLOUDS.map(convex_hull).filter(_is_fat)
+
+
+def _offset(cloud, shift):
+    # Adding 0.0 would turn every -0.0 into 0.0.
+    return [(x + shift, y + shift) for x, y in cloud] if shift else cloud
+
+
+# Clouds large enough for convex_hull to prefilter an array: small integers
+# give ties, collinear runs and duplicates, -0.0 meets 0.0, and the offsets
+# move the cloud to map-sized coordinates.
+HULL_COORD = st.one_of(
+    st.integers(-4, 4).map(float), st.just(-0.0), st.floats(-100.0, 100.0, allow_nan=False)
+)
+LARGE_CLOUDS = st.builds(
+    _offset,
+    st.lists(st.tuples(HULL_COORD, HULL_COORD), min_size=PREFILTER_MIN_POINTS + 1, max_size=80),
+    st.sampled_from([0.0, 1e8, -3e7]),
+)
+# An octagon whose 8 extreme points are its corners, points on its edges, and
+# the same edge points one ulp and 1e-12 inward (below the prefilter margin).
+_OCTAGON = [(4.0, 0.0), (3.0, 3.0), (0.0, 4.0), (-3.0, 3.0), (-4.0, 0.0), (-3.0, -3.0), (0.0, -4.0), (3.0, -3.0)]
+_ON_EDGES = [
+    (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    for a, b in zip(_OCTAGON, _OCTAGON[1:] + _OCTAGON[:1])
+    for t in (0.25, 0.5, 0.75)
+]
+_JUST_INSIDE = [(math.nextafter(x, 0.0), math.nextafter(y, 0.0)) for x, y in _ON_EDGES] + [
+    (x - math.copysign(1e-12, x), y - math.copysign(1e-12, y)) for x, y in _ON_EDGES
+]
+_RNG = np.random.default_rng(17)
 
 
 def square(x0=0.0, y0=0.0, side=1.0):
@@ -119,6 +151,44 @@ class TestConvexHull:
     def test_hull_of_hull_vertices_is_the_hull(self, points):
         hull = convex_hull(points)
         assert convex_hull(hull.vertices) == hull
+
+    @settings(max_examples=150, deadline=None)
+    @given(LARGE_CLOUDS)
+    @example([(float(i), 2.0 * i + 1.0) for i in range(50)])  # collinear
+    @example([(x, 0.1 * x) for x in np.linspace(-3.0, 7.0, 60).tolist()])  # collinear up to rounding
+    @example([(1.5, -2.0)] * 50)  # all points equal
+    @example([(float(i), float(j)) for i in range(7) for j in range(7)])  # ties in every direction
+    @example([(float(i + j), float(i - j)) for i in range(7) for j in range(7)])  # diagonal ties
+    @example(  # the first of -0.0 and 0.0 seen is the vertex
+        [(-0.0, -0.0)] + [(float(i), float(j)) for i in range(1, 7) for j in range(7)]
+        + [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, 3.0), (0.0, 6.0), (-0.0, 6.0)]
+    )
+    @example([(0.0, 0.0), (-0.0, 6.0)] + [(float(i), float(j)) for i in range(7) for j in range(7)])
+    @example(_OCTAGON + _ON_EDGES + _JUST_INSIDE + _RNG.uniform(-2.0, 2.0, (40, 2)).tolist())
+    @example(_offset(_RNG.uniform(-1.0, 1.0, (200, 2)).tolist(), 1e8))
+    @example(_offset(_RNG.uniform(-1e-3, 1e-3, (200, 2)).tolist(), -3e7))
+    def test_array_hull_equals_reference_vertex_for_vertex(self, points):
+        # repr tells -0.0 from 0.0, which == does not.
+        expected = reference_convex_hull(points)
+        assert repr(convex_hull(np.array(points)).vertices) == repr(expected.vertices)
+
+    def test_prefilter_drops_interior_points_and_keeps_every_vertex(self):
+        cloud = np.random.default_rng(8).uniform(-1.0, 1.0, (2000, 2))
+        survivors = _drop_interior(cloud)
+        assert len(survivors) < len(cloud) // 4
+        assert set(reference_convex_hull(cloud.tolist()).vertices) <= set(map(tuple, survivors.tolist()))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_array_input_with_non_finite_coordinates_rejected(self, bad):
+        cloud = np.random.default_rng(9).uniform(-1.0, 1.0, (PREFILTER_MIN_POINTS + 10, 2))
+        cloud[7, 1] = bad
+        with pytest.raises(ValueError, match="hull input coordinates must be finite"):
+            convex_hull(cloud)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
+    def test_array_input_must_hold_pairs(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            convex_hull(np.zeros(shape))
 
 
 class TestRectToPolygon:

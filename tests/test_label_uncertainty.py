@@ -320,17 +320,21 @@ class TestJsonAndCsv:
         ):
             tracks_from_json(doc)
 
-    @pytest.mark.parametrize("bad_point", [[0.5], [0.5, 0.2, 0.0], 0.5, ["x", 0.2]])
+    @pytest.mark.parametrize(
+        "bad_point", [[0.5], [0.5, 0.2, 0.0], 0.5, ["x", 0.2], [None, 0.2], [[0.5, 0.2]], {}]
+    )
     def test_points_must_be_numeric_pairs(self, bad_point):
         doc = self.sample_doc()
         doc["tracks"][0]["points"][1]["xy"].append(bad_point)
         with pytest.raises(ValueError, match=r"malformed track at tracks\[0\]"):
             tracks_from_json(doc)
 
-    def test_points_converted_to_point2(self):
+    def test_points_converted_to_float_arrays(self):
         track = tracks_from_json(self.sample_doc())[0]
-        assert track.points[0] == [Point2(0.5, 0.2), Point2(-0.5, -0.2)]
-        assert all(type(p) is Point2 for p in track.points[1])
+        for sweep, want in [(0, [[0.5, 0.2], [-0.5, -0.2]]), (1, [[1.5, 0.1]])]:
+            assert track.points[sweep].dtype == np.float64
+            assert track.points[sweep].shape == (len(want), 2)
+            np.testing.assert_array_equal(track.points[sweep], np.array(want))
 
     def test_records_csv_uses_six_significant_digits(self):
         record = LabelUncertaintyRecord(

@@ -55,7 +55,8 @@ def _xy_array(pts: object) -> np.ndarray:
     """One sweep's points as a float64 ``(k, 2)`` array; anything else raises.
 
     Entries numpy can only hold as objects, such as a ``None`` coordinate
-    (which a float conversion would read as NaN), are rejected.
+    (which a float conversion would read as NaN), are rejected, and so are
+    NaN and infinite coordinates (JSON ``NaN``, ``1e400``).
     """
     arr = np.array(pts)
     if arr.dtype == object:
@@ -65,6 +66,10 @@ def _xy_array(pts: object) -> np.ndarray:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"points must be (x, y) pairs, got an array of shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(f"point coordinates must be finite, got {arr[k].tolist()} at point {k}")
     return arr
 
 

@@ -401,6 +401,20 @@ class TestExitCodesAndAtomicity:
         message = capsys.readouterr().err
         assert "line" in message and "column" in message
 
+    def test_non_finite_point_names_the_track(self, tmp_path, capsys):
+        pose = {"sweep_id": 0, "center": [0.0, 0.0], "theta": 0.0, "length": 4.0, "width": 2.0}
+        track = json.dumps({"label_id": "t", "class_name": "car", "poses": [pose],
+                            "points": [{"sweep_id": 0, "xy": [[0.1, 0.2], "XY"]}]})
+        bad = tmp_path / "tracks.json"
+        bad.write_text('{"tracks": [%s, %s]}' % (track.replace('"XY"', "[NaN, 0.5]"),
+                                                  track.replace('"XY"', "[1e400, 0.5]")))
+        code = main(["labelunc", "--tracks", str(bad), "--anchors", "2.0,0.05,0.01",
+                     "-o", str(tmp_path / "out.csv")])
+        assert code == 1
+        message = capsys.readouterr().err
+        assert "malformed track at tracks[0]: point coordinates must be finite" in message
+        assert not (tmp_path / "out.csv").exists()
+
     def test_failed_run_preserves_previous_output(self, tmp_path):
         out = tmp_path / "records.csv"
         out.write_text("previous contents\n")

@@ -329,6 +329,19 @@ class TestJsonAndCsv:
         with pytest.raises(ValueError, match=r"malformed track at tracks\[0\]"):
             tracks_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "first, second, where", [("NaN", "1e400", 0), ("0.5", "1e400", 1), ("-Infinity", "0.5", 0)]
+    )
+    def test_non_finite_point_coordinates_rejected(self, first, second, where):
+        # Python's json reads NaN, Infinity and numbers beyond the float range as floats.
+        track = json.dumps(self.sample_doc()["tracks"][0])
+        raw = '{"tracks": [%s, %s]}' % (
+            track.replace("[1.5, 0.1]", f"[{first}, 0.5]"),
+            track.replace("[1.5, 0.1]", f"[{second}, 0.5]"),
+        )
+        with pytest.raises(ValueError, match=rf"malformed track at tracks\[{where}\]: .*finite"):
+            tracks_from_json(json.loads(raw))
+
     def test_points_converted_to_float_arrays(self):
         track = tracks_from_json(self.sample_doc())[0]
         for sweep, want in [(0, [[0.5, 0.2], [-0.5, -0.2]]), (1, [[1.5, 0.1]])]:

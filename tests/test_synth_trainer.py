@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lkld.distributions import LaplaceParams, kld_loss
 from lkld.synth_trainer import (
@@ -257,6 +258,52 @@ class TestReferenceLoop:
         assert len(got[1].epoch_stats) < cfg.epochs
         assert_runs_match(got, reference_train(cfg))
 
+    MODES = {"zero": ZeroLabelScale(), "oracle": OracleLabelScale(), "constant": ConstantLabelScale(0.3)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_train=st.integers(1, 24),
+        feature_dim=st.integers(1, 6),
+        epochs_and_tail=st.integers(1, 4).flatmap(
+            lambda e: st.tuples(st.just(e), st.integers(0, e + 1))
+        ),
+        grad_clip=st.one_of(st.floats(0.01, 0.5), st.just(1e12)),
+        # At rates of 0.5 and more, some runs amplify rounding beyond 1e-9
+        # within four epochs, so two summation orders need not agree there.
+        learning_rate=st.sampled_from([0.05, 0.2]),
+        mode=st.sampled_from(sorted(MODES)),
+        seed=st.integers(0, 2**16),
+    )
+    # Diverges at the 8th step of epoch 4, inside the 3-epoch averaging window.
+    @example(
+        n_train=10, feature_dim=3, epochs_and_tail=(4, 3), grad_clip=1e12, learning_rate=3.0,
+        mode="zero", seed=1,
+    )
+    def test_matches_reference_loop(
+        self, n_train, feature_dim, epochs_and_tail, grad_clip, learning_rate, mode, seed
+    ):
+        # Draws with n_train below feature_dim + 1 have a singular Gram matrix.
+        epochs, tail = epochs_and_tail
+        cfg = small_config(
+            n_train=n_train, n_test=40, feature_dim=feature_dim,
+            noise=FeatureDependentNoise(0.1, 0.5), label_scale=self.MODES[mode], seed=seed,
+            epochs=epochs, learning_rate=learning_rate, grad_clip=grad_clip,
+            average_tail_epochs=tail,
+        )
+        assert_runs_match(train(cfg), reference_train(cfg))
+
+    def test_explicit_example_diverges_inside_the_averaging_window(self):
+        cfg = small_config(
+            n_train=10, n_test=40, feature_dim=3, noise=FeatureDependentNoise(0.1, 0.5),
+            label_scale=ZeroLabelScale(), epochs=4, learning_rate=3.0, grad_clip=1e12,
+            average_tail_epochs=3,
+        )
+        _, report = train(cfg)
+        assert report.diverged
+        assert len(report.epoch_stats) == 4
+        # Some steps of the last epoch ran before the divergence.
+        assert math.isfinite(report.epoch_stats[-1].mean_abs_error)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
@@ -458,6 +505,18 @@ class TestConfigSerialization:
             config_from_dict({"label_scale": {"mode": "nope"}})
         with pytest.raises(ValueError):
             config_from_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "key", ["n_train", "n_test", "feature_dim", "seed", "epochs", "average_tail_epochs"]
+    )
+    @pytest.mark.parametrize("value", [2.9, 3.0, True, "3"])
+    def test_integer_keys_reject_non_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be an integer"):
+            config_from_dict({key: value})
+
+    def test_non_integral_counts_are_not_truncated(self):
+        with pytest.raises(ValueError, match="'n_train'"):
+            config_from_dict({"n_train": 2.9, "epochs": 3.7, "feature_dim": True})
 
 
 class TestInputChecks:

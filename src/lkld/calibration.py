@@ -12,10 +12,10 @@ artifact-defined convenience, not a standard metric.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,31 +121,45 @@ def report_to_csv(report: CalibrationReport) -> str:
 
 @dataclass(frozen=True, eq=False)
 class PredictionColumns:
-    """Parsed prediction rows as float64 ``residuals`` and ``scales`` arrays
-    and a tuple of ``class_names`` (a numpy string array would drop trailing
-    NULs and merge classes such as ``"a"`` and ``"a\\x00"``)."""
+    """Parsed prediction rows as columns.
+
+    ``residuals`` and ``scales`` are float64 arrays. ``classes`` holds the
+    distinct class names in first-seen order, and ``codes`` is an int64
+    array giving each row's index into ``classes``, so row i's class is
+    ``classes[codes[i]]``. Names stay Python strings: a numpy string array
+    would drop trailing NULs and merge classes such as ``"a"`` and
+    ``"a\\x00"``.
+    """
 
     residuals: np.ndarray
     scales: np.ndarray
-    class_names: tuple[str, ...]
+    classes: tuple[str, ...]
+    codes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.class_names)
+        return len(self.codes)
 
 
-def records_from_csv(text: str) -> PredictionColumns:
+def records_from_csv(lines: Iterable[str]) -> PredictionColumns:
     """Parse ``residual,scale,class_name`` rows (header required).
 
-    Each row is checked once: three columns, a finite residual and a
-    positive finite scale. Errors name the file line on which the offending
-    row ends, as ``csv.reader`` counts lines.
+    ``lines`` is an iterable of text lines, such as a file opened with
+    ``newline=""``; it is read in one pass and only the columns are kept.
+    A ``str`` raises ``TypeError``, since iterating it yields characters.
+    Blank rows are skipped, before the header as well. Each row is checked
+    once: three columns, a finite residual and a positive finite scale.
+    Errors name the file line on which the offending row ends, as
+    ``csv.reader`` counts lines.
     """
-    reader = csv.reader(io.StringIO(text))
-    residuals: list[float] = []
-    scales: list[float] = []
-    class_names: list[str] = []
+    if isinstance(lines, str):
+        raise TypeError("records_from_csv takes an iterable of lines, such as an open file, not a str")
+    reader = csv.reader(lines)
+    residuals = array("d")
+    scales = array("d")
+    codes = array("q")
+    index: dict[str, int] = {}
     try:
-        header = next(reader, None)
+        header = next((row for row in reader if row), None)
         if header is None:
             raise ValueError("prediction CSV is empty")
         if [h.strip() for h in header] != ["residual", "scale", "class_name"]:
@@ -167,7 +181,12 @@ def records_from_csv(text: str) -> PredictionColumns:
                 )
             residuals.append(residual)
             scales.append(scale)
-            class_names.append(row[2])
+            codes.append(index.setdefault(row[2], len(index)))
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    return PredictionColumns(np.array(residuals), np.array(scales), tuple(class_names))
+    return PredictionColumns(
+        np.frombuffer(residuals, dtype=np.float64),
+        np.frombuffer(scales, dtype=np.float64),
+        tuple(index),
+        np.frombuffer(codes, dtype=np.int64),
+    )

@@ -19,6 +19,8 @@ import string
 import sys
 from collections.abc import Sequence
 
+import numpy as np
+
 from ._util import fmt_sig, write_text_atomic
 from . import calibration, distributions, label_uncertainty, synth_trainer
 
@@ -283,19 +285,19 @@ def class_file_part(name: str) -> str:
 def cmd_calib(args: argparse.Namespace) -> int:
     _check_input(args.records)
     with open(args.records, "r", encoding="utf-8", newline="") as handle:
-        preds = calibration.records_from_csv(handle.read())
+        preds = calibration.records_from_csv(handle)
     grid = parse_range(args.grid) if args.grid else calibration.DEFAULT_GRID
-    rows_by_class: dict[str, list[int]] = {}
-    if args.per_class:
-        for i, cls in enumerate(preds.class_names):
-            rows_by_class.setdefault(cls, []).append(i)
+    classes = preds.classes if args.per_class else ()
     stem, ext = os.path.splitext(args.output)
-    paths = {cls: f"{stem}.{class_file_part(cls)}{ext}" for cls in sorted(rows_by_class)}
+    paths = {
+        k: f"{stem}.{class_file_part(classes[k])}{ext}"
+        for k in sorted(range(len(classes)), key=classes.__getitem__)
+    }
     _check_outputs([args.output, *paths.values()], [args.records])
     pooled = calibration.calibration_report(preds.residuals, preds.scales, grid)
     _emit(calibration.report_to_csv(pooled), args.output)
-    for cls, path in paths.items():
-        rows = rows_by_class[cls]
+    for k, path in paths.items():
+        rows = np.flatnonzero(preds.codes == k)
         report = calibration.calibration_report(preds.residuals[rows], preds.scales[rows], grid)
         write_text_atomic(path, calibration.report_to_csv(report))
     return 0

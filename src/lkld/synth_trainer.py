@@ -416,7 +416,11 @@ class TrainReport:
 
 
 def _evaluate(predictor: Predictor, data: Dataset) -> tuple[float, float]:
-    """(MAE vs true targets, calibration gap vs observed labels)."""
+    """(MAE vs true targets, calibration gap vs observed labels).
+
+    Gives ``(inf, nan)`` when the predictor's outputs, or a residual over
+    its predicted scale, are not finite.
+    """
     with np.errstate(over="ignore"):
         locs, scales = predictor.predict_batch(data.features)
     finite = (
@@ -424,8 +428,13 @@ def _evaluate(predictor: Predictor, data: Dataset) -> tuple[float, float]:
     )
     if not finite:
         return math.inf, math.nan
+    with np.errstate(over="ignore"):
+        residuals = data.labels - locs
+        scores_finite = np.all(np.isfinite(residuals / scales))
+    if not scores_finite:
+        return math.inf, math.nan
     mae = float(np.mean(np.abs(data.true_targets - locs)))
-    return mae, calibration_report(data.labels - locs, scales).ece
+    return mae, calibration_report(residuals, scales).ece
 
 
 def train(
@@ -601,12 +610,21 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
     return rows
 
 
+def _number(value: object, key: str) -> float:
+    """A JSON number as a float; booleans and strings are rejected with the key's name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _noise_from_dict(d: dict) -> NoiseProfile:
     kind = d.get("kind")
     if kind == "constant":
-        return ConstantNoise(float(d["b"]))
+        return ConstantNoise(_number(d["b"], "noise.b"))
     if kind == "feature_dependent":
-        return FeatureDependentNoise(float(d["b_low"]), float(d["b_high"]))
+        return FeatureDependentNoise(
+            _number(d["b_low"], "noise.b_low"), _number(d["b_high"], "noise.b_high")
+        )
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
@@ -615,12 +633,14 @@ def _mode_from_dict(d: dict) -> LabelScaleMode:
     if mode == "zero":
         return ZeroLabelScale()
     if mode == "constant":
-        return ConstantLabelScale(float(d["b"]))
+        return ConstantLabelScale(_number(d["b"], "label_scale.b"))
     if mode == "oracle":
         return OracleLabelScale()
     if mode == "heuristic":
         anchors = d["anchors"]
-        return HeuristicLabelScale(tuple(float(a) for a in anchors))
+        return HeuristicLabelScale(
+            tuple(_number(a, f"label_scale.anchors[{i}]") for i, a in enumerate(anchors))
+        )
     raise ValueError(f"unknown label_scale mode {mode!r}")
 
 
@@ -631,7 +651,9 @@ def config_from_dict(doc: dict) -> SynthConfig:
     """Build a config from its JSON representation (missing keys use defaults).
 
     Counts and the seed must be JSON integers: ``2.9``, ``"3"`` and ``true``
-    are rejected with the key's name, not truncated or converted.
+    are rejected with the key's name, not truncated or converted. The rate,
+    the clip, noise and label scales and heuristic anchors must be JSON
+    numbers: ``"0.5"`` and ``true`` are rejected the same way.
     """
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
@@ -647,8 +669,8 @@ def config_from_dict(doc: dict) -> SynthConfig:
             label_scale=_mode_from_dict(doc["label_scale"])
             if "label_scale" in doc
             else defaults.label_scale,
-            learning_rate=float(doc.get("learning_rate", defaults.learning_rate)),
-            grad_clip=float(doc.get("grad_clip", defaults.grad_clip)),
+            learning_rate=_number(doc.get("learning_rate", defaults.learning_rate), "learning_rate"),
+            grad_clip=_number(doc.get("grad_clip", defaults.grad_clip), "grad_clip"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed config: {exc}") from exc

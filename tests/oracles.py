@@ -145,8 +145,13 @@ def _reference_evaluate(wm, cm, ws, cs, data) -> tuple[float, float]:
     )
     if not finite:
         return math.inf, math.nan
+    with np.errstate(over="ignore"):
+        residuals = data.labels - locs
+        scores_finite = np.all(np.isfinite(residuals / scales))
+    if not scores_finite:
+        return math.inf, math.nan
     mae = float(np.mean(np.abs(data.true_targets - locs)))
-    return mae, calibration_report(data.labels - locs, scales).ece
+    return mae, calibration_report(residuals, scales).ece
 
 
 def reference_train(config, train_set=None, test_set=None, init=None):

@@ -1,6 +1,9 @@
 """Tests for the Laplace CDF, calibration reports, and the prediction CSV parser."""
 
+import csv
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,16 +155,62 @@ class TestCsv:
 
     def test_parse_records(self):
         text = "residual,scale,class_name\n0.5,0.2,vehicle\n-0.1,1.5,bike\n"
-        preds = records_from_csv(text)
+        preds = records_from_csv(io.StringIO(text))
         assert len(preds) == 2
         assert preds.residuals.dtype == preds.scales.dtype == np.float64
+        assert preds.codes.dtype == np.int64
         assert preds.residuals.tolist() == [0.5, -0.1]
         assert preds.scales.tolist() == [0.2, 1.5]
-        assert preds.class_names == ("vehicle", "bike")
+        assert preds.classes == ("vehicle", "bike")
+        assert preds.codes.tolist() == [0, 1]
 
     def test_class_names_keep_trailing_nuls(self):
-        preds = records_from_csv('residual,scale,class_name\n0.5,0.2,a\n0.1,0.3,"a\x00"\n')
-        assert preds.class_names == ("a", "a\x00")
+        preds = records_from_csv(io.StringIO('residual,scale,class_name\n0.5,0.2,a\n0.1,0.3,"a\x00"\n'))
+        assert preds.classes == ("a", "a\x00")
+
+    def test_classes_and_codes_rebuild_each_row(self):
+        names = ["car", "", "a\x00", "a", "car", "x\ry", "x\ny", "a\x00", "", "x\ry", "\u00e9"]
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)  # "\r\n" rows, so a "\r" in a name is quoted
+        writer.writerow(["residual", "scale", "class_name"])
+        writer.writerows([i * 0.25 - 1.0, 1.0 + i, name] for i, name in enumerate(names))
+        buffer.seek(0)
+        preds = records_from_csv(buffer)
+        assert [preds.classes[k] for k in preds.codes] == names
+        assert preds.classes == ("car", "", "a\x00", "a", "x\ry", "x\ny", "\u00e9")
+        assert preds.residuals.tolist() == [i * 0.25 - 1.0 for i in range(len(names))]
+
+    def test_str_argument_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a str"):
+            records_from_csv("residual,scale,class_name\n0.5,0.2,a\n")
+
+    def test_blank_rows_before_the_header_are_skipped(self):
+        preds = records_from_csv(io.StringIO("\n\r\n\nresidual,scale,class_name\n\n0.5,0.2,a\n"))
+        assert preds.residuals.tolist() == [0.5]
+        assert preds.classes == ("a",)
+        with pytest.raises(ValueError, match="prediction CSV is empty"):
+            records_from_csv(io.StringIO("\n\n"))
+        with pytest.raises(ValueError, match="line 4: expected 3 columns"):
+            records_from_csv(io.StringIO("\n\nresidual,scale,class_name\n1.0,2.0\n"))
+
+    def test_parse_memory_per_row_is_bounded(self, tmp_path):
+        """Parsing keeps the columns only, not the text or one object per cell."""
+        n = 50_000
+        names = ("car", "pedestrian", "cyclist", "truck", "")
+        path = tmp_path / "records.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("residual,scale,class_name\n")
+            for i in range(n):
+                handle.write(f"{math.sin(i)!r},{1.0 + (i % 97) / 7.0!r},{names[i % 5]}\n")
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            tracemalloc.start()
+            try:
+                preds = records_from_csv(handle)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(preds) == n
+        assert peak / n < 60.0  # bytes per row; the columns alone take 24
 
     @pytest.mark.parametrize(
         "body, message",
@@ -177,14 +226,14 @@ class TestCsv:
     )
     def test_parse_errors_name_the_line(self, body, message):
         with pytest.raises(ValueError, match=message):
-            records_from_csv("residual,scale,class_name\n" + body)
+            records_from_csv(io.StringIO("residual,scale,class_name\n" + body))
 
     def test_parse_rejects_bad_header_and_rows(self):
         with pytest.raises(ValueError):
-            records_from_csv("")
+            records_from_csv(io.StringIO(""))
         with pytest.raises(ValueError):
-            records_from_csv("foo,bar\n1,2\n")
+            records_from_csv(io.StringIO("foo,bar\n1,2\n"))
         with pytest.raises(ValueError):
-            records_from_csv("residual,scale,class_name\n1.0,-1.0,x\n")
+            records_from_csv(io.StringIO("residual,scale,class_name\n1.0,-1.0,x\n"))
         with pytest.raises(ValueError):
-            records_from_csv("residual,scale,class_name\nabc,1.0,x\n")
+            records_from_csv(io.StringIO("residual,scale,class_name\nabc,1.0,x\n"))

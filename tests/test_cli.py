@@ -505,6 +505,38 @@ class TestExitCodesAndAtomicity:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, bad_row, message",
+        [
+            (["calib", "--per-class"], CALIB_TEXT, "abc,0.5,car", "line 6: could not convert"),
+            (["iou-hist", "--bins", "2"], RECORDS_TEXT, "c,car,2.0", "line 5: iou must be in [0, 1]"),
+        ],
+        ids=["calib", "iou-hist"],
+    )
+    def test_blank_lines_before_the_header_are_skipped(
+        self, tmp_path, capsys, command, text, bad_row, message
+    ):
+        outputs = {}
+        for name, prefix in (("plain", ""), ("blank", "\n\r\n")):
+            source = tmp_path / f"{name}.csv"
+            source.write_text(prefix + text, newline="")
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            code = main([command[0], "--records", str(source), *command[1:],
+                         "-o", str(out_dir / "out.csv")])
+            assert code == 0
+            outputs[name] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert outputs["blank"] == outputs["plain"]
+        assert len(outputs["plain"]) == (3 if command[0] == "calib" else 1)
+        # Lines 1-2 are blank, so the header is line 3 and rows are counted from there.
+        source = tmp_path / "bad.csv"
+        source.write_text("\n\r\n" + text + bad_row + "\n", newline="")
+        out = tmp_path / "bad_out.csv"
+        code = main([command[0], "--records", str(source), *command[1:], "-o", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grad_check_failure_exit_code(self, tmp_path, capsys):
         # An absurdly tight tolerance forces reported failures.
         out = tmp_path / "grad.csv"

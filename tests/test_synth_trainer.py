@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -410,6 +411,28 @@ class TestTrain:
         assert math.isinf(report.test_mae)
         assert len(report.epoch_stats) <= 5
 
+    def test_overflowing_standard_score_is_a_divergence(self):
+        # Locations and scales stay finite, but some residual over its scale overflows.
+        cfg = SynthConfig(
+            n_train=16, n_test=40, feature_dim=2, label_scale=ZeroLabelScale(), seed=2,
+            epochs=3, learning_rate=1000.0, grad_clip=1e12, average_tail_epochs=0,
+        )
+        got = train(cfg)
+        assert got[1].diverged
+        assert math.isinf(got[1].test_mae) and math.isnan(got[1].test_ece)
+        assert_runs_match(got, reference_train(cfg))
+
+    def test_final_scores_that_overflow_mark_the_run_diverged(self):
+        # Zero epochs: the test set is scored at the given predictor, whose
+        # locations (1e300) and scales (e**-700) are finite but not their ratio.
+        cfg = small_config(epochs=0)
+        init = Predictor([0.0] * cfg.feature_dim, 1e300, [0.0] * cfg.feature_dim, -700.0)
+        locs, scales = init.predict_batch(generate(cfg)[1].features)
+        assert np.all(np.isfinite(locs)) and np.all(np.isfinite(scales) & (scales > 0.0))
+        _, report = train(cfg, init=init)
+        assert report.diverged
+        assert math.isinf(report.test_mae) and math.isnan(report.test_ece)
+
 
 class TestCompare:
     def test_single_config_gives_one_row(self):
@@ -517,6 +540,39 @@ class TestConfigSerialization:
     def test_non_integral_counts_are_not_truncated(self):
         with pytest.raises(ValueError, match="'n_train'"):
             config_from_dict({"n_train": 2.9, "epochs": 3.7, "feature_dim": True})
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"learning_rate": True}, "learning_rate"),
+            ({"learning_rate": "0.05"}, "learning_rate"),
+            ({"grad_clip": "0.5"}, "grad_clip"),
+            ({"grad_clip": False}, "grad_clip"),
+            ({"noise": {"kind": "constant", "b": False}}, "noise.b"),
+            ({"noise": {"kind": "constant", "b": "0.2"}}, "noise.b"),
+            ({"noise": {"kind": "feature_dependent", "b_low": True, "b_high": 0.5}}, "noise.b_low"),
+            ({"noise": {"kind": "feature_dependent", "b_low": 0.1, "b_high": "0.5"}}, "noise.b_high"),
+            ({"label_scale": {"mode": "constant", "b": True}}, "label_scale.b"),
+            ({"label_scale": {"mode": "constant", "b": "0.3"}}, "label_scale.b"),
+            ({"label_scale": {"mode": "heuristic", "anchors": [True, 0.2, 0.1]}},
+             "label_scale.anchors[0]"),
+            ({"label_scale": {"mode": "heuristic", "anchors": [0.5, "0.2", 0.1]}},
+             "label_scale.anchors[1]"),
+            ({"label_scale": {"mode": "heuristic", "anchors": [0.5, 0.2, False]}},
+             "label_scale.anchors[2]"),
+        ],
+    )
+    def test_float_keys_reject_booleans_and_strings(self, doc, key):
+        with pytest.raises(ValueError, match=re.escape(f"config key '{key}' must be a number")):
+            config_from_dict(doc)
+
+    def test_float_keys_take_integers(self):
+        cfg = config_from_dict({
+            "learning_rate": 1, "grad_clip": 2, "noise": {"kind": "constant", "b": 0},
+            "label_scale": {"mode": "heuristic", "anchors": [4, 2, 1]},
+        })
+        assert (cfg.learning_rate, cfg.grad_clip, cfg.noise.b) == (1.0, 2.0, 0.0)
+        assert cfg.label_scale.anchors == (4.0, 2.0, 1.0)
 
 
 class TestInputChecks:

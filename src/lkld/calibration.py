@@ -35,6 +35,23 @@ __all__ = [
 DEFAULT_GRID: tuple[float, ...] = tuple(i / 100.0 for i in range(1, 100))
 
 
+def _grid_array(grid: Sequence[float]) -> np.ndarray:
+    """A calibration grid as a float array: non-empty, inside (0, 1), strictly increasing."""
+    grid_arr = np.asarray(grid, dtype=float)
+    if grid_arr.size == 0:
+        raise ValueError("grid must be non-empty")
+    if not ((grid_arr > 0.0).all() and (grid_arr < 1.0).all()):
+        raise ValueError("grid points must lie strictly inside (0, 1)")
+    if not (np.diff(grid_arr) > 0.0).all():
+        raise ValueError("grid must be strictly increasing")
+    return grid_arr
+
+
+# DEFAULT_GRID checked once; calibration_report uses this when given DEFAULT_GRID.
+_DEFAULT_GRID_ARRAY = _grid_array(DEFAULT_GRID)
+_DEFAULT_GRID_ARRAY.flags.writeable = False
+
+
 def laplace_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """CDF of the standard Laplace distribution.
 
@@ -42,7 +59,7 @@ def laplace_cdf(z: float | np.ndarray) -> float | np.ndarray:
     the same shape. Non-finite input raises ``ValueError``.
     """
     arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"z must be finite, got {z}")
     tail = 0.5 * np.exp(-np.abs(arr))
     cdf = np.where(arr < 0.0, tail, 1.0 - tail)
@@ -81,7 +98,9 @@ def calibration_report(
     ``observed(p) = |{i : cdf(residuals[i] / scales[i]) <= p}| / n`` over
     parallel 1-d arrays of residuals (label minus predicted location) and
     predicted scales. Residuals must be finite and scales positive and
-    finite; a standard score that overflows is rejected.
+    finite; a standard score that overflows is rejected. The grid must be
+    non-empty, inside (0, 1) and strictly increasing; ``DEFAULT_GRID`` was
+    checked at import, any other grid is checked on every call.
     """
     residuals = np.asarray(residuals, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -89,24 +108,19 @@ def calibration_report(
         raise ValueError("residuals and scales must be 1-d arrays of equal length")
     if residuals.size == 0:
         raise ValueError("records must be non-empty")
-    if not np.all(np.isfinite(residuals)):
+    if not np.isfinite(residuals).all():
         raise ValueError("residuals must be finite")
-    if not (np.all(scales > 0.0) and np.all(np.isfinite(scales))):
+    if not ((scales > 0.0).all() and np.isfinite(scales).all()):
         raise ValueError("scales must be positive and finite")
-    grid_arr = np.asarray(grid, dtype=float)
-    if grid_arr.size == 0:
-        raise ValueError("grid must be non-empty")
-    if not (np.all(grid_arr > 0.0) and np.all(grid_arr < 1.0)):
-        raise ValueError("grid points must lie strictly inside (0, 1)")
-    if not np.all(np.diff(grid_arr) > 0.0):
-        raise ValueError("grid must be strictly increasing")
+    grid_arr = _DEFAULT_GRID_ARRAY if grid is DEFAULT_GRID else _grid_array(grid)
     with np.errstate(over="ignore"):
         z = residuals / scales
-    scores = np.sort(laplace_cdf(z))
+    scores = laplace_cdf(z)
+    scores.sort()
     # Inclusive comparison: a score CDF equal to the grid point counts.
     observed = np.searchsorted(scores, grid_arr, side="right") / float(scores.size)
     curve = tuple(zip(grid_arr.tolist(), observed.tolist()))
-    ece = float(np.mean(np.abs(observed - grid_arr)))
+    ece = float(abs(observed - grid_arr).sum() / grid_arr.size)
     return CalibrationReport(curve=curve, ece=ece, n=int(scores.size))
 
 

@@ -318,6 +318,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     doc = _read_json(args.config)
     if not isinstance(doc, dict) or "modes" not in doc:
         raise ValueError("compare config must be an object with 'config' and 'modes'")
+    for key in doc:
+        if key not in ("config", "modes"):
+            raise ValueError(f"unknown compare config key {key!r}; known keys: config, modes")
     base = synth_trainer.config_from_dict(doc.get("config", {}))
     if args.seed is not None:
         base = dataclasses.replace(base, seed=args.seed)
@@ -325,8 +328,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not isinstance(modes, list) or not modes:
         raise ValueError("'modes' must be a non-empty list")
     configs = [
-        dataclasses.replace(base, label_scale=synth_trainer._mode_from_dict(mode))
-        for mode in modes
+        dataclasses.replace(base, label_scale=synth_trainer._mode_from_dict(mode, f"modes[{i}]"))
+        for i, mode in enumerate(modes)
     ]
     rows = synth_trainer.compare(configs)
     _emit(synth_trainer.comparison_to_csv(base, rows), args.output)

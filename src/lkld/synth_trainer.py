@@ -18,7 +18,7 @@ configs give bit-identical datasets and reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -415,22 +415,23 @@ class TrainReport:
     diverged: bool
 
 
-def _evaluate(predictor: Predictor, data: Dataset) -> tuple[float, float]:
+def _evaluate(outputs: np.ndarray, data: Dataset) -> tuple[float, float]:
     """(MAE vs true targets, calibration gap vs observed labels).
 
-    Gives ``(inf, nan)`` when the predictor's outputs, or a residual over
-    its predicted scale, are not finite.
+    ``outputs`` is the ``(n, 2)`` array of head outputs on ``data``:
+    location, then log-scale, per sample. Gives ``(inf, nan)`` when a
+    location or a predicted scale is not finite or a scale is not
+    positive (the log-scale under/overflows exp), or when a residual over
+    its predicted scale is not finite.
     """
+    locs = outputs[:, 0]
     with np.errstate(over="ignore"):
-        locs, scales = predictor.predict_batch(data.features)
-    finite = (
-        np.all(np.isfinite(locs)) and np.all(np.isfinite(scales)) and np.all(scales > 0.0)
-    )
-    if not finite:
+        scales = np.exp(outputs[:, 1])
+    if not (np.isfinite(locs).all() and np.isfinite(scales).all() and (scales > 0.0).all()):
         return math.inf, math.nan
     with np.errstate(over="ignore"):
         residuals = data.labels - locs
-        scores_finite = np.all(np.isfinite(residuals / scales))
+        scores_finite = np.isfinite(residuals / scales).all()
     if not scores_finite:
         return math.inf, math.nan
     mae = float(np.mean(np.abs(data.true_targets - locs)))
@@ -457,11 +458,13 @@ def train(
     the Gram-weighted sum ``sum_s (x_s . x_j) step_s`` over the steps
     already taken. Each step is then one n-long dot product with a row of
     the train-set Gram matrix, and the epoch ends with one matmul that
-    applies every step. This is the same per-sample SGD, up to
-    floating-point summation order. The Gram matrix takes 8 * n_train**2
-    bytes (0.5 MB at n_train 256, 32 MB at 2000), and the dot product
-    grows with n_train: at feature_dim 128 it beats a per-step parameter
-    update only below n_train of about 1500 (measured on a 2-vCPU Xeon).
+    applies every step and one that gives the new ``(n, 2)`` head outputs:
+    the epoch is scored from them and the next one starts from them. This
+    is the same per-sample SGD, up to floating-point summation order. The
+    Gram matrix takes 8 * n_train**2 bytes (0.5 MB at n_train 256, 32 MB
+    at 2000), and the dot product grows with n_train: at feature_dim 128
+    it beats a per-step parameter update only below n_train of about 1500
+    (measured on a 2-vCPU Xeon).
 
     With ``average_tail_epochs > 0`` the returned predictor (and the one
     scored on the test set) is the average of the iterates visited during
@@ -505,10 +508,15 @@ def train(
     avg_start = max(0, config.epochs - config.average_tail_epochs)
     acc = np.zeros_like(theta)
     acc_count = 0
+    # Head outputs on the train set, (n, 2): each epoch starts from them and
+    # the one before was scored from them. Overflow gives inf, which the
+    # step kernel and _evaluate report as divergence.
+    with np.errstate(over="ignore"):
+        outputs = rows @ theta.T
 
     for epoch_idx in range(config.epochs):
         averaging = config.average_tail_epochs > 0 and epoch_idx >= avg_start
-        start = (rows @ theta.T).tolist()
+        start = outputs.tolist()
         steps.fill(0.0)
         order = order_rng.permutation(n)
         total_loss = 0.0
@@ -548,11 +556,13 @@ def train(
             acc += seen * theta - (weights[:, None] * steps).T @ rows
             acc_count += seen
         theta -= steps.T @ rows
+        with np.errstate(over="ignore"):
+            outputs = rows @ theta.T
 
         if seen:
             mean_loss = total_loss / seen
             mean_abs = total_abs / seen
-            epoch_ece = _evaluate(predictor, train_set)[1]
+            epoch_ece = _evaluate(outputs, train_set)[1]
         else:
             mean_loss = math.inf
             mean_abs = math.nan
@@ -566,7 +576,10 @@ def train(
     if diverged:
         test_mae, test_ece = math.inf, math.nan
     else:
-        test_mae, test_ece = _evaluate(predictor, test_set)
+        theta = predictor.theta
+        with np.errstate(over="ignore"):
+            test_outputs = test_set.features @ theta[:, :-1].T + theta[:, -1]
+        test_mae, test_ece = _evaluate(test_outputs, test_set)
         if not math.isfinite(test_mae):
             diverged = True
     return predictor, TrainReport(tuple(stats), test_mae, test_ece, diverged)
@@ -617,63 +630,88 @@ def _number(value: object, key: str) -> float:
     return float(value)
 
 
-def _noise_from_dict(d: dict) -> NoiseProfile:
+def _object(value: object, key: str) -> dict:
+    """A JSON object; anything else is rejected with the key's name."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _entry(d: dict, name: str, key: str) -> object:
+    """``d[name]``; a missing entry is rejected with its full key name."""
+    if name not in d:
+        raise ValueError(f"config key '{key}.{name}' is missing")
+    return d[name]
+
+
+def _noise_from_dict(d: object) -> NoiseProfile:
+    d = _object(d, "noise")
     kind = d.get("kind")
     if kind == "constant":
-        return ConstantNoise(_number(d["b"], "noise.b"))
+        return ConstantNoise(_number(_entry(d, "b", "noise"), "noise.b"))
     if kind == "feature_dependent":
         return FeatureDependentNoise(
-            _number(d["b_low"], "noise.b_low"), _number(d["b_high"], "noise.b_high")
+            _number(_entry(d, "b_low", "noise"), "noise.b_low"),
+            _number(_entry(d, "b_high", "noise"), "noise.b_high"),
         )
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def _mode_from_dict(d: dict) -> LabelScaleMode:
+def _mode_from_dict(d: object, key: str = "label_scale") -> LabelScaleMode:
+    """A label-scale mode from its JSON object; ``key`` names it in errors."""
+    d = _object(d, key)
     mode = d.get("mode")
     if mode == "zero":
         return ZeroLabelScale()
     if mode == "constant":
-        return ConstantLabelScale(_number(d["b"], "label_scale.b"))
+        return ConstantLabelScale(_number(_entry(d, "b", key), f"{key}.b"))
     if mode == "oracle":
         return OracleLabelScale()
     if mode == "heuristic":
-        anchors = d["anchors"]
+        anchors = _entry(d, "anchors", key)
+        if not isinstance(anchors, list):
+            raise ValueError(f"config key '{key}.anchors' must be a list, got {anchors!r}")
         return HeuristicLabelScale(
-            tuple(_number(a, f"label_scale.anchors[{i}]") for i, a in enumerate(anchors))
+            tuple(_number(a, f"{key}.anchors[{i}]") for i, a in enumerate(anchors))
         )
-    raise ValueError(f"unknown label_scale mode {mode!r}")
+    raise ValueError(f"unknown {key} mode {mode!r}")
 
 
 _INT_KEYS = ("n_train", "n_test", "feature_dim", "seed", "epochs", "average_tail_epochs")
+_CONFIG_KEYS = tuple(field.name for field in fields(SynthConfig))
 
 
 def config_from_dict(doc: dict) -> SynthConfig:
     """Build a config from its JSON representation (missing keys use defaults).
 
-    Counts and the seed must be JSON integers: ``2.9``, ``"3"`` and ``true``
-    are rejected with the key's name, not truncated or converted. The rate,
+    A key that is not a ``SynthConfig`` field is rejected with its name, so
+    a misspelt key does not silently leave its default in place. Counts and
+    the seed must be JSON integers: ``2.9``, ``"3"`` and ``true`` are
+    rejected with the key's name, not truncated or converted. The rate,
     the clip, noise and label scales and heuristic anchors must be JSON
     numbers: ``"0.5"`` and ``true`` are rejected the same way.
     """
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
+    for key in doc:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(
+                f"unknown config key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}"
+            )
     defaults = SynthConfig()
     ints = {key: doc.get(key, getattr(defaults, key)) for key in _INT_KEYS}
     for key, value in ints.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    try:
-        return SynthConfig(
-            **ints,
-            noise=_noise_from_dict(doc["noise"]) if "noise" in doc else defaults.noise,
-            label_scale=_mode_from_dict(doc["label_scale"])
-            if "label_scale" in doc
-            else defaults.label_scale,
-            learning_rate=_number(doc.get("learning_rate", defaults.learning_rate), "learning_rate"),
-            grad_clip=_number(doc.get("grad_clip", defaults.grad_clip), "grad_clip"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed config: {exc}") from exc
+    return SynthConfig(
+        **ints,
+        noise=_noise_from_dict(doc["noise"]) if "noise" in doc else defaults.noise,
+        label_scale=_mode_from_dict(doc["label_scale"])
+        if "label_scale" in doc
+        else defaults.label_scale,
+        learning_rate=_number(doc.get("learning_rate", defaults.learning_rate), "learning_rate"),
+        grad_clip=_number(doc.get("grad_clip", defaults.grad_clip), "grad_clip"),
+    )
 
 
 def config_to_dict(config: SynthConfig) -> dict:

@@ -3,12 +3,14 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from lkld import calibration
 from lkld.calibration import (
     DEFAULT_GRID,
     CalibrationReport,
@@ -145,6 +147,37 @@ class TestCalibrationReport:
         assert len(DEFAULT_GRID) == 99
         assert DEFAULT_GRID[0] == 0.01
         assert DEFAULT_GRID[-1] == 0.99
+
+    def test_default_grid_matches_the_same_grid_passed_as_a_list(self):
+        rng = np.random.default_rng(5)
+        residuals, scales = rng.laplace(0.0, 0.3, 256), 10.0 ** rng.uniform(-1, 0, 256)
+        default = calibration_report(residuals, scales)
+        given = calibration_report(residuals, scales, grid=list(DEFAULT_GRID))
+        assert default.curve == given.curve
+        assert default.ece == given.ece
+        assert default.n == given.n
+
+    def test_cached_default_grid_is_read_only(self):
+        cached = calibration._DEFAULT_GRID_ARRAY
+        assert cached.tolist() == list(DEFAULT_GRID)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((), "grid must be non-empty"),
+            ((0.0, 0.5), "grid points must lie strictly inside (0, 1)"),
+            ((0.5, 1.0), "grid points must lie strictly inside (0, 1)"),
+            ((0.5, 0.5), "grid must be strictly increasing"),
+            ((0.6, 0.4), "grid must be strictly increasing"),
+        ],
+    )
+    def test_other_grids_are_checked_on_every_call(self, grid, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                calibration_report(np.zeros(3), np.ones(3), grid=grid)
 
 
 class TestCsv:

@@ -379,6 +379,56 @@ class TestTrainAndCompareCommands:
         assert lines[3].startswith("oracle,")
         assert "seed=11" in lines[0]
 
+    # sha256 of `lkld compare` on the default config at seed 0, modes zero
+    # and oracle: 400 epochs of both runs, their per-epoch scoring and the
+    # tail-averaged test scores.
+    DEFAULT_COMPARE_SHA256 = "6141910b87e9f72a6247d8fc0f635ef8335d66877057d76c2ff9dfc2aced9f13"
+
+    def test_default_compare_bytes_are_pinned(self, tmp_path):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"modes": [{"mode": "zero"}, {"mode": "oracle"}]}))
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DEFAULT_COMPARE_SHA256
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (["zero"], "config key 'modes[0]' must be a JSON object, got ['zero']"),
+            ({"mode": "heuristic", "anchors": 5}, "config key 'modes[0].anchors' must be a list, got 5"),
+            ({"mode": "constant"}, "config key 'modes[0].b' is missing"),
+        ],
+    )
+    def test_malformed_mode_entry_is_a_domain_error(self, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"modes": [entry]}))
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_compare_rejects_unknown_top_level_key(self, tmp_path, capsys):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"config": TRAIN_CONFIG, "modes": [{"mode": "zero"}], "seed": 4}))
+        assert main(["compare", "--config", str(cfg), "-o", str(tmp_path / "table.csv")]) == 1
+        assert "unknown compare config key 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({**TRAIN_CONFIG, "learning_rte": 0.5}, "learning_rte"),
+            # A compare config given to train: its base config is not a train config.
+            ({"config": TRAIN_CONFIG, "modes": [{"mode": "zero"}]}, "config"),
+        ],
+    )
+    def test_train_rejects_unknown_config_key(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "report.csv"
+        assert main(["train", "--config", str(cfg), "-o", str(out)]) == 1
+        assert f"error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodesAndAtomicity:
     def test_unknown_subcommand_is_usage_error(self):

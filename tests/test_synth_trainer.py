@@ -30,8 +30,9 @@ from lkld.synth_trainer import (
     train,
     train_report_to_csv,
 )
+from lkld.synth_trainer import _evaluate
 
-from oracles import central_difference, reference_train
+from oracles import _reference_evaluate, central_difference, reference_train
 
 
 def small_config(**overrides):
@@ -306,6 +307,61 @@ class TestReferenceLoop:
         assert math.isfinite(report.epoch_stats[-1].mean_abs_error)
 
 
+class TestEvaluate:
+    """_evaluate on head outputs against the oracle's evaluation of the same parameters."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        feature_dim=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        weights=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
+        bias_mean=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([1e300, -1e300])),
+        # Above about 709 the predicted scale overflows; below about -745 it is 0.
+        bias_logscale=st.one_of(st.floats(-5.0, 5.0), st.floats(-750.0, 750.0)),
+    )
+    # Finite locations and scales whose standard scores overflow.
+    @example(n=8, feature_dim=2, seed=0, weights=[0.0] * 12, bias_mean=1e300,
+             bias_logscale=-700.0)
+    # Scales that overflow, and scales that underflow to zero.
+    @example(n=8, feature_dim=2, seed=0, weights=[0.0] * 12, bias_mean=0.0, bias_logscale=720.0)
+    @example(n=8, feature_dim=2, seed=0, weights=[0.0] * 12, bias_mean=0.0, bias_logscale=-750.0)
+    def test_matches_reference_evaluate(
+        self, n, feature_dim, seed, weights, bias_mean, bias_logscale
+    ):
+        cfg = small_config(n_train=n, feature_dim=feature_dim, seed=seed,
+                           noise=FeatureDependentNoise(0.1, 0.5))
+        data, _ = generate(cfg)
+        wm, ws = weights[:feature_dim], weights[6 : 6 + feature_dim]
+        theta = Predictor(wm, bias_mean, ws, bias_logscale).theta
+        rows = np.hstack((data.features, np.ones((n, 1))))
+        with np.errstate(over="ignore"):
+            outputs = rows @ theta.T
+        got = _evaluate(outputs, data)
+        want = _reference_evaluate(wm, bias_mean, ws, bias_logscale, data)
+        if math.isinf(want[0]):
+            assert math.isinf(got[0]) and math.isnan(got[1])
+        else:
+            assert got[1] == want[1]
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "locs, log_scales",
+        [
+            ([0.1, math.nan], [0.0, 0.0]),  # location not finite
+            ([0.1, math.inf], [0.0, 0.0]),
+            ([0.1, 0.2], [0.0, 710.0]),  # scale overflows
+            ([0.1, 0.2], [0.0, -746.0]),  # scale underflows to 0
+            ([0.1, 0.2], [0.0, math.nan]),
+            ([0.1, 1e300], [0.0, -700.0]),  # standard score overflows
+        ],
+    )
+    def test_guards(self, locs, log_scales):
+        data, _ = generate(small_config(n_train=2, feature_dim=1))
+        got = _evaluate(np.column_stack((locs, log_scales)), data)
+        assert math.isinf(got[0]) and math.isnan(got[1])
+
+
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         cfg = small_config(epochs=0)
@@ -528,6 +584,36 @@ class TestConfigSerialization:
             config_from_dict({"label_scale": {"mode": "nope"}})
         with pytest.raises(ValueError):
             config_from_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"learning_rte": 0.5}, "learning_rte"),
+            ({"config": {"seed": 3}}, "config"),
+            ({"seed": 3, "modes": [{"mode": "zero"}]}, "modes"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=re.escape(f"unknown config key {key!r}")):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"noise": [0.2]}, "config key 'noise' must be a JSON object"),
+            ({"noise": {"kind": "constant"}}, "config key 'noise.b' is missing"),
+            ({"noise": {"kind": "feature_dependent", "b_low": 0.1}},
+             "config key 'noise.b_high' is missing"),
+            ({"label_scale": "zero"}, "config key 'label_scale' must be a JSON object"),
+            ({"label_scale": {"mode": "constant"}}, "config key 'label_scale.b' is missing"),
+            ({"label_scale": {"mode": "heuristic"}}, "config key 'label_scale.anchors' is missing"),
+            ({"label_scale": {"mode": "heuristic", "anchors": 5}},
+             "config key 'label_scale.anchors' must be a list"),
+        ],
+    )
+    def test_malformed_nested_objects_name_the_key(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "key", ["n_train", "n_test", "feature_dim", "seed", "epochs", "average_tail_epochs"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import re
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lkld.distributions import LaplaceParams, kld_loss
 from lkld.synth_trainer import (
+    CompareRow,
     ConstantLabelScale,
     ConstantNoise,
     Dataset,
@@ -659,6 +661,89 @@ class TestConfigSerialization:
         })
         assert (cfg.learning_rate, cfg.grad_clip, cfg.noise.b) == (1.0, 2.0, 0.0)
         assert cfg.label_scale.anchors == (4.0, 2.0, 1.0)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+_anchor_steps = st.floats(min_value=0.01, max_value=100.0)
+NOISE_KINDS = {
+    "constant": st.builds(ConstantNoise, st.floats(min_value=0.0, allow_infinity=False)),
+    "feature_dependent": st.lists(_positive, min_size=2, max_size=2).map(
+        lambda bounds: FeatureDependentNoise(*sorted(bounds))
+    ),
+}
+LABEL_MODES = {
+    "zero": st.just(ZeroLabelScale()),
+    "constant": st.builds(ConstantLabelScale, _positive),
+    "oracle": st.just(OracleLabelScale()),
+    "heuristic": st.tuples(_anchor_steps, _anchor_steps, _anchor_steps).map(
+        lambda s: HeuristicLabelScale((s[0] + s[1] + s[2], s[0] + s[1], s[0]))
+    ),
+}
+
+
+class TestConfigDocuments:
+    """Config documents survive JSON, and the labels and headers are pinned."""
+
+    @pytest.mark.parametrize("mode", sorted(LABEL_MODES))
+    @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
+    @given(data=st.data())
+    def test_json_round_trip(self, kind, mode, data):
+        cfg = data.draw(st.builds(
+            SynthConfig,
+            n_train=st.integers(1, 10**9),
+            n_test=st.integers(1, 10**9),
+            feature_dim=st.integers(1, 10**6),
+            noise=NOISE_KINDS[kind],
+            label_scale=LABEL_MODES[mode],
+            seed=st.integers(),
+            epochs=st.integers(0, 10**9),
+            learning_rate=_positive,
+            grad_clip=st.floats(min_value=0.0, exclude_min=True),
+            average_tail_epochs=st.integers(0, 10**9),
+        ))
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize(
+        "value, label",
+        [
+            (ConstantNoise(0.123456789), "constant(0.123457)"),
+            (FeatureDependentNoise(1e-7, 12345678.0), "feature_dependent(1e-07;1.23457e+07)"),
+            (ZeroLabelScale(), "zero"),
+            (ConstantLabelScale(2), "constant(2)"),
+            (OracleLabelScale(), "oracle"),
+            (HeuristicLabelScale((0.5, 0.25, 1 / 30)), "heuristic(0.5;0.25;0.0333333)"),
+        ],
+    )
+    def test_labels_are_pinned(self, value, label):
+        assert value.label() == label
+
+    @pytest.mark.parametrize(
+        "cfg, text",
+        [
+            (SynthConfig(),
+             "n_train=256 n_test=4000 feature_dim=128 noise=feature_dependent(0.1;0.5) "
+             "label_scale=oracle seed=0 epochs=400 learning_rate=0.03 grad_clip=1 "
+             "average_tail_epochs=100"),
+            (SynthConfig(n_train=7, n_test=9, feature_dim=2, noise=ConstantNoise(0.25),
+                         label_scale=HeuristicLabelScale((3.0, 2.0, 0.5)), seed=-4, epochs=0,
+                         learning_rate=1 / 3, grad_clip=1e300, average_tail_epochs=0),
+             "n_train=7 n_test=9 feature_dim=2 noise=constant(0.25) "
+             "label_scale=heuristic(3;2;0.5) seed=-4 epochs=0 learning_rate=0.333333 "
+             "grad_clip=1e+300 average_tail_epochs=0"),
+        ],
+    )
+    def test_describe_is_pinned(self, cfg, text):
+        assert cfg.describe() == text
+
+    def test_comparison_header_omits_the_label_scale(self):
+        cfg = SynthConfig(noise=ConstantNoise(0.2), label_scale=ConstantLabelScale(0.3))
+        rows = [CompareRow("zero", 0.5, 0.25, False)]
+        assert comparison_to_csv(cfg, rows) == (
+            "# n_train=256 n_test=4000 feature_dim=128 noise=constant(0.2) seed=0 epochs=400 "
+            "learning_rate=0.03 grad_clip=1 average_tail_epochs=100\n"
+            "mode,test_mae,test_ece,diverged\n"
+            "zero,0.5,0.25,false\n"
+        )
 
 
 class TestInputChecks:

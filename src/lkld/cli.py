@@ -315,24 +315,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_outputs([args.output], [args.config])
-    doc = _read_json(args.config)
-    if not isinstance(doc, dict) or "modes" not in doc:
-        raise ValueError("compare config must be an object with 'config' and 'modes'")
-    for key in doc:
-        if key not in ("config", "modes"):
-            raise ValueError(f"unknown compare config key {key!r}; known keys: config, modes")
-    base = synth_trainer.config_from_dict(doc.get("config", {}))
+    configs = synth_trainer.compare_configs_from_dict(_read_json(args.config))
     if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
-    modes = doc["modes"]
-    if not isinstance(modes, list) or not modes:
-        raise ValueError("'modes' must be a non-empty list")
-    configs = [
-        dataclasses.replace(base, label_scale=synth_trainer._mode_from_dict(mode, f"modes[{i}]"))
-        for i, mode in enumerate(modes)
-    ]
+        configs = [dataclasses.replace(config, seed=args.seed) for config in configs]
     rows = synth_trainer.compare(configs)
-    _emit(synth_trainer.comparison_to_csv(base, rows), args.output)
+    _emit(synth_trainer.comparison_to_csv(configs[0], rows), args.output)
     return 0
 
 

@@ -17,9 +17,10 @@ configs give bit-identical datasets and reports.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "train",
     "compare",
     "config_from_dict",
+    "compare_configs_from_dict",
     "config_to_dict",
     "train_report_to_csv",
     "comparison_to_csv",
@@ -59,22 +61,29 @@ __all__ = [
 _LOGSCALE_LIMIT = 700.0
 
 
+class _Tagged:
+    """A noise profile or label-scale mode; ``TAG`` names its kind in config documents."""
+
+    def label(self) -> str:
+        """The tag, then the field values at 6 significant digits in parentheses, if any."""
+        values = [_text(tp, getattr(self, name)) for name, tp, _ in _fields(type(self))]
+        return f"{self.TAG}({';'.join(values)})" if values else self.TAG
+
+
 @dataclass(frozen=True)
-class ConstantNoise:
+class ConstantNoise(_Tagged):
     """Every label gets the same noise scale (0 means noise-free labels)."""
 
+    TAG = "constant"
     b: float
 
     def __post_init__(self) -> None:
         if not (self.b >= 0.0 and math.isfinite(self.b)):
             raise ValueError(f"constant noise scale must be >= 0, got {self.b}")
 
-    def label(self) -> str:
-        return f"constant({fmt_sig(self.b, 6)})"
-
 
 @dataclass(frozen=True)
-class FeatureDependentNoise:
+class FeatureDependentNoise(_Tagged):
     """Noise scale tied to sample quality, log-linearly between two bounds.
 
     A sample of quality q in [0, 1] gets scale ``b_high * (b_low/b_high)**q``:
@@ -83,6 +92,7 @@ class FeatureDependentNoise:
     the true noise exactly.
     """
 
+    TAG = "feature_dependent"
     b_low: float
     b_high: float
 
@@ -92,51 +102,45 @@ class FeatureDependentNoise:
                 f"need 0 < b_low <= b_high, got b_low={self.b_low}, b_high={self.b_high}"
             )
 
-    def label(self) -> str:
-        return f"feature_dependent({fmt_sig(self.b_low, 6)};{fmt_sig(self.b_high, 6)})"
-
 
 NoiseProfile = ConstantNoise | FeatureDependentNoise
 
 
 @dataclass(frozen=True)
-class ZeroLabelScale:
+class ZeroLabelScale(_Tagged):
     """Treat labels as exact: the zero-label-scale (NLL) limit."""
 
-    def label(self) -> str:
-        return "zero"
+    TAG = "zero"
 
 
 @dataclass(frozen=True)
-class ConstantLabelScale:
+class ConstantLabelScale(_Tagged):
     """One fixed label scale for every sample."""
 
+    TAG = "constant"
     b: float
 
     def __post_init__(self) -> None:
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise ValueError(f"constant label scale must be > 0, got {self.b}")
 
-    def label(self) -> str:
-        return f"constant({fmt_sig(self.b, 6)})"
-
 
 @dataclass(frozen=True)
-class OracleLabelScale:
+class OracleLabelScale(_Tagged):
     """Use each sample's true noise scale as its label scale."""
 
-    def label(self) -> str:
-        return "oracle"
+    TAG = "oracle"
 
 
 @dataclass(frozen=True)
-class HeuristicLabelScale:
+class HeuristicLabelScale(_Tagged):
     """Map each sample's quality through the exponential anchor fit.
 
     Quality plays the role of a proxy IoU, so the anchors have the same
     meaning as in the geometric pipeline: scale at IoU 0, 0.5, and 1.
     """
 
+    TAG = "heuristic"
     anchors: tuple[float, float, float]
 
     def __post_init__(self) -> None:
@@ -145,9 +149,6 @@ class HeuristicLabelScale:
             raise ValueError(f"heuristic mode needs exactly 3 anchors, got {self.anchors}")
         object.__setattr__(self, "anchors", anchors)
         fit_mapping(*anchors)  # validates ordering/positivity
-
-    def label(self) -> str:
-        return "heuristic(" + ";".join(fmt_sig(a, 6) for a in self.anchors) + ")"
 
 
 LabelScaleMode = ZeroLabelScale | ConstantLabelScale | OracleLabelScale | HeuristicLabelScale
@@ -186,13 +187,7 @@ class SynthConfig:
         return (self.seed, self.n_train, self.n_test, self.feature_dim, self.noise)
 
     def describe(self) -> str:
-        return (
-            f"n_train={self.n_train} n_test={self.n_test} feature_dim={self.feature_dim} "
-            f"noise={self.noise.label()} label_scale={self.label_scale.label()} "
-            f"seed={self.seed} epochs={self.epochs} "
-            f"learning_rate={fmt_sig(self.learning_rate, 6)} grad_clip={fmt_sig(self.grad_clip, 6)} "
-            f"average_tail_epochs={self.average_tail_epochs}"
-        )
+        return _describe(self)
 
 
 @dataclass(frozen=True)
@@ -623,6 +618,20 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
     return rows
 
 
+# Each union of config choices: the key that holds a document's tag, and the class of each tag.
+_TAGS = {
+    union: (tag_key, {cls.TAG: cls for cls in get_args(union)})
+    for union, tag_key in ((NoiseProfile, "kind"), (LabelScaleMode, "mode"))
+}
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, object, object], ...]:
+    """A config dataclass's fields as (name, declared type, default or ``MISSING``)."""
+    hints = get_type_hints(cls)
+    return tuple((field.name, hints[field.name], field.default) for field in fields(cls))
+
+
 def _number(value: object, key: str) -> float:
     """A JSON number as a float; booleans and strings are rejected with the key's name."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -630,61 +639,81 @@ def _number(value: object, key: str) -> float:
     return float(value)
 
 
-def _object(value: object, key: str) -> dict:
-    """A JSON object; anything else is rejected with the key's name."""
-    if not isinstance(value, dict):
-        raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
+def _read(tp: object, value: object, key: str) -> object:
+    """A field's value of declared type ``tp`` from its JSON value; ``key`` names it in errors."""
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+        return value
+    if tp is float:
+        return _number(value, key)
+    if tp in _TAGS:
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
+        tag_key, classes = _TAGS[tp]
+        tag = value.get(tag_key)
+        if not (isinstance(tag, str) and tag in classes):
+            raise ValueError(f"unknown {key} {tag_key} {tag!r}")
+        return _read_fields(classes[tag], value, f"{key}.", (tag_key,))
+    if not isinstance(value, list):
+        raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+    return tuple(_number(item, f"{key}[{i}]") for i, item in enumerate(value))
 
 
-def _entry(d: dict, name: str, key: str) -> object:
-    """``d[name]``; a missing entry is rejected with its full key name."""
-    if name not in d:
-        raise ValueError(f"config key '{key}.{name}' is missing")
-    return d[name]
+def _read_fields(cls: type, doc: dict, prefix: str = "", tag_keys: tuple = ()) -> object:
+    """``cls`` from a JSON object, field by field: unknown keys are errors, missing
+    keys take the field's default, and a field without one must be present."""
+    walk = _fields(cls)
+    known = [*tag_keys, *(name for name, _, _ in walk)]
+    for key in doc:
+        if key not in known:
+            raise ValueError(
+                f"unknown config key {f'{prefix}{key}'!r}; known keys: {', '.join(known)}"
+            )
+    values = {}
+    for name, tp, default in walk:
+        if name in doc:
+            values[name] = _read(tp, doc[name], prefix + name)
+        elif default is MISSING:
+            raise ValueError(f"config key {prefix + name!r} is missing")
+    return cls(**values)
 
 
-def _noise_from_dict(d: object) -> NoiseProfile:
-    d = _object(d, "noise")
-    kind = d.get("kind")
-    if kind == "constant":
-        return ConstantNoise(_number(_entry(d, "b", "noise"), "noise.b"))
-    if kind == "feature_dependent":
-        return FeatureDependentNoise(
-            _number(_entry(d, "b_low", "noise"), "noise.b_low"),
-            _number(_entry(d, "b_high", "noise"), "noise.b_high"),
-        )
-    raise ValueError(f"unknown noise kind {kind!r}")
+def _write(tp: object, value: object) -> object:
+    """A field's value of declared type ``tp`` as JSON: tag first, then the fields."""
+    if tp in _TAGS:
+        return {_TAGS[tp][0]: value.TAG, **_write_fields(value)}
+    return list(value) if get_origin(tp) is tuple else value
 
 
-def _mode_from_dict(d: object, key: str = "label_scale") -> LabelScaleMode:
-    """A label-scale mode from its JSON object; ``key`` names it in errors."""
-    d = _object(d, key)
-    mode = d.get("mode")
-    if mode == "zero":
-        return ZeroLabelScale()
-    if mode == "constant":
-        return ConstantLabelScale(_number(_entry(d, "b", key), f"{key}.b"))
-    if mode == "oracle":
-        return OracleLabelScale()
-    if mode == "heuristic":
-        anchors = _entry(d, "anchors", key)
-        if not isinstance(anchors, list):
-            raise ValueError(f"config key '{key}.anchors' must be a list, got {anchors!r}")
-        return HeuristicLabelScale(
-            tuple(_number(a, f"{key}.anchors[{i}]") for i, a in enumerate(anchors))
-        )
-    raise ValueError(f"unknown {key} mode {mode!r}")
+def _write_fields(value: object) -> dict:
+    return {name: _write(tp, getattr(value, name)) for name, tp, _ in _fields(type(value))}
 
 
-_INT_KEYS = ("n_train", "n_test", "feature_dim", "seed", "epochs", "average_tail_epochs")
-_CONFIG_KEYS = tuple(field.name for field in fields(SynthConfig))
+def _text(tp: object, value: object) -> str:
+    """A field's value of declared type ``tp`` as report-header text."""
+    if tp is int:
+        return str(value)
+    if tp is float:
+        return fmt_sig(value, 6)
+    if tp in _TAGS:
+        return value.label()
+    return ";".join(fmt_sig(item, 6) for item in value)
+
+
+def _describe(config: SynthConfig, omit: str | None = None) -> str:
+    """``name=value`` for each field but ``omit``, in field order: the report header."""
+    return " ".join(
+        f"{name}={_text(tp, getattr(config, name))}"
+        for name, tp, _ in _fields(SynthConfig)
+        if name != omit
+    )
 
 
 def config_from_dict(doc: dict) -> SynthConfig:
     """Build a config from its JSON representation (missing keys use defaults).
 
-    A key that is not a ``SynthConfig`` field is rejected with its name, so
+    A key that is not a field is rejected with its name, at any depth, so
     a misspelt key does not silently leave its default in place. Counts and
     the seed must be JSON integers: ``2.9``, ``"3"`` and ``true`` are
     rejected with the key's name, not truncated or converted. The rate,
@@ -693,58 +722,28 @@ def config_from_dict(doc: dict) -> SynthConfig:
     """
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
+    return _read_fields(SynthConfig, doc)
+
+
+def compare_configs_from_dict(doc: object) -> list[SynthConfig]:
+    """The configs of a compare document: its base ``config`` once per ``modes`` entry."""
+    if not isinstance(doc, dict) or "modes" not in doc:
+        raise ValueError("compare config must be an object with 'config' and 'modes'")
     for key in doc:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(
-                f"unknown config key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}"
-            )
-    defaults = SynthConfig()
-    ints = {key: doc.get(key, getattr(defaults, key)) for key in _INT_KEYS}
-    for key, value in ints.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return SynthConfig(
-        **ints,
-        noise=_noise_from_dict(doc["noise"]) if "noise" in doc else defaults.noise,
-        label_scale=_mode_from_dict(doc["label_scale"])
-        if "label_scale" in doc
-        else defaults.label_scale,
-        learning_rate=_number(doc.get("learning_rate", defaults.learning_rate), "learning_rate"),
-        grad_clip=_number(doc.get("grad_clip", defaults.grad_clip), "grad_clip"),
-    )
+        if key not in ("config", "modes"):
+            raise ValueError(f"unknown compare config key {key!r}; known keys: config, modes")
+    base = config_from_dict(doc.get("config", {}))
+    modes = doc["modes"]
+    if not isinstance(modes, list) or not modes:
+        raise ValueError("'modes' must be a non-empty list")
+    return [
+        replace(base, label_scale=_read(LabelScaleMode, mode, f"modes[{i}]"))
+        for i, mode in enumerate(modes)
+    ]
 
 
 def config_to_dict(config: SynthConfig) -> dict:
-    noise: dict
-    if isinstance(config.noise, ConstantNoise):
-        noise = {"kind": "constant", "b": config.noise.b}
-    else:
-        noise = {
-            "kind": "feature_dependent",
-            "b_low": config.noise.b_low,
-            "b_high": config.noise.b_high,
-        }
-    mode: dict
-    if isinstance(config.label_scale, ZeroLabelScale):
-        mode = {"mode": "zero"}
-    elif isinstance(config.label_scale, ConstantLabelScale):
-        mode = {"mode": "constant", "b": config.label_scale.b}
-    elif isinstance(config.label_scale, OracleLabelScale):
-        mode = {"mode": "oracle"}
-    else:
-        mode = {"mode": "heuristic", "anchors": list(config.label_scale.anchors)}
-    return {
-        "n_train": config.n_train,
-        "n_test": config.n_test,
-        "feature_dim": config.feature_dim,
-        "noise": noise,
-        "label_scale": mode,
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "grad_clip": config.grad_clip,
-        "average_tail_epochs": config.average_tail_epochs,
-    }
+    return _write_fields(config)
 
 
 def train_report_to_csv(config: SynthConfig, report: TrainReport) -> str:
@@ -762,9 +761,8 @@ def train_report_to_csv(config: SynthConfig, report: TrainReport) -> str:
 
 
 def comparison_to_csv(base: SynthConfig, rows: Sequence[CompareRow]) -> str:
-    shared = replace(base, label_scale=OracleLabelScale())
-    header = shared.describe().replace(" label_scale=oracle", "")
-    lines = [f"# {header}", "mode,test_mae,test_ece,diverged"]
+    """One row per mode; ``base``'s settings but its label scale ride in a comment header."""
+    lines = [f"# {_describe(base, omit='label_scale')}", "mode,test_mae,test_ece,diverged"]
     for row in rows:
         lines.append(
             f"{row.mode},{fmt_sig(row.test_mae)},{fmt_sig(row.test_ece)},"

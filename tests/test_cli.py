@@ -430,6 +430,28 @@ class TestTrainAndCompareCommands:
         assert not out.exists()
 
 
+    def test_train_rejects_unknown_nested_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"noise": {"kind": "constant", "b": 0.2, "b_hgh": 0.9},
+                                   "label_scale": {"mode": "oracle", "b": 0.3}}))
+        out = tmp_path / "report.csv"
+        assert main(["train", "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown config key 'noise.b_hgh'; known keys: kind, b\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+    def test_compare_rejects_unknown_key_in_a_mode(self, tmp_path, capsys):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"modes": [{"mode": "zero", "anchors": [1, 2]}]}))
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown config key 'modes[0].anchors'; known keys: mode\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 class TestExitCodesAndAtomicity:
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

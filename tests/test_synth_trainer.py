@@ -23,6 +23,7 @@ from lkld.synth_trainer import (
     SynthConfig,
     ZeroLabelScale,
     compare,
+    compare_configs_from_dict,
     comparison_to_csv,
     config_from_dict,
     config_to_dict,
@@ -618,6 +619,32 @@ class TestConfigSerialization:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"noise": {"kind": "constant", "b": 0.2, "b_hgh": 0.9}},
+             "unknown config key 'noise.b_hgh'; known keys: kind, b"),
+            ({"noise": {"kind": "feature_dependent", "b_low": 0.1, "b_high": 0.5, "b": 1}},
+             "unknown config key 'noise.b'; known keys: kind, b_low, b_high"),
+            ({"label_scale": {"mode": "oracle", "b": 0.3}},
+             "unknown config key 'label_scale.b'; known keys: mode"),
+            ({"label_scale": {"mode": "zero", "anchors": [1, 2]}},
+             "unknown config key 'label_scale.anchors'; known keys: mode"),
+            ({"label_scale": {"mode": "constant", "b": 0.3, "kind": "constant"}},
+             "unknown config key 'label_scale.kind'; known keys: mode, b"),
+            ({"label_scale": {"mode": "heuristic", "anchors": [3, 2, 1], "b": 0.3}},
+             "unknown config key 'label_scale.b'; known keys: mode, anchors"),
+        ],
+    )
+    def test_unknown_nested_keys_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("tag", [["constant"], {"kind": "constant"}, 1, None])
+    def test_tags_that_are_not_strings_are_unknown(self, tag):
+        with pytest.raises(ValueError, match=re.escape(f"unknown noise kind {tag!r}")):
+            config_from_dict({"noise": {"kind": tag, "b": 0.2}})
+
+    @pytest.mark.parametrize(
         "key", ["n_train", "n_test", "feature_dim", "seed", "epochs", "average_tail_epochs"]
     )
     @pytest.mark.parametrize("value", [2.9, 3.0, True, "3"])
@@ -679,6 +706,44 @@ LABEL_MODES = {
         lambda s: HeuristicLabelScale((s[0] + s[1] + s[2], s[0] + s[1], s[0]))
     ),
 }
+
+
+class TestCompareConfigs:
+    def test_one_config_per_mode_on_the_base_config(self):
+        configs = compare_configs_from_dict({
+            "config": {"seed": 4, "epochs": 2},
+            "modes": [{"mode": "zero"}, {"mode": "constant", "b": 0.3}],
+        })
+        base = SynthConfig(seed=4, epochs=2)
+        assert configs == [
+            dataclasses.replace(base, label_scale=ZeroLabelScale()),
+            dataclasses.replace(base, label_scale=ConstantLabelScale(0.3)),
+        ]
+
+    def test_missing_base_config_uses_the_defaults(self):
+        assert compare_configs_from_dict({"modes": [{"mode": "oracle"}]}) == [SynthConfig()]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "compare config must be an object with 'config' and 'modes'"),
+            ({"config": {}}, "compare config must be an object with 'config' and 'modes'"),
+            ({"modes": [{"mode": "zero"}], "seed": 1},
+             "unknown compare config key 'seed'; known keys: config, modes"),
+            ({"modes": []}, "'modes' must be a non-empty list"),
+            ({"modes": {"mode": "zero"}}, "'modes' must be a non-empty list"),
+            ({"config": {"learning_rte": 1}, "modes": [{"mode": "zero"}]},
+             "unknown config key 'learning_rte'"),
+            ({"modes": [{"mode": "zero"}, "oracle"]},
+             "config key 'modes[1]' must be a JSON object, got 'oracle'"),
+            ({"modes": [{"mode": "zero", "anchors": [1, 2]}]},
+             "unknown config key 'modes[0].anchors'; known keys: mode"),
+            ({"modes": [{"mode": "nope"}]}, "unknown modes[0] mode 'nope'"),
+        ],
+    )
+    def test_bad_documents_name_the_key(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compare_configs_from_dict(doc)
 
 
 class TestConfigDocuments:

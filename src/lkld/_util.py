@@ -1,8 +1,9 @@
-"""Small shared helpers: float formatting and atomic file writes."""
+"""Small shared helpers: float formatting, JSON value checks and atomic file writes."""
 
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 
 
@@ -11,12 +12,42 @@ def fmt_sig(x: float, digits: int = 9) -> str:
     return format(float(x), f".{digits}g")
 
 
+def json_int(value: object, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, named by ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value: object, what: str) -> float:
+    """A JSON number as a float; booleans and strings are rejected, named by ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _umask() -> int:
+    """The process umask; reading it means setting it, so it is put back at once."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see a partial file."""
+    """Write text to path via a temp file + rename so readers never see a partial file.
+
+    A new file gets the mode ``open()`` would give it, 0o666 less the umask;
+    a file that exists keeps its mode.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = 0o666 & ~_umask()
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.chmod(tmp, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -38,6 +38,8 @@ def parse_range(raw: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"range values must be numbers: {raw!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"range start and stop must be finite, got {raw!r}")
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"range step must be > 0, got {step}")
     if stop <= start:

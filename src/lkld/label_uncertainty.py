@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt_sig
+from ._util import fmt_sig, json_int, json_number
 # perfbench/tracing.py wraps convex_hull, iou and rigid_transform under this
 # module's names: label_iou calls the first two through them, and
 # rigid_transform, unused here, is imported only so that name exists.
@@ -54,12 +54,12 @@ RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n
 def _xy_array(pts: object) -> np.ndarray:
     """One sweep's points as a float64 ``(k, 2)`` array; anything else raises.
 
-    Entries numpy can only hold as objects, such as a ``None`` coordinate
-    (which a float conversion would read as NaN), are rejected, and so are
-    NaN and infinite coordinates (JSON ``NaN``, ``1e400``).
+    Coordinates must be numbers: a ``None`` (which a float conversion would
+    read as NaN), a string or a boolean is rejected, and so are NaN and
+    infinite coordinates (JSON ``NaN``, ``1e400``).
     """
     arr = np.array(pts)
-    if arr.dtype == object:
+    if arr.dtype.kind not in "iuf":
         raise ValueError("point coordinates must be numbers")
     arr = arr.astype(float, copy=False)
     if arr.shape == (0,):
@@ -280,6 +280,10 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
                      "poses":  [{"sweep_id": int, "center": [x, y],
                                  "theta": rad, "length": m, "width": m}, ...],
                      "points": [{"sweep_id": int, "xy": [[x, y], ...]}, ...]}]}
+
+    Sweep ids must be JSON integers, and centers, angles, sizes and point
+    coordinates JSON numbers: ``2.9``, ``true`` and ``"1"`` are rejected,
+    not truncated or converted.
     """
     if not isinstance(doc, dict) or "tracks" not in doc:
         raise ValueError("track document must be an object with a 'tracks' list")
@@ -295,19 +299,19 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
             class_name = str(raw["class_name"])
             poses: dict[int, OrientedRect] = {}
             for pose in raw["poses"]:
-                sweep = int(pose["sweep_id"])
+                sweep = json_int(pose["sweep_id"], "sweep_id")
                 if sweep in poses:
                     raise ValueError(f"duplicate sweep_id {sweep} in poses")
                 cx, cy = pose["center"]
                 poses[sweep] = OrientedRect(
-                    center=Point2(float(cx), float(cy)),
-                    theta=float(pose["theta"]),
-                    length=float(pose["length"]),
-                    width=float(pose["width"]),
+                    center=Point2(json_number(cx, "center"), json_number(cy, "center")),
+                    theta=json_number(pose["theta"], "theta"),
+                    length=json_number(pose["length"], "length"),
+                    width=json_number(pose["width"], "width"),
                 )
             points: dict[int, object] = {}
             for entry in raw.get("points", []):
-                sweep = int(entry["sweep_id"])
+                sweep = json_int(entry["sweep_id"], "sweep_id")
                 if sweep in points:
                     raise ValueError(f"duplicate sweep_id {sweep} in points")
                 points[sweep] = entry["xy"]

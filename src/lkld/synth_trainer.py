@@ -24,7 +24,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ._util import fmt_sig
+from ._util import fmt_sig, json_int, json_number
 from .calibration import calibration_report, laplace_quantile
 from .distributions import kld_terms, nll_terms
 # Unused: imported only so the names perfbench/tracing.py wraps exist here.
@@ -632,21 +632,12 @@ def _fields(cls: type) -> tuple[tuple[str, object, object], ...]:
     return tuple((field.name, hints[field.name], field.default) for field in fields(cls))
 
 
-def _number(value: object, key: str) -> float:
-    """A JSON number as a float; booleans and strings are rejected with the key's name."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
 def _read(tp: object, value: object, key: str) -> object:
     """A field's value of declared type ``tp`` from its JSON value; ``key`` names it in errors."""
     if tp is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
+        return json_int(value, f"config key {key!r}")
     if tp is float:
-        return _number(value, key)
+        return json_number(value, f"config key {key!r}")
     if tp in _TAGS:
         if not isinstance(value, dict):
             raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
@@ -657,7 +648,7 @@ def _read(tp: object, value: object, key: str) -> object:
         return _read_fields(classes[tag], value, f"{key}.", (tag_key,))
     if not isinstance(value, list):
         raise ValueError(f"config key {key!r} must be a list, got {value!r}")
-    return tuple(_number(item, f"{key}[{i}]") for i, item in enumerate(value))
+    return tuple(json_number(item, f"config key '{key}[{i}]'") for i, item in enumerate(value))
 
 
 def _read_fields(cls: type, doc: dict, prefix: str = "", tag_keys: tuple = ()) -> object:

@@ -5,6 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
+import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -71,6 +76,16 @@ class TestParsers:
         for bad in ["1:2", "a:b:c", "0:1:-0.1", "2:1:0.5"]:
             with pytest.raises(ValueError):
                 parse_range(bad)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_range_rejects_non_finite_values(self, position, value):
+        parts = ["0", "1", "0.5"]
+        parts[position] = value
+        raw = ":".join(parts)
+        message = f"range start and stop must be finite, got {raw!r}" if position < 2 else "step"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_range(raw)
 
     def test_anchors(self):
         assert parse_anchors("2.0,0.05,0.01") == (2.0, 0.05, 0.01)
@@ -452,7 +467,55 @@ class TestTrainAndCompareCommands:
         assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_exit_codes(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "lkld", *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        ok = run("fit-map", "--anchors", "2.0,0.05,0.01")
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["anchors"] == [2.0, 0.05, 0.01]
+        missing = run("calib", "--records", "missing.csv", "-o", "calib.csv")
+        assert missing.returncode == 1
+        assert missing.stderr == "error: input file not found: missing.csv\n"
+        usage = run("frobnicate")
+        assert usage.returncode == 2 and "invalid choice" in usage.stderr
+        assert sorted(tmp_path.iterdir()) == []
+
+
 class TestExitCodesAndAtomicity:
+    @staticmethod
+    def run_calib_under_umask(tmp_path, mask):
+        records = tmp_path / "preds.csv"
+        records.write_text(CALIB_TEXT)
+        old = os.umask(mask)
+        try:
+            code = main(["calib", "--records", str(records), "--per-class",
+                         "-o", str(tmp_path / "calib.csv")])
+        finally:
+            os.umask(old)
+        assert code == 0
+        return {path.name: stat.S_IMODE(path.stat().st_mode)
+                for path in tmp_path.iterdir() if path != records}
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_new_outputs_get_the_mode_open_gives(self, tmp_path, mask, mode):
+        modes = self.run_calib_under_umask(tmp_path, mask)
+        assert modes == {"calib.csv": mode, "calib.car.csv": mode, "calib.bike.csv": mode}
+
+    def test_existing_output_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "calib.csv"
+        out.write_text("previous contents\n")
+        out.chmod(0o640)
+        modes = self.run_calib_under_umask(tmp_path, 0o077)
+        assert modes == {"calib.csv": 0o640, "calib.car.csv": 0o600, "calib.bike.csv": 0o600}
+        assert out.read_text().startswith("expected_cdf,observed_cdf\n")
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

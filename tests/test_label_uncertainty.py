@@ -342,6 +342,46 @@ class TestJsonAndCsv:
         with pytest.raises(ValueError, match=rf"malformed track at tracks\[{where}\]: .*finite"):
             tracks_from_json(json.loads(raw))
 
+    @pytest.mark.parametrize(
+        "block, key, value, message",
+        [
+            ("poses", "sweep_id", 2.9, "sweep_id must be an integer, got 2.9"),
+            ("poses", "sweep_id", 1.0, "sweep_id must be an integer, got 1.0"),
+            ("poses", "sweep_id", True, "sweep_id must be an integer, got True"),
+            ("poses", "sweep_id", "1", "sweep_id must be an integer, got '1'"),
+            ("points", "sweep_id", 1.1, "sweep_id must be an integer, got 1.1"),
+            ("points", "sweep_id", "1", "sweep_id must be an integer, got '1'"),
+            ("poses", "theta", "0.5", "theta must be a number, got '0.5'"),
+            ("poses", "theta", False, "theta must be a number, got False"),
+            ("poses", "length", "4", "length must be a number, got '4'"),
+            ("poses", "width", None, "width must be a number, got None"),
+            ("poses", "center", [1.0, "0"], "center must be a number, got '0'"),
+            ("poses", "center", [True, 0.0], "center must be a number, got True"),
+        ],
+    )
+    def test_loose_json_types_rejected(self, block, key, value, message):
+        doc = self.sample_doc()
+        doc["tracks"][0][block][1][key] = value
+        with pytest.raises(ValueError) as err:
+            tracks_from_json(json.loads(json.dumps(doc)))
+        assert str(err.value) == f"malformed track at tracks[0]: {message}"
+
+    @pytest.mark.parametrize("xy", [[["0.5", "0.2"]], [[True, False]], [[0.5, "0.2"]]])
+    def test_point_coordinates_must_be_json_numbers(self, xy):
+        doc = self.sample_doc()
+        doc["tracks"][0]["points"][1]["xy"] = xy
+        with pytest.raises(ValueError) as err:
+            tracks_from_json(doc)
+        assert str(err.value) == "malformed track at tracks[0]: point coordinates must be numbers"
+
+    def test_integer_geometry_is_read_as_floats(self):
+        doc = self.sample_doc()
+        doc["tracks"][0]["poses"][1].update(center=[1, 0], theta=0, length=4, width=2)
+        doc["tracks"][0]["points"][1]["xy"] = [[1, 0]]
+        pose = tracks_from_json(doc)[0].poses[1]
+        assert (pose.center, pose.theta, pose.length, pose.width) == (Point2(1.0, 0.0), 0.0, 4.0, 2.0)
+        assert all(type(v) is float for v in (*pose.center, pose.theta, pose.length, pose.width))
+
     def test_points_converted_to_float_arrays(self):
         track = tracks_from_json(self.sample_doc())[0]
         for sweep, want in [(0, [[0.5, 0.2], [-0.5, -0.2]]), (1, [[1.5, 0.1]])]:

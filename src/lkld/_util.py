@@ -26,6 +26,13 @@ def json_number(value: object, what: str) -> float:
     return float(value)
 
 
+def json_str(value: object, what: str) -> str:
+    """A JSON string; numbers, booleans and ``null`` are rejected, named by ``what``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _umask() -> int:
     """The process umask; reading it means setting it, so it is put back at once."""
     mask = os.umask(0o022)

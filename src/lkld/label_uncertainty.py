@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt_sig, json_int, json_number
+from ._util import fmt_sig, json_int, json_number, json_str
 # perfbench/tracing.py wraps convex_hull, iou and rigid_transform under this
 # module's names: label_iou calls the first two through them, and
 # rigid_transform, unused here, is imported only so that name exists.
@@ -281,9 +281,10 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
                                  "theta": rad, "length": m, "width": m}, ...],
                      "points": [{"sweep_id": int, "xy": [[x, y], ...]}, ...]}]}
 
-    Sweep ids must be JSON integers, and centers, angles, sizes and point
-    coordinates JSON numbers: ``2.9``, ``true`` and ``"1"`` are rejected,
-    not truncated or converted.
+    Label ids and class names must be JSON strings, sweep ids JSON
+    integers, and centers, angles, sizes and point coordinates JSON
+    numbers: ``1``, ``null``, ``2.9``, ``true`` and ``"1"`` are rejected
+    where they do not fit, not truncated or converted.
     """
     if not isinstance(doc, dict) or "tracks" not in doc:
         raise ValueError("track document must be an object with a 'tracks' list")
@@ -295,8 +296,8 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
     for idx, raw in enumerate(raw_tracks):
         where = f"tracks[{idx}]"
         try:
-            label_id = str(raw["label_id"])
-            class_name = str(raw["class_name"])
+            label_id = json_str(raw["label_id"], "label_id")
+            class_name = json_str(raw["class_name"], "class_name")
             poses: dict[int, OrientedRect] = {}
             for pose in raw["poses"]:
                 sweep = json_int(pose["sweep_id"], "sweep_id")

@@ -284,6 +284,10 @@ class Predictor:
         return cls([0.0] * feature_dim, 0.0, [0.0] * feature_dim, math.log(1.0))
 
     @property
+    def feature_dim(self) -> int:
+        return self.theta.shape[1] - 1
+
+    @property
     def weights_mean(self) -> list[float]:
         return self.theta[0, :-1].tolist()
 
@@ -379,6 +383,11 @@ def sample_param_grads(
         None if label_scale is None else np.array([label_scale], dtype=float),
     )
     x_row = np.append(x, 1.0)
+    if x_row.size - 1 != predictor.feature_dim:
+        raise ValueError(
+            f"feature row has {x_row.size - 1} values, predictor feature_dim is "
+            f"{predictor.feature_dim}"
+        )
     step = _sample_step(*predictor.theta.dot(x_row).tolist(), label, label_scale)
     if step is None:
         raise ValueError("predictor output is out of range; training would have diverged")
@@ -388,9 +397,18 @@ def sample_param_grads(
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch of the running iterate on the train set.
+
+    ``mean_loss`` and ``mean_abs_error`` average over the epoch's steps,
+    each taken at the head outputs before its update. ``ece`` is the
+    calibration gap of the outputs the epoch ends with: ``nan`` when a
+    scoring guard fired (the run diverged), ``None`` when the run was
+    trained with ``score_epochs=False``.
+    """
+
     mean_loss: float
     mean_abs_error: float
-    ece: float
+    ece: float | None
 
 
 @dataclass(frozen=True)
@@ -438,6 +456,8 @@ def train(
     train_set: Dataset | None = None,
     test_set: Dataset | None = None,
     init: Predictor | None = None,
+    *,
+    score_epochs: bool = True,
 ) -> tuple[Predictor, TrainReport]:
     """Per-sample SGD with the analytic loss gradients chained by hand.
 
@@ -468,6 +488,11 @@ def train(
     per-sample SGD never settles, it hovers around its fixed point; tail
     averaging reports the hover center instead of wherever the final step
     happened to land. Per-epoch stats always describe the running iterate.
+
+    ``score_epochs=False`` skips each epoch's calibration on the train set,
+    a ``calibration_report`` of n_train records: every epoch still appends
+    its stats, with the same loss and error, and ``ece`` None. The test set
+    is scored either way.
     """
     if train_set is None or test_set is None:
         generated_train, generated_test = generate(config)
@@ -476,6 +501,10 @@ def train(
     n, d = train_set.features.shape
     if d != config.feature_dim:
         raise ValueError(f"dataset feature_dim {d} != config feature_dim {config.feature_dim}")
+    if init is not None and init.feature_dim != d:
+        raise ValueError(
+            f"init predictor feature_dim {init.feature_dim} != dataset feature_dim {d}"
+        )
 
     scales_arr = resolve_label_scales(config, train_set)
     _check_labels(train_set.labels, scales_arr)
@@ -557,11 +586,11 @@ def train(
         if seen:
             mean_loss = total_loss / seen
             mean_abs = total_abs / seen
-            epoch_ece = _evaluate(outputs, train_set)[1]
+            epoch_ece = _evaluate(outputs, train_set)[1] if score_epochs else None
         else:
             mean_loss = math.inf
             mean_abs = math.nan
-            epoch_ece = math.nan
+            epoch_ece = math.nan if score_epochs else None
         stats.append(EpochStats(mean_loss, mean_abs, epoch_ece))
         if diverged:
             break
@@ -592,7 +621,10 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
     """Train one run per config on shared data and tabulate the final metrics.
 
     All configs must agree on seed and generator settings; they are meant to
-    differ only in how the label scale is chosen.
+    differ only in how the label scale is chosen. A row holds only final
+    test metrics, so each run skips the per-epoch train-set scoring
+    (``score_epochs=False``); its test MAE, ECE and ``diverged`` equal
+    those of ``train(cfg, train_set, test_set)``.
     """
     if not configs:
         raise ValueError("compare needs at least one config")
@@ -606,7 +638,7 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
     train_set, test_set = generate(configs[0])
     rows = []
     for cfg in configs:
-        _, report = train(cfg, train_set, test_set)
+        _, report = train(cfg, train_set, test_set, score_epochs=False)
         rows.append(
             CompareRow(
                 mode=cfg.label_scale.label(),
@@ -738,12 +770,14 @@ def config_to_dict(config: SynthConfig) -> dict:
 
 
 def train_report_to_csv(config: SynthConfig, report: TrainReport) -> str:
-    """Per-epoch rows plus a final test row; the config rides in a comment header."""
+    """Per-epoch rows plus a final test row; the config rides in a comment header.
+
+    An unscored epoch (``ece`` None) leaves its ``ece`` cell empty.
+    """
     lines = [f"# {config.describe()}", "epoch,mean_loss,mean_abs_error,ece"]
     for i, stats in enumerate(report.epoch_stats, start=1):
-        lines.append(
-            f"{i},{fmt_sig(stats.mean_loss)},{fmt_sig(stats.mean_abs_error)},{fmt_sig(stats.ece)}"
-        )
+        ece = "" if stats.ece is None else fmt_sig(stats.ece)
+        lines.append(f"{i},{fmt_sig(stats.mean_loss)},{fmt_sig(stats.mean_abs_error)},{ece}")
     lines.append(
         f"final,{fmt_sig(report.test_mae)},{fmt_sig(report.test_ece)},"
         f"{str(report.diverged).lower()}"

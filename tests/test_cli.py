@@ -232,6 +232,20 @@ class TestLabelUncCommands:
         assert "line 3: iou must be in [0, 1]" in capsys.readouterr().err
         assert not hist.exists()
 
+    def test_labelunc_rejects_a_track_whose_ids_are_not_strings(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SAMPLE_TRACKS))
+        doc["tracks"][0].update(label_id=1, class_name=None)
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(doc))
+        out = tmp_path / "records.csv"
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "--class-anchors", "None:0.25,0.05,0.01", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: malformed track at tracks[0]: label_id must be a string, got 1\n"
+        )
+        assert not out.exists()
+
     def test_labelunc_empty_track_list(self, tmp_path):
         tracks = tmp_path / "tracks.json"
         tracks.write_text(json.dumps({"tracks": []}))
@@ -395,8 +409,8 @@ class TestTrainAndCompareCommands:
         assert "seed=11" in lines[0]
 
     # sha256 of `lkld compare` on the default config at seed 0, modes zero
-    # and oracle: 400 epochs of both runs, their per-epoch scoring and the
-    # tail-averaged test scores.
+    # and oracle: 400 epochs of both runs and their tail-averaged test
+    # scores, the only figures the table holds.
     DEFAULT_COMPARE_SHA256 = "6141910b87e9f72a6247d8fc0f635ef8335d66877057d76c2ff9dfc2aced9f13"
 
     def test_default_compare_bytes_are_pinned(self, tmp_path):

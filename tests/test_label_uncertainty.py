@@ -366,6 +366,24 @@ class TestJsonAndCsv:
             tracks_from_json(json.loads(json.dumps(doc)))
         assert str(err.value) == f"malformed track at tracks[0]: {message}"
 
+    @pytest.mark.parametrize(
+        "label_id, class_name, message",
+        [
+            (1, None, "label_id must be a string, got 1"),
+            ("veh-1", None, "class_name must be a string, got None"),
+            ("veh-1", 7, "class_name must be a string, got 7"),
+            (True, "vehicle", "label_id must be a string, got True"),
+            (["veh-1"], "vehicle", "label_id must be a string, got ['veh-1']"),
+        ],
+    )
+    def test_label_id_and_class_name_must_be_json_strings(self, label_id, class_name, message):
+        # str() would read null as the class 'None' and 1 as the label '1'.
+        doc = self.sample_doc()
+        doc["tracks"][0].update(label_id=label_id, class_name=class_name)
+        with pytest.raises(ValueError) as err:
+            tracks_from_json(json.loads(json.dumps(doc)))
+        assert str(err.value) == f"malformed track at tracks[0]: {message}"
+
     @pytest.mark.parametrize("xy", [[["0.5", "0.2"]], [[True, False]], [[0.5, "0.2"]]])
     def test_point_coordinates_must_be_json_numbers(self, xy):
         doc = self.sample_doc()

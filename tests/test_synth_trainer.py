@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lkld import synth_trainer
 from lkld.distributions import LaplaceParams, kld_loss
 from lkld.synth_trainer import (
     CompareRow,
@@ -559,6 +560,85 @@ class TestCompare:
         assert overestimate.test_mae > oracle.test_mae
 
 
+LABEL_SCALE_MODES = st.one_of(
+    st.just(ZeroLabelScale()),
+    st.just(OracleLabelScale()),
+    st.floats(0.05, 2.0).map(ConstantLabelScale),
+    st.just(HeuristicLabelScale((0.5, 0.25, 0.1))),
+)
+
+
+class TestEpochScoring:
+    """Only train() scores each epoch on the train set; compare() asks it not to."""
+
+    @pytest.fixture
+    def scored_sizes(self, monkeypatch):
+        """The record count of each call made through synth_trainer.calibration_report."""
+        sizes = []
+        report = synth_trainer.calibration_report
+
+        def counting(residuals, scales, *args, **kwargs):
+            sizes.append(len(residuals))
+            return report(residuals, scales, *args, **kwargs)
+
+        monkeypatch.setattr(synth_trainer, "calibration_report", counting)
+        return sizes
+
+    def test_train_scores_every_epoch_then_the_test_set(self, scored_sizes):
+        cfg = small_config(epochs=5, average_tail_epochs=2)
+        _, report = train(cfg)
+        assert not report.diverged
+        assert scored_sizes == [cfg.n_train] * cfg.epochs + [cfg.n_test]
+
+    def test_compare_scores_only_the_test_set(self, scored_sizes):
+        cfg = small_config(epochs=5)
+        modes = [ZeroLabelScale(), OracleLabelScale(), ConstantLabelScale(0.3)]
+        rows = compare([dataclasses.replace(cfg, label_scale=m) for m in modes])
+        assert [r.diverged for r in rows] == [False] * 3
+        assert scored_sizes == [cfg.n_test] * 3
+
+    def test_unscored_report_csv_leaves_ece_empty(self):
+        cfg = small_config(epochs=2)
+        _, report = train(cfg, score_epochs=False)
+        lines = train_report_to_csv(cfg, report).split("\n")
+        assert lines[2].startswith("1,") and lines[2].endswith(",")
+        assert lines[3].startswith("2,") and lines[3].endswith(",")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_train=st.integers(5, 40),
+        feature_dim=st.integers(1, 6),
+        epochs=st.integers(0, 6),
+        average_tail_epochs=st.integers(0, 3),
+        # 0.01 and 0.05 stay stable; 5 and 1000 without clipping diverge the NLL.
+        learning_rate=st.sampled_from([0.01, 0.05, 5.0, 1000.0]),
+        grad_clip=st.sampled_from([1.0, 1e12]),
+        seed=st.integers(0, 2**16),
+        modes=st.lists(LABEL_SCALE_MODES, min_size=1, max_size=4),
+    )
+    @example(
+        n_train=16, feature_dim=2, epochs=3, average_tail_epochs=0, learning_rate=1000.0,
+        grad_clip=1e12, seed=2, modes=[ZeroLabelScale(), OracleLabelScale()],
+    )
+    def test_compare_equals_train_run_by_run(self, modes, **fields):
+        base = SynthConfig(n_test=30, noise=FeatureDependentNoise(0.1, 0.5), **fields)
+        configs = [dataclasses.replace(base, label_scale=m) for m in modes]
+        rows = compare(configs)
+        train_set, test_set = generate(base)
+        for cfg, row in zip(configs, rows):
+            _, scored = train(cfg, train_set, test_set)
+            _, unscored = train(cfg, train_set, test_set, score_epochs=False)
+            # repr is exact for floats and lets a nan match a nan.
+            final = repr((scored.test_mae, scored.test_ece, scored.diverged))
+            assert repr((row.test_mae, row.test_ece, row.diverged)) == final
+            assert repr((unscored.test_mae, unscored.test_ece, unscored.diverged)) == final
+            assert len(unscored.epoch_stats) == len(scored.epoch_stats)
+            assert repr([(s.mean_loss, s.mean_abs_error) for s in unscored.epoch_stats]) == repr(
+                [(s.mean_loss, s.mean_abs_error) for s in scored.epoch_stats]
+            )
+            assert all(s.ece is None for s in unscored.epoch_stats)
+
+
 class TestConfigSerialization:
     def test_round_trip(self):
         cfg = SynthConfig(
@@ -841,6 +921,18 @@ class TestInputChecks:
         predictor = Predictor.initial(2)
         with pytest.raises(ValueError, match="label scales must be positive and finite"):
             sample_param_grads(predictor, (0.1, -0.2), 0.4, label_scale)
+
+    def test_init_of_the_wrong_width_is_rejected(self):
+        cfg = small_config()
+        with pytest.raises(ValueError) as err:
+            train(cfg, init=Predictor.initial(cfg.feature_dim + 1))
+        assert str(err.value) == "init predictor feature_dim 5 != dataset feature_dim 4"
+
+    @pytest.mark.parametrize("x", [(0.1,), (0.1, -0.2, 0.3)])
+    def test_sample_param_grads_rejects_a_row_of_the_wrong_width(self, x):
+        with pytest.raises(ValueError) as err:
+            sample_param_grads(Predictor.initial(2), x, 0.4, None)
+        assert str(err.value) == f"feature row has {len(x)} values, predictor feature_dim is 2"
 
 
 class TestByteIdentity:

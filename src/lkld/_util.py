@@ -1,10 +1,13 @@
-"""Small shared helpers: float formatting, JSON value checks and atomic file writes."""
+"""Small shared helpers: float formatting, JSON value checks, the CSV input dialect, atomic writes."""
 
 from __future__ import annotations
 
+import csv
 import os
 import stat
 import tempfile
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator
 
 
 def fmt_sig(x: float, digits: int = 9) -> str:
@@ -31,6 +34,25 @@ def json_str(value: object, what: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
     return value
+
+
+@contextmanager
+def csv_table(lines: Iterable[str], what: str) -> Iterator[tuple[list[str], Any]]:
+    """The CSV input dialect: yield the stripped header cells and a reader past them.
+
+    Blank rows before the header are skipped; callers skip later ones with ``filter(None, reader)``
+    and name a row by ``reader.line_num``. A ``csv.Error`` in the block becomes ``line N: ...``.
+    """
+    if isinstance(lines, str):
+        raise TypeError(f"the {what} CSV reader takes an iterable of lines, such as an open file, not a str")
+    reader = csv.reader(lines)
+    try:
+        header = next(filter(None, reader), None)
+        if header is None:
+            raise ValueError(f"{what} CSV is empty")
+        yield [cell.strip() for cell in header], reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
 
 def _umask() -> int:

@@ -11,7 +11,6 @@ artifact-defined convenience, not a standard metric.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import fmt_sig
+from ._util import csv_table, fmt_sig
 
 __all__ = [
     "CalibrationReport",
@@ -158,46 +157,31 @@ def records_from_csv(lines: Iterable[str]) -> PredictionColumns:
     """Parse ``residual,scale,class_name`` rows (header required).
 
     ``lines`` is an iterable of text lines, such as a file opened with
-    ``newline=""``; it is read in one pass and only the columns are kept.
-    A ``str`` raises ``TypeError``, since iterating it yields characters.
-    Blank rows are skipped, before the header as well. Each row is checked
-    once: three columns, a finite residual and a positive finite scale.
-    Errors name the file line on which the offending row ends, as
-    ``csv.reader`` counts lines.
+    ``newline=""``, read once in the ``_util.csv_table`` dialect; only the
+    columns are kept. Each row is checked once: three columns, a finite
+    residual and a positive finite scale. Errors name the row's file line.
     """
-    if isinstance(lines, str):
-        raise TypeError("records_from_csv takes an iterable of lines, such as an open file, not a str")
-    reader = csv.reader(lines)
     residuals = array("d")
     scales = array("d")
     codes = array("q")
     index: dict[str, int] = {}
-    try:
-        header = next((row for row in reader if row), None)
-        if header is None:
-            raise ValueError("prediction CSV is empty")
-        if [h.strip() for h in header] != ["residual", "scale", "class_name"]:
+    with csv_table(lines, "prediction") as (header, reader):
+        if header != ["residual", "scale", "class_name"]:
             raise ValueError(f"prediction CSV header must be 'residual,scale,class_name', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"line {reader.line_num}: expected 3 columns, got {len(row)}")
+        for row in filter(None, reader):
             try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
                 residual, scale = float(row[0]), float(row[1])
+                if not math.isfinite(residual):
+                    raise ValueError(f"residual must be finite, got {residual}")
+                if not (scale > 0.0 and math.isfinite(scale)):
+                    raise ValueError(f"scale must be positive and finite, got {scale}")
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from exc
-            if not math.isfinite(residual):
-                raise ValueError(f"line {reader.line_num}: residual must be finite, got {residual}")
-            if not (scale > 0.0 and math.isfinite(scale)):
-                raise ValueError(
-                    f"line {reader.line_num}: scale must be positive and finite, got {scale}"
-                )
             residuals.append(residual)
             scales.append(scale)
             codes.append(index.setdefault(row[2], len(index)))
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from exc
     return PredictionColumns(
         np.frombuffer(residuals, dtype=np.float64),
         np.frombuffer(scales, dtype=np.float64),

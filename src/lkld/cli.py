@@ -5,12 +5,18 @@ unreadable inputs), 2 on usage errors. File outputs are written atomically
 (temp file + rename) so a failed run never leaves a partial file. All
 floating output uses 9 significant digits except the label-uncertainty
 records CSV, whose format is pinned at 6.
+
+The two CSV inputs, ``calib``'s predictions and ``iou-hist``'s records, are
+parsed in the library (``calibration.records_from_csv``,
+``label_uncertainty.ious_from_csv``) in one dialect, ``_util.csv_table``.
+Sizes taken from the command line are bounded before anything is made:
+``MAX_RANGE_POINTS`` per ``start:stop:step`` range and
+``label_uncertainty.MAX_HISTOGRAM_BINS`` for ``--bins``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -25,12 +31,18 @@ from ._util import fmt_sig, write_text_atomic
 from . import calibration, distributions, label_uncertainty, synth_trainer
 
 RANGE_TOL = 1e-12
+# Most points a start:stop:step range may have; it is checked before any is made.
+MAX_RANGE_POINTS = 1_000_000
 # Kept verbatim in per-class file names; see class_file_part.
 CLASS_FILE_SAFE = frozenset(string.ascii_letters + string.digits + "-_")
 
 
 def parse_range(raw: str) -> list[float]:
-    """Parse ``start:stop:step`` into a grid: start included, stop excluded."""
+    """Parse ``start:stop:step`` into a grid: start included, stop excluded.
+
+    Points are ``start + k*step`` below ``stop - RANGE_TOL``; a range of more
+    than ``MAX_RANGE_POINTS`` points is rejected before any is made.
+    """
     parts = raw.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {raw!r}")
@@ -44,15 +56,13 @@ def parse_range(raw: str) -> list[float]:
         raise ValueError(f"range step must be > 0, got {step}")
     if stop <= start:
         raise ValueError(f"range stop must exceed start, got {raw!r}")
-    values: list[float] = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v >= stop - RANGE_TOL:
-            break
-        values.append(v)
-        k += 1
-    return values
+    limit = stop - RANGE_TOL
+    count = (limit - start) / step
+    if not count <= MAX_RANGE_POINTS:
+        raise ValueError(f"range {raw!r} has more than {MAX_RANGE_POINTS} points")
+    # start + k*step rises with k, so the points below the limit are a prefix.
+    values = [start + k * step for k in range(max(math.ceil(count), 0) + 1)]
+    return [v for v in values if v < limit]
 
 
 def parse_anchors(raw: str) -> tuple[float, float, float]:
@@ -66,11 +76,12 @@ def parse_anchors(raw: str) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _check_input(path: str) -> None:
+def _open_input(path: str, newline: str | None = None):
     if not os.path.isfile(path):
         raise ValueError(f"input file not found: {path}")
     if not os.access(path, os.R_OK):
         raise ValueError(f"input file not readable: {path}")
+    return open(path, "r", encoding="utf-8", newline=newline)
 
 
 def _name_max(directory: str) -> int:
@@ -118,8 +129,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _read_json(path: str) -> object:
-    _check_input(path)
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_input(path) as handle:
         return json.load(handle)
 
 
@@ -195,16 +205,22 @@ def _mappings_from_args(args: argparse.Namespace):
     return default, per_class
 
 
+def _note_if_linear(mapping: label_uncertainty.UncertaintyMapping, source: str) -> None:
+    """Tell stderr when the anchors given by ``source`` fell back to the linear mapping."""
+    if mapping.linear:
+        print(
+            f"note: {source}: equally spaced anchors degrade the exponential fit; "
+            "using linear interpolation through the anchors",
+            file=sys.stderr,
+        )
+
+
 def cmd_labelunc(args: argparse.Namespace) -> int:
     _check_outputs([args.output], [args.tracks])
     default, per_class = _mappings_from_args(args)
-    for mapping in [default, *per_class.values()]:
-        if mapping.linear:
-            print(
-                "note: equally spaced anchors degrade the exponential fit; "
-                "using linear interpolation through the anchors",
-                file=sys.stderr,
-            )
+    _note_if_linear(default, "--anchors")
+    for cls, mapping in per_class.items():
+        _note_if_linear(mapping, f"--class-anchors {cls}")
     doc = _read_json(args.tracks)
     tracks = label_uncertainty.tracks_from_json(doc)
     records = label_uncertainty.evaluate_tracks(tracks, mapping=default, per_class=per_class)
@@ -215,12 +231,7 @@ def cmd_labelunc(args: argparse.Namespace) -> int:
 def cmd_fit_map(args: argparse.Namespace) -> int:
     _check_outputs([args.output])
     mapping = label_uncertainty.fit_mapping(*parse_anchors(args.anchors))
-    if mapping.linear:
-        print(
-            "note: equally spaced anchors degrade the exponential fit; "
-            "using linear interpolation through the anchors",
-            file=sys.stderr,
-        )
+    _note_if_linear(mapping, "--anchors")
     roundtrip = max(
         abs(label_uncertainty.map_iou(mapping, x) - anchor)
         for x, anchor in zip((0.0, 0.5, 1.0), mapping.anchors)
@@ -239,31 +250,8 @@ def cmd_fit_map(args: argparse.Namespace) -> int:
 
 def cmd_iou_hist(args: argparse.Namespace) -> int:
     _check_outputs([args.output], [args.records])
-    _check_input(args.records)
-    ious = []
-    with open(args.records, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next((row for row in reader if row), None)
-            if header is None:
-                raise ValueError("records CSV is empty")
-            if "iou" not in header:
-                raise ValueError("records CSV must have an 'iou' column")
-            iou_col = header.index("iou")
-            for cells in reader:
-                if not cells:
-                    continue
-                try:
-                    iou_value = float(cells[iou_col])
-                except (IndexError, ValueError) as exc:
-                    raise ValueError(f"line {reader.line_num}: bad iou cell: {exc}") from exc
-                if not 0.0 <= iou_value <= 1.0:
-                    raise ValueError(
-                        f"line {reader.line_num}: iou must be in [0, 1], got {cells[iou_col]!r}"
-                    )
-                ious.append(iou_value)
-        except csv.Error as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    with _open_input(args.records, newline="") as handle:
+        ious = label_uncertainty.ious_from_csv(handle)
     bins = label_uncertainty.iou_histogram(ious, args.bins)
     _emit(label_uncertainty.histogram_to_csv(bins), args.output)
     return 0
@@ -285,8 +273,7 @@ def class_file_part(name: str) -> str:
 
 
 def cmd_calib(args: argparse.Namespace) -> int:
-    _check_input(args.records)
-    with open(args.records, "r", encoding="utf-8", newline="") as handle:
+    with _open_input(args.records, newline="") as handle:
         preds = calibration.records_from_csv(handle)
     grid = parse_range(args.grid) if args.grid else calibration.DEFAULT_GRID
     classes = preds.classes if args.per_class else ()

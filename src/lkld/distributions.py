@@ -276,12 +276,20 @@ def gradient_check(
     Draws are kept away from the |y - y_hat| kink by ``min_abs_error``. The
     small absolute floor ``atol`` absorbs finite-difference noise where a
     partial crosses zero; away from zeros the comparison is the plain
-    relative test at ``rtol``.
+    relative test at ``rtol``. The step must be positive and finite, both
+    tolerances finite and >= 0, and not both 0.
     """
     if loss_kind not in ("nll", "kld"):
         raise ValueError(f"loss_kind must be 'nll' or 'kld', got {loss_kind!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (tol >= 0.0 and math.isfinite(tol)):
+            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+    if rtol == 0.0 and atol == 0.0:
+        raise ValueError("rtol and atol must not both be 0")
     rng = np.random.default_rng(seed)
 
     failures = 0

@@ -8,6 +8,10 @@ and the IoU is mapped to a Laplace scale through an exponential fit
 anchored at IoU 0, 0.5, and 1. A sparse, ambiguous label yields a low IoU
 and a large scale; a well-supported label yields a small one. Working in
 the label frame keeps the IoU independent of where the global origin is.
+
+Records are written as CSV by ``records_to_csv`` (header
+``RECORDS_CSV_HEADER``), and ``ious_from_csv`` reads their ``iou`` column
+back in the shared CSV input dialect (``_util.csv_table``).
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt_sig, json_int, json_number, json_str
+from ._util import csv_table, fmt_sig, json_int, json_number, json_str
 # perfbench/tracing.py wraps convex_hull, iou and rigid_transform under this
 # module's names: label_iou calls the first two through them, and
 # rigid_transform, unused here, is imported only so that name exists.
@@ -31,6 +35,7 @@ __all__ = [
     "UncertaintyMapping",
     "LabelUncertaintyRecord",
     "MIN_SCALE",
+    "MAX_HISTOGRAM_BINS",
     "choose_reference_sweep",
     "aggregate_points",
     "label_iou",
@@ -41,12 +46,17 @@ __all__ = [
     "evaluate_tracks",
     "tracks_from_json",
     "records_to_csv",
+    "ious_from_csv",
     "histogram_to_csv",
 ]
 
 # Lower clamp for mapped scales: the divergence loss requires a strictly
 # positive label scale and pathological anchors can drive gamma <= 0.
 MIN_SCALE = 1e-6
+
+# Most bins iou_histogram makes. The records CSV prints IoUs to 6 significant
+# digits, steps of 1e-6 below 1, so finer bins separate no more records.
+MAX_HISTOGRAM_BINS = 1_000_000
 
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
 
@@ -222,10 +232,11 @@ def iou_histogram(ious: Sequence[float], n_bins: int) -> list[tuple[float, float
     """Equal-width counts of IoUs over [0, 1].
 
     Bins are right-open except the last, which is closed so an IoU of
-    exactly 1 lands in the top bin. IoUs outside [0, 1] are rejected.
+    exactly 1 lands in the top bin. IoUs outside [0, 1] are rejected, and so
+    is a bin count outside [1, ``MAX_HISTOGRAM_BINS``] before any bin is made.
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    if not 1 <= n_bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"n_bins must be between 1 and {MAX_HISTOGRAM_BINS}, got {n_bins}")
     counts = [0] * n_bins
     for value in ious:
         if not 0.0 <= value <= 1.0:
@@ -339,6 +350,24 @@ def records_to_csv(records: Sequence[LabelUncertaintyRecord]) -> str:
         else:
             writer.writerow(row)
     return buf.getvalue()
+
+
+def ious_from_csv(lines: Iterable[str]) -> list[float]:
+    """The ``iou`` column of a records CSV in the ``_util.csv_table`` dialect, each cell in [0, 1]."""
+    ious = []
+    with csv_table(lines, "records") as (header, reader):
+        if "iou" not in header:
+            raise ValueError("records CSV must have an 'iou' column")
+        col = header.index("iou")
+        for cells in filter(None, reader):
+            try:
+                value = float(cells[col])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"line {reader.line_num}: bad iou cell: {exc}") from exc
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"line {reader.line_num}: iou must be in [0, 1], got {cells[col]!r}")
+            ious.append(value)
+    return ious
 
 
 def histogram_to_csv(bins: Sequence[tuple[float, float, int]]) -> str:

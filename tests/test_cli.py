@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from lkld.calibration import calibration_report, report_to_csv
-from lkld.cli import CLASS_FILE_SAFE, class_file_part, main, parse_anchors, parse_range
+from lkld import cli, label_uncertainty
+from lkld.cli import CLASS_FILE_SAFE, RANGE_TOL, class_file_part, main, parse_anchors, parse_range
 from lkld.label_uncertainty import (
     LabelUncertaintyRecord,
     histogram_to_csv,
@@ -87,6 +88,46 @@ class TestParsers:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_range(raw)
 
+    @pytest.mark.parametrize("raw", ["0:1:1e-300", "0:1e300:1", "-1e308:1e308:1"])
+    def test_range_with_too_many_points_is_rejected_before_any_is_made(self, raw):
+        with pytest.raises(ValueError, match=re.escape(f"range {raw!r} has more than")):
+            parse_range(raw)
+
+    def test_range_point_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_RANGE_POINTS", 4)
+        assert parse_range("0:2:0.5") == [0.0, 0.5, 1.0, 1.5]
+        with pytest.raises(ValueError, match="has more than 4 points"):
+            parse_range("0:2.5:0.5")
+
+    def test_surface_rejects_a_range_with_too_many_points(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code = main(["surface", "--loss", "nll", "--error", "0:1:1e-300", "--scale", "0.1:1:0.1",
+                     "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: range '0:1:1e-300' has more than {cli.MAX_RANGE_POINTS} points\n"
+        )
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e17, 1e17)),
+        step=st.one_of(st.floats(1e-3, 10.0), st.sampled_from([0.1, 0.01, 0.05, 1.0])),
+        points=st.floats(1e-9, 300.0),
+    )
+    @example(start=0.01, step=0.01, points=99.0)
+    @example(start=1e16, step=0.5, points=20.0)  # start + k*step repeats values
+    @example(start=0.0, step=1.0, points=1e-13)  # stop within RANGE_TOL of start
+    def test_range_points_match_the_stepping_loop(self, start, step, points):
+        stop = start + points * step
+        assume(stop > start)
+        raw = f"{start!r}:{stop!r}:{step!r}"
+        want, k = [], 0
+        while start + k * step < stop - RANGE_TOL:
+            want.append(start + k * step)
+            k += 1
+        assert parse_range(raw) == want
+
     def test_anchors(self):
         assert parse_anchors("2.0,0.05,0.01") == (2.0, 0.05, 0.01)
         with pytest.raises(ValueError):
@@ -140,6 +181,31 @@ class TestLossEvalAndGradCheck:
         body = out.read_text()
         assert body.startswith("loss,samples,")
         assert ",0," in body.split("\n")[1]  # zero failures
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--rtol", "nan"], "rtol must be finite and >= 0, got nan"),
+            (["--atol", "nan"], "atol must be finite and >= 0, got nan"),
+            (["--rtol=-1"], "rtol must be finite and >= 0, got -1.0"),
+            (["--atol", "inf"], "atol must be finite and >= 0, got inf"),
+            (["--step", "0"], "step must be positive and finite, got 0.0"),
+            (["--step=-1e-6"], "step must be positive and finite, got -1e-06"),
+            (["--step", "nan"], "step must be positive and finite, got nan"),
+            (["--rtol", "0", "--atol", "0"], "rtol and atol must not both be 0"),
+        ],
+    )
+    def test_grad_check_rejects_tolerances_that_check_nothing(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "grad.csv"
+        code = main(["grad-check", "--loss", "kld", "--samples", "20", *extra, "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_grad_check_takes_a_zero_tolerance_beside_a_positive_one(self, tmp_path):
+        for extra in (["--rtol", "0", "--atol", "1"], ["--rtol", "1", "--atol", "0"]):
+            assert main(["grad-check", "--loss", "nll", "--samples", "20", *extra,
+                         "-o", str(tmp_path / "grad.csv")]) == 0
 
 
 def seeded_tracks(seed: int, n_tracks: int) -> dict:
@@ -232,6 +298,26 @@ class TestLabelUncCommands:
         assert "line 3: iou must be in [0, 1]" in capsys.readouterr().err
         assert not hist.exists()
 
+    def test_iou_hist_strips_header_cells(self, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text("label_id, class_name , iou \na,car,0.5\nb,car,1\n")
+        hist = tmp_path / "hist.csv"
+        code = main(["iou-hist", "--records", str(records), "--bins", "2", "-o", str(hist)])
+        assert code == 0
+        assert hist.read_text() == "bin_low,bin_high,count\n0,0.5,0\n0.5,1,2\n"
+
+    @pytest.mark.parametrize("bins", ["0", str(label_uncertainty.MAX_HISTOGRAM_BINS + 1), "10000000000"])
+    def test_iou_hist_bounds_the_bin_count(self, tmp_path, capsys, bins):
+        records = tmp_path / "records.csv"
+        records.write_text(RECORDS_TEXT)
+        hist = tmp_path / "hist.csv"
+        code = main(["iou-hist", "--records", str(records), "--bins", bins, "-o", str(hist)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: n_bins must be between 1 and {label_uncertainty.MAX_HISTOGRAM_BINS}, got {bins}\n"
+        )
+        assert not hist.exists()
+
     def test_labelunc_rejects_a_track_whose_ids_are_not_strings(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SAMPLE_TRACKS))
         doc["tracks"][0].update(label_id=1, class_name=None)
@@ -254,6 +340,19 @@ class TestLabelUncCommands:
                      "-o", str(out)])
         assert code == 0
         assert out.read_text() == "label_id,class_name,iou,scale_b,n_points,n_sweeps\n"
+
+    def test_linear_fallback_note_names_its_anchors(self, tmp_path, capsys):
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(SAMPLE_TRACKS))
+        out = tmp_path / "records.csv"
+        tail = ": equally spaced anchors degrade the exponential fit; using linear interpolation through the anchors\n"
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "--class-anchors", "pedestrian:0.3,0.2,0.1", "-o", str(out)])
+        assert code == 0
+        assert capsys.readouterr() == ("", "note: --class-anchors pedestrian" + tail)
+        code = main(["fit-map", "--anchors", "0.3,0.2,0.1", "-o", str(tmp_path / "map.json")])
+        assert code == 0
+        assert capsys.readouterr() == ("", "note: --anchors" + tail)
 
     def test_fit_map_json(self, tmp_path, capsys):
         code = main(["fit-map", "--anchors", "2.0,0.05,0.01"])

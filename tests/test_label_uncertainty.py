@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lkld import label_uncertainty
 from lkld.geometry import OrientedRect, Point2, area, convex_hull, rigid_transform
 from lkld.label_uncertainty import (
     LabelTrack,
@@ -221,6 +222,12 @@ class TestIouHistogram:
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError):
             iou_histogram([], 0)
+
+    def test_bin_count_limit(self, monkeypatch):
+        monkeypatch.setattr(label_uncertainty, "MAX_HISTOGRAM_BINS", 4)
+        assert len(iou_histogram([0.5], 4)) == 4
+        with pytest.raises(ValueError, match="n_bins must be between 1 and 4, got 5"):
+            iou_histogram([0.5], 5)
 
     @pytest.mark.parametrize("value", [-0.5, -1e-12, 1.5, math.inf, math.nan])
     def test_rejects_iou_outside_unit_interval(self, value):

@@ -150,6 +150,22 @@ class TestSurfaceCommand:
         # the (error 0, scale 0.2) cell is the loss minimum
         assert "0,0.2,0" in lines
 
+    # sha256 of `lkld surface --error 0:2:0.25 --scale 0.05:2:0.15` per loss
+    # (kld at --label-scale 0.2, so b/b_hat spans both sides of [0.5, 2]).
+    SURFACE_SHA256 = {
+        "nll": "044b7dad7498c91601b7bbf5fa9e5caf9db6fe107d15dc3042499119cca13b77",
+        "kld": "c0c1e8be995eda84199bb045b5f739acda956ed6bac758448559f64ea35949f3",
+    }
+
+    @pytest.mark.parametrize("loss", ["nll", "kld"])
+    def test_surface_bytes_are_pinned(self, tmp_path, loss):
+        out = tmp_path / "grid.csv"
+        label_scale = ["--label-scale", "0.2"] if loss == "kld" else []
+        code = main(["surface", "--loss", loss, *label_scale, "--error", "0:2:0.25",
+                     "--scale", "0.05:2:0.15", "-o", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SURFACE_SHA256[loss]
+
     def test_missing_label_scale_for_kld(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code = main(
@@ -181,6 +197,31 @@ class TestLossEvalAndGradCheck:
         body = out.read_text()
         assert body.startswith("loss,samples,")
         assert ",0," in body.split("\n")[1]  # zero failures
+
+    # sha256 of `lkld grad-check --samples 500 --seed 3` per loss.
+    GRAD_CHECK_SHA256 = {
+        "nll": "b985bb8ff28b07e6b77cf6300f8eeb76b1aefb9483cd68b8faf250345aabd1d6",
+        "kld": "52069f60f3e1403e1effd16a5e046c3577854eb08259b687fbb7f19ccf8c1dbb",
+    }
+
+    @pytest.mark.parametrize("loss", ["nll", "kld"])
+    def test_grad_check_bytes_are_pinned(self, tmp_path, loss):
+        out = tmp_path / "grad.csv"
+        code = main(["grad-check", "--loss", loss, "--samples", "500", "--seed", "3",
+                     "-o", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GRAD_CHECK_SHA256[loss]
+
+    def test_grad_check_step_reaching_a_non_positive_scale(self, tmp_path, capsys):
+        # b_hat - step <= 0 for a drawn b_hat: the finite difference cannot be taken.
+        out = tmp_path / "grad.csv"
+        code = main(["grad-check", "--loss", "kld", "--step", "0.5", "--samples", "100",
+                     "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scale must be positive and finite, got -0.48672848287469117\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra, message",

@@ -257,7 +257,28 @@ class TestKldProperties:
             assert abs(kld.d_scale - nll.d_scale) < 1e-4
 
 
+def sorted_axis(low: float, high: float):
+    return st.lists(st.floats(low, high), min_size=1, max_size=6, unique=True).map(sorted)
+
+
 class TestSurfaceGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        errors=sorted_axis(0.0, 1e3),
+        scales=sorted_axis(1e-6, 1e6),
+        label_scale=st.floats(1e-6, 1e6),
+    )
+    @example(errors=[0.0, 0.5], scales=[0.1, 0.2, 0.3], label_scale=0.2)
+    def test_cells_equal_single_loss_values_bitwise(self, errors, scales, label_scale):
+        nll = surface_grid("nll", 0.0, errors, scales)
+        kld = surface_grid("kld", label_scale, errors, scales)
+        for i, e in enumerate(errors):
+            for j, b_hat in enumerate(scales):
+                pred = LaplaceParams(0.0, b_hat)
+                assert bits(nll.values[i, j]) == bits(nll_loss(e, pred).value)
+                want = kld_loss(LaplaceParams(e, label_scale), pred).value
+                assert bits(kld.values[i, j]) == bits(want)
+
     def test_kld_minimum_cell_is_zero(self):
         grid = surface_grid("kld", 0.2, [0.0, 0.5], [0.1, 0.2, 0.3])
         assert grid.values[0, 1] == 0.0

@@ -16,9 +16,11 @@ label distribution, and its gradients vanish there.
 
 Each formula lives once, in a float kernel (``nll_terms``, ``kld_terms``)
 that takes plain floats and returns a ``(value, d_location, d_scale)``
-tuple without validating them. The ``*_loss`` functions validate through
-``LaplaceParams`` and wrap the kernel's tuple in a ``LossGrad``; the SGD
-trainer calls the kernels directly, having checked its inputs once.
+tuple without validating them. The ``*_loss`` functions are the validated
+single-evaluation API: they check their arguments through ``LaplaceParams``
+and wrap the kernel's tuple in a ``LossGrad``. Every loop over a loss (the
+SGD trainer, ``surface_grid`` and ``gradient_check``) calls the kernels
+directly, having checked its inputs once.
 """
 
 from __future__ import annotations
@@ -209,17 +211,11 @@ def surface_grid(
     if loss_kind == "kld":
         if not (label_scale > 0.0) or not math.isfinite(label_scale):
             raise ValueError(f"label_scale must be > 0 for the kld surface, got {label_scale}")
+        kernel, label_tail = kld_terms, (label_scale,)
     else:
-        label_scale = 0.0
+        kernel, label_tail, label_scale = nll_terms, (), 0.0
 
-    values = np.empty((len(errors), len(scales)))
-    for i, e in enumerate(errors):
-        for j, b_hat in enumerate(scales):
-            pred = LaplaceParams(0.0, b_hat)
-            if loss_kind == "nll":
-                values[i, j] = nll_loss(e, pred).value
-            else:
-                values[i, j] = kld_loss(LaplaceParams(e, label_scale), pred).value
+    values = np.array([[kernel(e, *label_tail, 0.0, b_hat)[0] for b_hat in scales] for e in errors])
     return SurfaceGrid(errors, scales, values, label_scale)
 
 
@@ -290,6 +286,7 @@ def gradient_check(
             raise ValueError(f"{name} must be finite and >= 0, got {tol}")
     if rtol == 0.0 and atol == 0.0:
         raise ValueError("rtol and atol must not both be 0")
+    kernel = nll_terms if loss_kind == "nll" else kld_terms
     rng = np.random.default_rng(seed)
 
     failures = 0
@@ -304,28 +301,17 @@ def gradient_check(
         b_hat = 10.0 ** rng.uniform(-2.0, 1.0)
         b = 10.0 ** rng.uniform(-2.0, 1.0)
 
-        if loss_kind == "nll":
-            def value_at(loc: float, scale: float) -> float:
-                return nll_loss(y, LaplaceParams(loc, scale)).value
+        if b_hat - step <= 0.0:  # the scale difference would step off the domain
+            raise ValueError(f"scale must be positive and finite, got {b_hat - step}")
+        label = (y,) if loss_kind == "nll" else (y, b)
+        _, d_loc, d_scale = kernel(*label, y_hat, b_hat)
+        fd_loc = (kernel(*label, y_hat + step, b_hat)[0]
+                  - kernel(*label, y_hat - step, b_hat)[0]) / (2.0 * step)
+        fd_scale = (kernel(*label, y_hat, b_hat + step)[0]
+                    - kernel(*label, y_hat, b_hat - step)[0]) / (2.0 * step)
 
-            grad = nll_loss(y, LaplaceParams(y_hat, b_hat))
-        else:
-            label = LaplaceParams(y, b)
-
-            def value_at(loc: float, scale: float) -> float:
-                return kld_loss(label, LaplaceParams(loc, scale)).value
-
-            grad = kld_loss(label, LaplaceParams(y_hat, b_hat))
-
-        fd_loc = (value_at(y_hat + step, b_hat) - value_at(y_hat - step, b_hat)) / (2.0 * step)
-        fd_scale = (value_at(y_hat, b_hat + step) - value_at(y_hat, b_hat - step)) / (2.0 * step)
-
-        scaled_loc = abs(grad.d_location - fd_loc) / (
-            atol + rtol * max(abs(grad.d_location), abs(fd_loc))
-        )
-        scaled_scale = abs(grad.d_scale - fd_scale) / (
-            atol + rtol * max(abs(grad.d_scale), abs(fd_scale))
-        )
+        scaled_loc = abs(d_loc - fd_loc) / (atol + rtol * max(abs(d_loc), abs(fd_loc)))
+        scaled_scale = abs(d_scale - fd_scale) / (atol + rtol * max(abs(d_scale), abs(fd_scale)))
         max_scaled_loc = max(max_scaled_loc, scaled_loc)
         max_scaled_scale = max(max_scaled_scale, scaled_scale)
         if scaled_loc > 1.0 or scaled_scale > 1.0:

@@ -1,8 +1,9 @@
 """Batch command-line front end emitting plot-ready CSV/JSON.
 
 Exit codes: 0 on success, 1 on domain errors (bad values, malformed or
-unreadable inputs), 2 on usage errors. File outputs are written atomically
-(temp file + rename) so a failed run never leaves a partial file. All
+unreadable inputs) and on running out of memory, 2 on usage errors. File
+outputs are written atomically (temp file + rename) so a failed run never
+leaves a partial file. All
 floating output uses 9 significant digits except the label-uncertainty
 records CSV, whose format is pinned at 6.
 
@@ -10,7 +11,8 @@ The two CSV inputs, ``calib``'s predictions and ``iou-hist``'s records, are
 parsed in the library (``calibration.records_from_csv``,
 ``label_uncertainty.ious_from_csv``) in one dialect, ``_util.csv_table``.
 Sizes taken from the command line are bounded before anything is made:
-``MAX_RANGE_POINTS`` per ``start:stop:step`` range and
+``MAX_RANGE_POINTS`` per ``start:stop:step`` range,
+``distributions.MAX_SURFACE_CELLS`` for the ``surface`` grid and
 ``label_uncertainty.MAX_HISTOGRAM_BINS`` for ``--bins``.
 """
 
@@ -399,6 +401,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -49,6 +49,9 @@ __all__ = [
 
 LossKind = Literal["nll", "kld"]
 
+# Most cells a loss surface may have; it is checked before any is computed.
+MAX_SURFACE_CELLS = 1_000_000
+
 
 @dataclass(frozen=True)
 class LaplaceParams:
@@ -203,11 +206,20 @@ def surface_grid(
     error_axis: Sequence[float],
     scale_axis: Sequence[float],
 ) -> SurfaceGrid:
-    """Tabulate a loss over |y - y_hat| and b_hat axes for external plotting."""
+    """Tabulate a loss over |y - y_hat| and b_hat axes for external plotting.
+
+    A grid of more than ``MAX_SURFACE_CELLS`` cells is rejected before any
+    cell is computed.
+    """
     if loss_kind not in ("nll", "kld"):
         raise ValueError(f"loss_kind must be 'nll' or 'kld', got {loss_kind!r}")
     errors = _check_axis("error_axis", error_axis, positive=False)
     scales = _check_axis("scale_axis", scale_axis, positive=True)
+    if len(errors) * len(scales) > MAX_SURFACE_CELLS:
+        raise ValueError(
+            f"surface grid of {len(errors)} errors x {len(scales)} scales "
+            f"has more than {MAX_SURFACE_CELLS} cells"
+        )
     if loss_kind == "kld":
         if not (label_scale > 0.0) or not math.isfinite(label_scale):
             raise ValueError(f"label_scale must be > 0 for the kld surface, got {label_scale}")

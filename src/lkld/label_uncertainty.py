@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -61,21 +62,50 @@ MAX_HISTOGRAM_BINS = 1_000_000
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
 
 
+def _number_pairs(pts: list | tuple) -> np.ndarray | None:
+    """Rows of two Python ints or floats as a float64 ``(k, 2)`` array, else ``None``.
+
+    A boolean among the coordinates raises, as numpy would read it as 0 or
+    1. One type check over the flattened rows makes the float conversion
+    safe, and numpy converts the flat list faster than the nested one.
+    """
+    try:
+        flat = list(chain.from_iterable(pts))
+    except TypeError:  # a row that is not a sequence
+        return None
+    types = set(map(type, flat))
+    if types & {bool, np.bool_}:
+        raise ValueError("point coordinates must be numbers")
+    if not (
+        types <= {int, float}
+        and set(map(type, pts)) <= {list, tuple}
+        and set(map(len, pts)) <= {2}
+    ):
+        return None
+    try:
+        return np.array(flat, dtype=float).reshape(-1, 2)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def _xy_array(pts: object) -> np.ndarray:
     """One sweep's points as a float64 ``(k, 2)`` array; anything else raises.
 
     Coordinates must be numbers: a ``None`` (which a float conversion would
-    read as NaN), a string or a boolean is rejected, and so are NaN and
-    infinite coordinates (JSON ``NaN``, ``1e400``).
+    read as NaN), a string or a boolean, also one among numbers, is
+    rejected, and so are NaN and infinite coordinates (JSON ``NaN``,
+    ``1e400``).
     """
-    arr = np.array(pts)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError("point coordinates must be numbers")
-    arr = arr.astype(float, copy=False)
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"points must be (x, y) pairs, got an array of shape {arr.shape}")
+    arr = _number_pairs(pts) if isinstance(pts, (list, tuple)) else None
+    if arr is None:
+        arr = np.array(pts)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError("point coordinates must be numbers")
+        arr = arr.astype(float, copy=False)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"points must be (x, y) pairs, got an array of shape {arr.shape}")
     finite = np.isfinite(arr)
     if not finite.all():
         k = int(np.flatnonzero(~finite.all(axis=1))[0])

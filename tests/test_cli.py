@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from lkld.calibration import calibration_report, report_to_csv
-from lkld import cli, label_uncertainty
+from lkld import cli, label_uncertainty, synth_trainer
 from lkld.cli import CLASS_FILE_SAFE, RANGE_TOL, class_file_part, main, parse_anchors, parse_range
 from lkld.label_uncertainty import (
     LabelUncertaintyRecord,
@@ -106,6 +106,17 @@ class TestParsers:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: range '0:1:1e-300' has more than {cli.MAX_RANGE_POINTS} points\n"
+        )
+        assert not out.exists()
+
+    def test_surface_rejects_a_grid_with_too_many_cells(self, tmp_path, capsys):
+        # Each range passes MAX_RANGE_POINTS; their product would need 73.8 GiB.
+        out = tmp_path / "grid.csv"
+        code = main(["surface", "--loss", "nll", "--error", "0:1:1e-5", "--scale", "0.01:1:1e-5",
+                     "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: surface grid of 100000 errors x 99000 scales has more than 1000000 cells\n"
         )
         assert not out.exists()
 
@@ -619,6 +630,29 @@ class TestTrainAndCompareCommands:
             "error: unknown config key 'modes[0].anchors'; known keys: mode\n"
         )
         assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+    @pytest.mark.parametrize(
+        "detail, message",
+        [
+            ("Unable to allocate 26.8 GiB", "error: out of memory: Unable to allocate 26.8 GiB\n"),
+            ("", "error: out of memory\n"),
+        ],
+    )
+    def test_running_out_of_memory_is_a_domain_error(
+        self, tmp_path, capsys, monkeypatch, detail, message
+    ):
+        # numpy raises a MemoryError subclass when an array cannot be allocated.
+        def compare(configs):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(synth_trainer, "compare", compare)
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"modes": [{"mode": "zero"}]}))
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

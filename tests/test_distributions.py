@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lkld import distributions
 from lkld.distributions import (
     LaplaceParams,
     gradient_check,
@@ -308,6 +309,13 @@ class TestSurfaceGrid:
             surface_grid("kld", 0.0, [0.0], [0.1])
         with pytest.raises(ValueError):
             surface_grid("bogus", 0.2, [0.0], [0.1])
+
+    def test_cell_limit(self, monkeypatch):
+        monkeypatch.setattr(distributions, "MAX_SURFACE_CELLS", 6)
+        assert surface_grid("nll", 0.0, [0.0, 0.5], [0.1, 0.2, 0.3]).values.shape == (2, 3)
+        with pytest.raises(ValueError) as err:
+            surface_grid("nll", 0.0, [0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
+        assert str(err.value) == "surface grid of 3 errors x 3 scales has more than 6 cells"
 
     def test_csv_round_trip_layout(self):
         grid = surface_grid("kld", 0.2, [0.0, 1.0], [0.2, 0.5])

@@ -391,7 +391,9 @@ class TestJsonAndCsv:
             tracks_from_json(json.loads(json.dumps(doc)))
         assert str(err.value) == f"malformed track at tracks[0]: {message}"
 
-    @pytest.mark.parametrize("xy", [[["0.5", "0.2"]], [[True, False]], [[0.5, "0.2"]]])
+    @pytest.mark.parametrize(
+        "xy", [[["0.5", "0.2"]], [[True, False]], [[0.5, "0.2"]], [[0.5, True]]]
+    )
     def test_point_coordinates_must_be_json_numbers(self, xy):
         doc = self.sample_doc()
         doc["tracks"][0]["points"][1]["xy"] = xy

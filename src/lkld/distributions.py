@@ -285,7 +285,8 @@ def gradient_check(
     small absolute floor ``atol`` absorbs finite-difference noise where a
     partial crosses zero; away from zeros the comparison is the plain
     relative test at ``rtol``. The step must be positive and finite, both
-    tolerances finite and >= 0, and not both 0.
+    tolerances finite and >= 0, and not both 0; a step that takes a drawn
+    predicted scale to 0 or below raises.
     """
     if loss_kind not in ("nll", "kld"):
         raise ValueError(f"loss_kind must be 'nll' or 'kld', got {loss_kind!r}")

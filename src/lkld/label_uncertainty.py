@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import iadd
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,38 +64,34 @@ RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n
 
 
 def _number_pairs(pts: list | tuple) -> np.ndarray | None:
-    """Rows of two Python ints or floats as a float64 ``(k, 2)`` array, else ``None``.
+    """List or tuple rows of two Python ints or floats as a float64 ``(k, 2)`` array.
 
-    A boolean among the coordinates raises, as numpy would read it as 0 or
-    1. One type check over the flattened rows makes the float conversion
-    safe, and numpy converts the flat list faster than the nested one.
+    Returns ``None`` for rows of any other type, length or content, and
+    raises on a boolean among the coordinates, which numpy would read as 0
+    or 1. One type check over the concatenated rows makes the float
+    conversion safe, and numpy converts a flat list faster than a nested one.
     """
-    try:
-        flat = list(chain.from_iterable(pts))
-    except TypeError:  # a row that is not a sequence
+    if not set(map(type, pts)) <= {list, tuple}:
         return None
+    flat = reduce(iadd, pts, [])
     types = set(map(type, flat))
+    if types <= {int, float} and set(map(len, pts)) <= {2}:
+        try:
+            return np.array(flat, dtype=float).reshape(-1, 2)
+        except OverflowError:  # an int beyond the float range
+            return None
     if types & {bool, np.bool_}:
         raise ValueError("point coordinates must be numbers")
-    if not (
-        types <= {int, float}
-        and set(map(type, pts)) <= {list, tuple}
-        and set(map(len, pts)) <= {2}
-    ):
-        return None
-    try:
-        return np.array(flat, dtype=float).reshape(-1, 2)
-    except OverflowError:  # an int beyond the float range
-        return None
+    return None
 
 
 def _xy_array(pts: object) -> np.ndarray:
     """One sweep's points as a float64 ``(k, 2)`` array; anything else raises.
 
     Coordinates must be numbers: a ``None`` (which a float conversion would
-    read as NaN), a string or a boolean, also one among numbers, is
-    rejected, and so are NaN and infinite coordinates (JSON ``NaN``,
-    ``1e400``).
+    read as NaN), a string or a boolean, also one among the numbers of list
+    or tuple rows, is rejected, and so are NaN and infinite coordinates
+    (JSON ``NaN``, ``1e400``).
     """
     arr = _number_pairs(pts) if isinstance(pts, (list, tuple)) else None
     if arr is None:

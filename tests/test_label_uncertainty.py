@@ -401,6 +401,20 @@ class TestJsonAndCsv:
             tracks_from_json(doc)
         assert str(err.value) == "malformed track at tracks[0]: point coordinates must be numbers"
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.5, True]],
+            ((0.5, 0.2), (False, 0.1)),
+            [[0.5, np.True_]],
+            np.array([[0.5, True]], dtype=object),
+        ],
+    )
+    def test_boolean_among_numbers_rejected(self, pts):
+        # numpy reads a boolean among numbers as 0.0 or 1.0.
+        with pytest.raises(ValueError, match="^point coordinates must be numbers$"):
+            make_track({0: simple_rect()}, {0: pts})
+
     def test_integer_geometry_is_read_as_floats(self):
         doc = self.sample_doc()
         doc["tracks"][0]["poses"][1].update(center=[1, 0], theta=0, length=4, width=2)

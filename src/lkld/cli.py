@@ -3,9 +3,8 @@
 Exit codes: 0 on success, 1 on domain errors (bad values, malformed or
 unreadable inputs) and on running out of memory, 2 on usage errors. File
 outputs are written atomically (temp file + rename) so a failed run never
-leaves a partial file. All
-floating output uses 9 significant digits except the label-uncertainty
-records CSV, whose format is pinned at 6.
+leaves a partial file. All floating output uses 9 significant digits
+except the label-uncertainty records CSV, whose format is pinned at 6.
 
 The two CSV inputs, ``calib``'s predictions and ``iou-hist``'s records, are
 parsed in the library (``calibration.records_from_csv``,

@@ -631,7 +631,6 @@ class TestTrainAndCompareCommands:
         )
         assert sorted(tmp_path.iterdir()) == [cfg]
 
-
     @pytest.mark.parametrize(
         "detail, message",
         [

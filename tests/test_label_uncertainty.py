@@ -403,12 +403,7 @@ class TestJsonAndCsv:
 
     @pytest.mark.parametrize(
         "pts",
-        [
-            [[0.5, True]],
-            ((0.5, 0.2), (False, 0.1)),
-            [[0.5, np.True_]],
-            np.array([[0.5, True]], dtype=object),
-        ],
+        [((0.5, 0.2), (False, 0.1)), [[0.5, np.True_]], np.array([[0.5, True]], dtype=object)],
     )
     def test_boolean_among_numbers_rejected(self, pts):
         # numpy reads a boolean among numbers as 0.0 or 1.0.

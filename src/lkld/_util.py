@@ -23,10 +23,16 @@ def json_int(value: object, what: str) -> int:
 
 
 def json_number(value: object, what: str) -> float:
-    """A JSON number as a float; booleans and strings are rejected, named by ``what``."""
+    """A JSON number as a float; booleans, strings and integers beyond the float
+    range are rejected, named by ``what``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{what} must be a number within the float range, got an integer of {len(str(abs(value)))} digits"
+        ) from None
 
 
 def json_str(value: object, what: str) -> str:

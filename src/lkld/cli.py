@@ -13,12 +13,22 @@ Sizes taken from the command line are bounded before anything is made:
 ``MAX_RANGE_POINTS`` per ``start:stop:step`` range,
 ``distributions.MAX_SURFACE_CELLS`` for the ``surface`` grid and
 ``label_uncertainty.MAX_HISTOGRAM_BINS`` for ``--bins``.
+
+``main`` runs each command with the cyclic garbage collector paused and
+then puts it back as it found it. The command bodies make no reference
+cycles (``fit-map``'s indented ``json.dumps`` leaves the stdlib encoder's
+few), so reference counting frees all they make; the collector would
+only traverse, again and again, the containers a large input builds, such
+as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file, from
+the decode through the geometry. The ``labelunc_mixed`` benchmark went from
+0.382 s to 0.348 s (``BENCH_14.json``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -396,6 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The command bodies make no reference cycles (see the module docstring);
+    # a caller that paused the collector keeps it paused.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -405,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

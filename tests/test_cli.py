@@ -1,6 +1,8 @@
 """Tests for the command-line front end: outputs, exit codes, atomicity."""
 
+import collections
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -384,6 +386,20 @@ class TestLabelUncCommands:
         )
         assert not out.exists()
 
+    def test_labelunc_rejects_an_integer_beyond_the_float_range(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SAMPLE_TRACKS))
+        doc["tracks"][0]["poses"][0]["center"] = [10**400, 0.0]
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(doc))
+        out = tmp_path / "records.csv"
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: malformed track at tracks[0]: center must be a number within the float range,"
+            " got an integer of 401 digits\n"
+        )
+        assert not out.exists()
+
     def test_labelunc_empty_track_list(self, tmp_path):
         tracks = tmp_path / "tracks.json"
         tracks.write_text(json.dumps({"tracks": []}))
@@ -586,6 +602,18 @@ class TestTrainAndCompareCommands:
         assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_compare_rejects_an_integer_beyond_the_float_range(self, tmp_path, capsys):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"config": {"noise": {"kind": "constant", "b": -(10**400)}},
+                                   "modes": [{"mode": "zero"}]}))
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'noise.b' must be a number within the float range,"
+            " got an integer of 401 digits\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     def test_compare_rejects_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "compare.json"
@@ -866,3 +894,113 @@ class TestExitCodesAndAtomicity:
                      "--atol", "1e-16", "-o", str(out)])
         assert code == 1
         assert out.exists()
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def nine_commands(tmp_path: Path) -> dict[str, list[str]]:
+    """A small valid invocation of each subcommand, its inputs written under ``tmp_path``."""
+    tracks, records, preds = tmp_path / "tracks.json", tmp_path / "records.csv", tmp_path / "preds.csv"
+    config, compare = tmp_path / "config.json", tmp_path / "compare.json"
+    tracks.write_text(json.dumps(seeded_tracks(5, 6)))
+    records.write_text(RECORDS_TEXT)
+    preds.write_text(CALIB_TEXT)
+    config.write_text(json.dumps(TRAIN_CONFIG))
+    compare.write_text(json.dumps({"config": TRAIN_CONFIG, "modes": [{"mode": "zero"}, {"mode": "oracle"}]}))
+    out = str(tmp_path / "out")
+    return {
+        "loss-eval": ["loss-eval", "--loss", "kld", "--label-location", "0", "--label-scale", "0.2",
+                      "--pred-location", "0.3", "--pred-scale", "0.5"],
+        "grad-check": ["grad-check", "--loss", "kld", "--samples", "50", "-o", out],
+        "surface": ["surface", "--loss", "kld", "--label-scale", "0.2", "--error", "0:1:0.25",
+                    "--scale", "0.1:1:0.3", "-o", out],
+        "labelunc": ["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "--class-anchors", "pedestrian:0.25,0.05,0.01", "-o", out],
+        "fit-map": ["fit-map", "--anchors", "2.0,0.05,0.01", "-o", out],
+        "iou-hist": ["iou-hist", "--records", str(records), "--bins", "4", "-o", out],
+        "calib": ["calib", "--records", str(preds), "--per-class", "-o", out],
+        "train": ["train", "--config", str(config), "-o", out],
+        "compare": ["compare", "--config", str(compare), "-o", out],
+    }
+
+
+def cyclic_garbage(run) -> list:
+    """The objects in reference cycles that ``run()`` leaves behind."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic collector paused and puts it back as it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("outcome", ["success", "error", "out of memory"])
+    def test_collector_state_is_restored(self, tmp_path, capsys, monkeypatch, enabled, outcome):
+        if outcome == "out of memory":
+            def evaluate_tracks(*args, **kwargs):
+                raise MemoryError("Unable to allocate 1 GiB")
+
+            monkeypatch.setattr(label_uncertainty, "evaluate_tracks", evaluate_tracks)
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text("{" if outcome == "error" else json.dumps(SAMPLE_TRACKS))
+        (gc.enable if enabled else gc.disable)()
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "-o", str(tmp_path / "records.csv")])
+        assert gc.isenabled() is enabled
+        assert code == (0 if outcome == "success" else 1)
+        assert capsys.readouterr().err.startswith("error: ") is (outcome != "success")
+
+    def test_command_body_runs_with_the_collector_paused(self, tmp_path, monkeypatch):
+        seen = []
+        evaluate_tracks = label_uncertainty.evaluate_tracks
+
+        def probe(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return evaluate_tracks(*args, **kwargs)
+
+        monkeypatch.setattr(label_uncertainty, "evaluate_tracks", probe)
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(SAMPLE_TRACKS))
+        gc.enable()
+        assert main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "-o", str(tmp_path / "records.csv")]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_commands_make_no_reference_cycles(self, tmp_path):
+        # With the collector paused, a command's cycles would stay in memory
+        # until it is back on; reference counting must free all of it. The
+        # parser that main builds is the only cyclic garbage a command may
+        # leave, and fit-map's indented json.dumps the only other: with an
+        # indent the stdlib encoder is built from recursive closures, a fixed
+        # set per call whatever the payload.
+        def kinds(garbage):
+            return collections.Counter(type(obj).__qualname__ for obj in garbage)
+
+        parser_garbage = cyclic_garbage(cli.build_parser)
+        encoder_garbage = cyclic_garbage(lambda: json.dumps({"alpha": [1.0]}, indent=2, sort_keys=True))
+        assert parser_garbage and encoder_garbage
+        for name, argv in nine_commands(tmp_path).items():
+            expected = parser_garbage + (encoder_garbage if name == "fit-map" else [])
+            codes = []
+            garbage = cyclic_garbage(lambda: codes.append(main(argv)))
+            assert codes == [0], name
+            assert kinds(garbage) == kinds(expected), name
+            assert not [obj for obj in garbage if type(obj).__module__.split(".")[0] in ("lkld", "numpy")]

@@ -190,6 +190,15 @@ class TestSurfaceCommand:
         assert not out.exists()
 
 
+    def test_label_scale_with_nll_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code = main(["surface", "--loss", "nll", "--label-scale", "0.3", "--error", "0:1:0.5",
+                     "--scale", "0.1:0.4:0.1", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --label-scale only applies to --loss kld\n"
+        assert not out.exists()
+
+
 class TestLossEvalAndGradCheck:
     def test_loss_eval_to_stdout(self, capsys):
         code = main(
@@ -254,6 +263,12 @@ class TestLossEvalAndGradCheck:
         code = main(["grad-check", "--loss", "kld", "--samples", "20", *extra, "-o", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_grad_check_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "grad.csv"
+        assert main(["grad-check", "--loss", "nll", "--seed", "-1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_grad_check_takes_a_zero_tolerance_beside_a_positive_one(self, tmp_path):
@@ -429,6 +444,19 @@ class TestLabelUncCommands:
         assert payload["linear"] is False
         assert payload["alpha"] + payload["gamma"] == pytest.approx(2.0, abs=1e-8)
         assert payload["roundtrip_max_abs_err"] < 1e-9
+
+    @pytest.mark.parametrize(
+        "raw, anchors",
+        [("1e300,5e299,2e288", (1e300, 5e299, 2e288)), ("1e308,1e-300,5e-324", (1e308, 1e-300, 5e-324))],
+        ids=["alpha-overflow", "t-underflow"],
+    )
+    def test_fit_map_rejects_a_fit_beyond_the_float_range(self, tmp_path, capsys, raw, anchors):
+        out = tmp_path / "map.json"
+        assert main(["fit-map", "--anchors", raw, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: anchors must give a fit within the float range, got {anchors}\n"
+        )
+        assert not out.exists()
 
     def test_fit_map_linear_fallback_warns(self, tmp_path, capsys):
         out = tmp_path / "map.json"
@@ -614,6 +642,34 @@ class TestTrainAndCompareCommands:
             " got an integer of 401 digits\n"
         )
         assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "command, config, extra, seed",
+        [
+            ("train", {**TRAIN_CONFIG, "seed": -1}, [], -1),
+            ("train", TRAIN_CONFIG, ["--seed", "-3"], -3),
+            ("compare", {"config": TRAIN_CONFIG, "modes": [{"mode": "zero"}]}, ["--seed", "-3"], -3),
+        ],
+        ids=["train-config", "train-flag", "compare-flag"],
+    )
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, command, config, extra, seed):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), *extra, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
+    def test_heuristic_anchors_beyond_the_float_range_are_a_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"config": TRAIN_CONFIG,
+                                   "modes": [{"mode": "heuristic", "anchors": [1e300, 5e299, 2e288]}]}))
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: anchors must give a fit within the float range, got (1e+300, 5e+299, 2e+288)\n"
+        )
+        assert not out.exists()
 
     def test_compare_rejects_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "compare.json"

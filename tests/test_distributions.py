@@ -180,6 +180,10 @@ class TestGradientConsistency:
         assert result.max_scaled_location <= 1.0
         assert result.max_scaled_scale <= 1.0
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            gradient_check("nll", samples=10, seed=-1)
+
 
 class TestKldProperties:
     def test_non_negative_and_zero_iff_equal(self):

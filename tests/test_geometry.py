@@ -190,6 +190,24 @@ class TestConvexHull:
         with pytest.raises(ValueError, match="shape"):
             convex_hull(np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0, 9), (1, 0, 9), (0, 1, 9)],
+            [(0,), (1,)],
+            [(0.0, 0.0), (1.0,), (0.0, 1.0)],
+            [(0.0, 0.0), (1.0, 0.0, 2.0)],
+            (p for p in [(0, 0, 9), (1, 0, 9)]),
+        ],
+    )
+    def test_rows_must_be_pairs(self, points):
+        with pytest.raises(ValueError, match=r"^hull input must be \(x, y\) pairs"):
+            convex_hull(points)
+
+    def test_no_points_give_the_empty_polygon(self):
+        for points in ([], (), np.empty((0, 2)), np.empty(0), iter([])):
+            assert convex_hull(points) == ConvexPolygon(())
+
 
 class TestRectToPolygon:
     def test_axis_aligned_corners(self):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lkld import label_uncertainty
 from lkld.geometry import OrientedRect, Point2, area, convex_hull, rigid_transform
@@ -169,6 +170,14 @@ class TestFitMapping:
         with pytest.raises(ValueError):
             fit_mapping(1.0, 0.5, -0.1)
 
+    @pytest.mark.parametrize(
+        "anchors", [(1e300, 5e299, 2e288), (1e308, 1e-300, 5e-324)], ids=["alpha-overflow", "t-underflow"]
+    )
+    def test_rejects_a_fit_beyond_the_float_range(self, anchors):
+        with pytest.raises(ValueError) as err:
+            fit_mapping(*anchors)
+        assert str(err.value) == f"anchors must give a fit within the float range, got {anchors}"
+
     def test_convex_violating_gaps_still_fit_and_decrease(self):
         # Second gap wider than the first: the closed form still reproduces
         # the anchors (with a negative curvature parameter) and decreases.
@@ -233,6 +242,47 @@ class TestIouHistogram:
     def test_rejects_iou_outside_unit_interval(self, value):
         with pytest.raises(ValueError, match=r"iou must be in \[0, 1\]"):
             iou_histogram([0.25, value], 4)
+
+
+def _shifted(cloud, shift):
+    # Adding 0.0 would turn every -0.0 into 0.0.
+    return [(x + shift, y + shift) for x, y in cloud] if shift else cloud
+
+
+# Point sets on both sides of the hull prefilter's size: ties, duplicates,
+# -0.0 beside 0.0, and map-sized offsets.
+XY_COORD = st.one_of(
+    st.integers(-4, 4).map(float), st.just(-0.0), st.floats(-100.0, 100.0, allow_nan=False)
+)
+POINT_SETS = st.builds(
+    _shifted,
+    st.lists(st.tuples(XY_COORD, XY_COORD), max_size=80),
+    st.sampled_from([0.0, 1e8, -3e7]),
+)
+
+
+class TestInputForms:
+    """List rows, tuple rows, Point2 rows, generators and arrays take one path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(POINT_SETS)
+    @example([])
+    @example([(-0.0, 0.0), (0.0, -0.0), (1.0, -0.0), (-0.0, 1.0)])
+    @example(_shifted([(float(i % 7), float(i // 7)) for i in range(49)], 1e8))
+    def test_every_form_converts_the_same(self, points):
+        forms = {
+            "list rows": [list(p) for p in points],
+            "tuple rows": [tuple(p) for p in points],
+            "Point2 rows": [Point2(*p) for p in points],
+            "array": np.array(points, dtype=float).reshape(-1, 2),
+        }
+        arrays = {name: label_uncertainty._xy_array(pts) for name, pts in forms.items()}
+        for name, arr in arrays.items():
+            assert (arr.dtype, arr.shape) == (np.float64, (len(points), 2)), name
+            assert arr.tobytes() == arrays["array"].tobytes(), name
+        forms["generator"] = (p for p in forms["tuple rows"])
+        hulls = {name: repr(convex_hull(pts).vertices) for name, pts in forms.items()}
+        assert set(hulls.values()) == {repr(convex_hull(arrays["array"]).vertices)}, hulls
 
 
 class TestHullGrowth:
@@ -403,12 +453,46 @@ class TestJsonAndCsv:
 
     @pytest.mark.parametrize(
         "pts",
-        [((0.5, 0.2), (False, 0.1)), [[0.5, np.True_]], np.array([[0.5, True]], dtype=object)],
+        [
+            ((0.5, 0.2), (False, 0.1)),
+            [[0.5, np.True_]],
+            np.array([[0.5, True]], dtype=object),
+            [Point2(0.5, True)],
+        ],
     )
     def test_boolean_among_numbers_rejected(self, pts):
         # numpy reads a boolean among numbers as 0.0 or 1.0.
         with pytest.raises(ValueError, match="^point coordinates must be numbers$"):
             make_track({0: simple_rect()}, {0: pts})
+
+    @pytest.mark.parametrize(
+        "xy", [[[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0, 4.0, 5.0]], [[1.0, 2.0], 3.0], [[]]]
+    )
+    def test_ragged_sweep_is_not_pairs(self, xy):
+        doc = self.sample_doc()
+        doc["tracks"][0]["points"][1]["xy"] = xy
+        with pytest.raises(ValueError) as err:
+            tracks_from_json(doc)
+        assert str(err.value) == "malformed track at tracks[0]: points must be (x, y) pairs"
+
+    @pytest.mark.parametrize("xy", [{}, "", {"1": 2.0}, 5, None])
+    def test_points_must_be_a_json_list(self, xy):
+        doc = self.sample_doc()
+        doc["tracks"][0]["points"][1]["xy"] = xy
+        with pytest.raises(ValueError) as err:
+            tracks_from_json(doc)
+        assert str(err.value) == f"malformed track at tracks[0]: xy must be a list, got {xy!r}"
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_integer_coordinate_beyond_the_float_range(self, big):
+        doc = self.sample_doc()
+        doc["tracks"][0]["points"][1]["xy"] = [[big, 0.0], [1.0, 1.0]]
+        with pytest.raises(ValueError) as err:
+            tracks_from_json(doc)
+        assert str(err.value) == (
+            "malformed track at tracks[0]: point coordinates must be numbers within the float range,"
+            " got an integer of 401 digits"
+        )
 
     def test_integer_geometry_is_read_as_floats(self):
         doc = self.sample_doc()

@@ -660,6 +660,21 @@ class TestConfigSerialization:
         assert cfg.seed == 5
         assert cfg.n_train == SynthConfig().n_train
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"label_scale": {"mode": "heuristic", "anchors": [1e300, 5e299, 2e288]}},
+             "anchors must give a fit within the float range, got (1e+300, 5e+299, 2e+288)"),
+            ({"label_scale": {"mode": "heuristic", "anchors": [1e308, 1e-300, 5e-324]}},
+             "anchors must give a fit within the float range, got (1e+308, 1e-300, 5e-324)"),
+        ],
+        ids=["negative-seed", "alpha-overflow", "t-underflow"],
+    )
+    def test_values_the_run_cannot_use_are_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
     def test_bad_documents_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"noise": {"kind": "nope"}})

@@ -1,7 +1,7 @@
 """2D geometry for oriented box labels in the bird's-eye plane.
 
 Rigid transforms between label frames, convex hulls (monotone chain, with an
-Akl-Toussaint prefilter for point arrays), convex polygon intersection
+Akl-Toussaint prefilter), convex polygon intersection
 (half-plane clipping), shoelace areas, and IoU.
 All polygons are counter-clockwise vertex tuples; everything is pure and
 thread-safe.
@@ -139,15 +139,18 @@ def rigid_transform(p: Point2, from_pose: Pose, to_pose: Pose) -> Point2:
     )
 
 
+# Near the float limit sums and products overflow: an infinite margin drops nothing,
+# a NaN keeps its point, and an infinite cross product keeps its sign.
+@np.errstate(over="ignore", invalid="ignore")
 def _drop_interior(pts: np.ndarray) -> np.ndarray:
     """Rows of an ``(n, 2)`` array not strictly inside its extreme polygon.
 
     Akl-Toussaint: the points of least and greatest x, y, x + y and x - y,
     taken in counter-clockwise order, span a polygon inside the hull, and a
     point strictly inside it (by PREFILTER_MARGIN) cannot be a hull vertex.
-    Rows keep their order. Short or non-finite inputs come back whole.
+    Rows must be finite and keep their order. Short inputs come back whole.
     """
-    if len(pts) <= PREFILTER_MIN_POINTS or not np.isfinite(pts).all():
+    if len(pts) <= PREFILTER_MIN_POINTS:
         return pts
     x, y = pts[:, 0], pts[:, 1]
     s, d = x + y, x - y
@@ -167,26 +170,28 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
 def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     """Minimal CCW convex polygon containing all points (monotone chain).
 
-    ``points`` is an iterable of ``(x, y)`` pairs or an ``(n, 2)`` array. An
-    array of more than PREFILTER_MIN_POINTS finite rows first loses every
-    point strictly inside the polygon of its 8 extreme points (Akl and
-    Toussaint, 1978); the survivors take the same path as an iterable, so the
-    output does not depend on the input's type. Exact duplicates are dropped
-    before the scan (the first one seen is kept, so ``-0.0`` or ``0.0``
-    follows the input order); collinear boundary points are removed. Fewer
-    than three non-collinear points yield a degenerate polygon with area 0.
+    ``points`` is an iterable of ``(x, y)`` pairs or an ``(n, 2)`` array,
+    and every form takes one path: one float64 array of finite pairs (rows
+    of other lengths are rejected). More than PREFILTER_MIN_POINTS rows
+    first lose every point strictly inside the polygon of their 8 extreme
+    points (Akl and Toussaint, 1978). Exact duplicates are dropped before
+    the scan (the first one seen is kept, so ``-0.0`` or ``0.0`` follows
+    the input order); collinear boundary points are removed. Fewer than
+    three non-collinear points yield a degenerate polygon with area 0.
     Output starts at the lexicographically smallest vertex, which keeps
     downstream CSV dumps reproducible.
     """
-    if isinstance(points, np.ndarray):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError(f"hull input array must have shape (n, 2), got {points.shape}")
-        points = _drop_interior(points).tolist()
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    for x, y in pts:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"hull input coordinates must be finite, got ({x}, {y})")
+    try:
+        arr = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
+        if arr.shape[1:] != (2,) and arr.shape != (0,):
+            raise ValueError
+    except ValueError:  # also numpy's, for rows of unequal lengths
+        raise ValueError("hull input must be (x, y) pairs, an array of shape (n, 2)") from None
+    arr = arr.reshape(-1, 2)
+    if not np.isfinite(arr).all():
+        bad = arr[~np.isfinite(arr).all(axis=1)][0]
+        raise ValueError(f"hull input coordinates must be finite, got {tuple(bad.tolist())}")
+    pts = sorted(set(map(tuple, _drop_interior(arr).tolist())))
     if len(pts) <= 2:
         return ConvexPolygon(tuple(Point2(*p) for p in pts))
 
@@ -320,7 +325,7 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
 
     if len(output) < 3:
         return EMPTY_POLYGON
-    return convex_hull(Point2(*p) for p in output)
+    return convex_hull(output)
 
 
 def iou(a: ConvexPolygon, b: ConvexPolygon) -> float:

@@ -63,46 +63,32 @@ MAX_HISTOGRAM_BINS = 1_000_000
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
 
 
-def _number_pairs(pts: list | tuple) -> np.ndarray | None:
-    """List or tuple rows of two Python ints or floats as a float64 ``(k, 2)`` array.
-
-    Returns ``None`` for rows of any other type, length or content, and
-    raises on a boolean among the coordinates, which numpy would read as 0
-    or 1. One type check over the concatenated rows makes the float
-    conversion safe, and numpy converts a flat list faster than a nested one.
-    """
-    if not set(map(type, pts)) <= {list, tuple}:
-        return None
-    flat = reduce(iadd, pts, [])
-    types = set(map(type, flat))
-    if types <= {int, float} and set(map(len, pts)) <= {2}:
-        try:
-            return np.array(flat, dtype=float).reshape(-1, 2)
-        except OverflowError:  # an int beyond the float range
-            return None
-    if types & {bool, np.bool_}:
-        raise ValueError("point coordinates must be numbers")
-    return None
+# A sweep's coordinate types: Python's and numpy's ints and floats, but no bool.
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 def _xy_array(pts: object) -> np.ndarray:
     """One sweep's points as a float64 ``(k, 2)`` array; anything else raises.
 
-    Coordinates must be numbers: a ``None`` (which a float conversion would
-    read as NaN), a string or a boolean, also one among the numbers of list
-    or tuple rows, is rejected, and so are NaN and infinite coordinates
-    (JSON ``NaN``, ``1e400``).
+    Every form (rows of lists, tuples or ``Point2``, or an array, listed
+    first) is concatenated and converted once. A ``None`` (which numpy
+    would read as NaN), a string or a boolean coordinate is rejected, and
+    so are rows of other lengths, integers beyond the float range and NaN
+    and infinite coordinates (JSON ``NaN``, ``1e400``).
     """
-    arr = _number_pairs(pts) if isinstance(pts, (list, tuple)) else None
-    if arr is None:
-        arr = np.array(pts)
-        if arr.dtype.kind not in "iuf":
-            raise ValueError("point coordinates must be numbers")
-        arr = arr.astype(float, copy=False)
-        if arr.shape == (0,):
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"points must be (x, y) pairs, got an array of shape {arr.shape}")
+    try:
+        rows = pts.tolist() if isinstance(pts, np.ndarray) else list(pts)
+        flat = reduce(iadd, rows, [])
+    except TypeError:  # the points, or one of them, are not a sequence
+        raise ValueError("points must be (x, y) pairs") from None
+    if any(t is bool or not issubclass(t, _NUMBER_TYPES) for t in set(map(type, flat))):
+        raise ValueError("point coordinates must be numbers")
+    if not set(map(len, rows)) <= {2}:
+        raise ValueError("points must be (x, y) pairs")
+    try:
+        arr = np.array(flat, dtype=float).reshape(-1, 2)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("point coordinates must be numbers within the float range") from None
     finite = np.isfinite(arr)
     if not finite.all():
         k = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -353,7 +339,10 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
                 sweep = json_int(entry["sweep_id"], "sweep_id")
                 if sweep in points:
                     raise ValueError(f"duplicate sweep_id {sweep} in points")
-                points[sweep] = entry["xy"]
+                xy = entry["xy"]
+                if not isinstance(xy, list):
+                    raise ValueError(f"xy must be a list, got {xy!r}")
+                points[sweep] = xy
             tracks.append(
                 LabelTrack(label_id=label_id, class_name=class_name, poses=poses, points=points)
             )

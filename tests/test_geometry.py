@@ -172,6 +172,21 @@ class TestConvexHull:
         expected = reference_convex_hull(points)
         assert repr(convex_hull(np.array(points)).vertices) == repr(expected.vertices)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+            min_size=PREFILTER_MIN_POINTS + 1,
+            max_size=80,
+        ),
+        st.sampled_from([1e150, 1e200, 1e300, 1.7e308]),
+    )
+    def test_huge_coordinates_match_the_reference(self, cloud, scale):
+        # Sums and products overflow near the float limit; the prefilter must
+        # neither warn (warnings fail the suite) nor drop a vertex.
+        points = [(x * scale, y * scale) for x, y in cloud]
+        assert repr(convex_hull(points).vertices) == repr(reference_convex_hull(points).vertices)
+
     def test_prefilter_drops_interior_points_and_keeps_every_vertex(self):
         cloud = np.random.default_rng(8).uniform(-1.0, 1.0, (2000, 2))
         survivors = _drop_interior(cloud)

@@ -490,8 +490,7 @@ class TestJsonAndCsv:
         with pytest.raises(ValueError) as err:
             tracks_from_json(doc)
         assert str(err.value) == (
-            "malformed track at tracks[0]: point coordinates must be numbers within the float range,"
-            " got an integer of 401 digits"
+            "malformed track at tracks[0]: point coordinates must be numbers within the float range"
         )
 
     def test_integer_geometry_is_read_as_floats(self):

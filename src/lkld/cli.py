@@ -195,6 +195,8 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     _check_outputs([args.output])
+    if args.loss == "nll" and args.label_scale is not None:
+        raise ValueError("--label-scale only applies to --loss kld")
     grid = distributions.surface_grid(
         args.loss,
         args.label_scale if args.label_scale is not None else 0.0,

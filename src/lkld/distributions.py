@@ -284,14 +284,16 @@ def gradient_check(
     Draws are kept away from the |y - y_hat| kink by ``min_abs_error``. The
     small absolute floor ``atol`` absorbs finite-difference noise where a
     partial crosses zero; away from zeros the comparison is the plain
-    relative test at ``rtol``. The step must be positive and finite, both
-    tolerances finite and >= 0, and not both 0; a step that takes a drawn
-    predicted scale to 0 or below raises.
+    relative test at ``rtol``. The seed must be >= 0, the step positive
+    and finite, both tolerances finite and >= 0, and not both 0; a step
+    that takes a drawn predicted scale to 0 or below raises.
     """
     if loss_kind not in ("nll", "kld"):
         raise ValueError(f"loss_kind must be 'nll' or 'kld', got {loss_kind!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     for name, tol in (("rtol", rtol), ("atol", atol)):

@@ -197,7 +197,8 @@ def fit_mapping(b_at_iou0: float, b_at_iou_half: float, b_at_iou1: float) -> Unc
 
     With t = (b_half - b_1) / (b_0 - b_half):
     beta = -2 ln t, alpha = (b_0 - b_half) / (1 - t), gamma = b_0 - alpha.
-    Anchors must be strictly decreasing and positive.
+    Anchors must be strictly decreasing and positive, and alpha, beta and
+    gamma finite.
     """
     anchors = (float(b_at_iou0), float(b_at_iou_half), float(b_at_iou1))
     for a in anchors:
@@ -211,9 +212,13 @@ def fit_mapping(b_at_iou0: float, b_at_iou_half: float, b_at_iou1: float) -> Unc
     if abs(t - 1.0) <= 1e-12:
         # Equally spaced anchors: beta would be 0 and the exponential constant.
         return UncertaintyMapping(alpha=b0 - b1, beta=0.0, gamma=b1, anchors=anchors, linear=True)
-    beta = -2.0 * math.log(t)
+    # t underflows to 0, or alpha overflows, when the anchors span too many
+    # orders of magnitude for one exponential in floats.
+    beta = -2.0 * math.log(t) if t > 0.0 else math.inf
     alpha = (b0 - bh) / (1.0 - t)
     gamma = b0 - alpha
+    if not all(map(math.isfinite, (alpha, beta, gamma))):
+        raise ValueError(f"anchors must give a fit within the float range, got {anchors}")
     return UncertaintyMapping(alpha=alpha, beta=beta, gamma=gamma, anchors=anchors, linear=False)
 
 

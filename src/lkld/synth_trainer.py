@@ -182,6 +182,8 @@ class SynthConfig:
             raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
         if self.average_tail_epochs < 0:
             raise ValueError(f"average_tail_epochs must be >= 0, got {self.average_tail_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def generator_settings(self) -> tuple:
         return (self.seed, self.n_train, self.n_test, self.feature_dim, self.noise)

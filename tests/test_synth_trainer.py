@@ -855,7 +855,7 @@ class TestConfigDocuments:
             feature_dim=st.integers(1, 10**6),
             noise=NOISE_KINDS[kind],
             label_scale=LABEL_MODES[mode],
-            seed=st.integers(),
+            seed=st.integers(0),
             epochs=st.integers(0, 10**9),
             learning_rate=_positive,
             grad_clip=st.floats(min_value=0.0, exclude_min=True),
@@ -885,10 +885,10 @@ class TestConfigDocuments:
              "label_scale=oracle seed=0 epochs=400 learning_rate=0.03 grad_clip=1 "
              "average_tail_epochs=100"),
             (SynthConfig(n_train=7, n_test=9, feature_dim=2, noise=ConstantNoise(0.25),
-                         label_scale=HeuristicLabelScale((3.0, 2.0, 0.5)), seed=-4, epochs=0,
+                         label_scale=HeuristicLabelScale((3.0, 2.0, 0.5)), seed=4, epochs=0,
                          learning_rate=1 / 3, grad_clip=1e300, average_tail_epochs=0),
              "n_train=7 n_test=9 feature_dim=2 noise=constant(0.25) "
-             "label_scale=heuristic(3;2;0.5) seed=-4 epochs=0 learning_rate=0.333333 "
+             "label_scale=heuristic(3;2;0.5) seed=4 epochs=0 learning_rate=0.333333 "
              "grad_clip=1e+300 average_tail_epochs=0"),
         ],
     )

@@ -821,6 +821,22 @@ class TestExitCodesAndAtomicity:
         assert "malformed track at tracks[0]: point coordinates must be finite" in message
         assert not (tmp_path / "out.csv").exists()
 
+    def test_frame_change_beyond_the_float_range_names_the_track_and_sweep(self, tmp_path, capsys):
+        # Each coordinate is a float, but the point lies 2e308 from its pose center.
+        poses = [{"sweep_id": s, "center": [c, 0.0], "theta": 0.0, "length": 4.0, "width": 2.0}
+                 for s, c in ((0, 0.0), (3, -1e308))]
+        points = [{"sweep_id": 0, "xy": [[0.1, 0.2]]}, {"sweep_id": 3, "xy": [[1e308, 0.0], [0.0, 1.0]]}]
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps({"tracks": [
+            {"label_id": "far", "class_name": "car", "poses": poses, "points": points}]}))
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "-o", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: track 'far' sweep 3: points moved into the label frame are beyond the float range\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
+
     def test_failed_run_preserves_previous_output(self, tmp_path):
         out = tmp_path / "records.csv"
         out.write_text("previous contents\n")

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lkld import distributions
 from lkld.distributions import (
@@ -144,6 +144,27 @@ class TestZeroLabelScaleLimit:
                     b = nll_loss(y, pred)
                     assert (a.value, a.d_location, a.d_scale) == (b.value, b.d_location, b.d_scale)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        location=st.floats(-1e6, 1e6),
+        error=st.floats(-1e3, 1e3),
+        pred_scale=st.floats(1e-6, 1e6),
+        fraction=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(location=0.0, error=1.0, pred_scale=1.0, fraction=1.0)
+    @example(location=-3.0, error=1e-3, pred_scale=1e-6, fraction=1e-300)
+    def test_kld_terms_partials_equal_nll_terms_once_b_is_below_error_over_50(
+        self, location, error, pred_scale, fraction
+    ):
+        # The real zero-label-scale limit: once |e|/b >= 50, expm1(-|e|/b)
+        # rounds to -1 and kld_terms' partials are the NLL's, bit for bit.
+        y = location + error
+        label_scale = fraction * abs(y - location) / 50.0
+        assume(0.0 < label_scale <= abs(y - location) / 50.0)
+        _, kld_location, kld_scale = kld_terms(y, label_scale, location, pred_scale)
+        _, nll_location, nll_scale = nll_terms(y, location, pred_scale)
+        assert bits(kld_location, kld_scale) == bits(nll_location, nll_scale)
+
 
 class TestFloatKernels:
     """The ``*_loss`` wrappers return exactly their float kernel's tuple."""
@@ -213,6 +234,27 @@ class TestKldProperties:
     def test_exactly_zero_at_a_match(self, location, scale):
         params = LaplaceParams(location, scale)
         assert kld_loss(params, params).value == 0.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        location=st.floats(-1e6, 1e6),
+        error=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+        label_scale=st.floats(1e-6, 1e6),
+        pred_scale=st.floats(1e-6, 1e6),
+    )
+    # Adjacent floats: the bracket 1 - (b e^(-|e|/b) + |e|) / b_hat rounds to 0.
+    @example(location=0.0, error=4.044961475282535e-05,
+             label_scale=22811.144110579866, pred_scale=22811.144110579862)
+    def test_scale_gradient_is_negative_below_the_label_scale(
+        self, location, error, label_scale, pred_scale
+    ):
+        # b e^(-|e|/b) + |e| >= b for every error, so the divergence pushes any
+        # predicted scale below the label scale back up; the NLL's optimum is |e|.
+        assume(pred_scale < label_scale)
+        d_scale = kld_terms(location + error, label_scale, location, pred_scale)[2]
+        assert d_scale <= 0.0
+        if pred_scale < label_scale * (1.0 - 1e-14):  # apart by more than rounding
+            assert d_scale < 0.0
 
     def test_zero_error_location_gradient_vanishes(self):
         rng = np.random.default_rng(8)

@@ -20,6 +20,7 @@ from lkld.geometry import (
     rect_to_polygon,
     rigid_transform,
 )
+from lkld.label_uncertainty import LabelTrack
 
 from oracles import monte_carlo_intersection_area, random_convex_polygon, reference_convex_hull
 
@@ -197,7 +198,7 @@ class TestConvexHull:
     def test_array_input_with_non_finite_coordinates_rejected(self, bad):
         cloud = np.random.default_rng(9).uniform(-1.0, 1.0, (PREFILTER_MIN_POINTS + 10, 2))
         cloud[7, 1] = bad
-        with pytest.raises(ValueError, match="hull input coordinates must be finite"):
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
             convex_hull(cloud)
 
     @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
@@ -216,7 +217,7 @@ class TestConvexHull:
         ],
     )
     def test_rows_must_be_pairs(self, points):
-        with pytest.raises(ValueError, match=r"^hull input must be \(x, y\) pairs"):
+        with pytest.raises(ValueError, match=r"^points must be \(x, y\) pairs"):
             convex_hull(points)
 
     def test_no_points_give_the_empty_polygon(self):
@@ -413,3 +414,37 @@ class TestPolygonValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ConvexPolygon((Point2(0, 0), Point2(1, 0), Point2(1, float("nan"))))
+
+
+# Point sets the gate rejects, with the message each gives. The bad value sits
+# in the first point, which is what contains_point is handed.
+_NUMBERS = "^point coordinates must be numbers$"
+_PAIRS = r"^points must be \(x, y\) pairs$"
+GATE_CASES = {
+    "strings": ([("0", "1"), (1, 0), (0, 1)], _NUMBERS),
+    "bytes": ([(b"0", b"1"), (1, 0), (0, 1)], _NUMBERS),
+    "True": ([(True, 0), (1, 0), (0, 1)], _NUMBERS),
+    "np.True_": ([(np.True_, 0), (1, 0), (0, 1)], _NUMBERS),
+    "object array holding a bool": (np.array([[0.5, True], [1, 0], [0, 1]], dtype=object), _NUMBERS),
+    "None coordinate": ([(None, 0), (1, 0), (0, 1)], _NUMBERS),
+    "None": (None, _PAIRS),
+    "complex": ([(1j, 0), (1, 0), (0, 1)], _NUMBERS),
+    "3-column rows": ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], _PAIRS),
+    "10**400": ([(10**400, 0), (1, 0), (0, 1)], "^point coordinates must be numbers within the float range$"),
+    "NaN": ([(math.nan, 0), (1, 0), (0, 1)], r"^point coordinates must be finite, got \[nan, 0.0\] at point 0$"),
+}
+_TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+ENTRY_POINTS = {
+    "convex_hull": convex_hull,
+    "ConvexPolygon": ConvexPolygon,
+    "contains_point": lambda pts: contains_point(_TRIANGLE, pts if pts is None else pts[0]),
+    "LabelTrack": lambda pts: LabelTrack("t", "car", {0: OrientedRect(Point2(0, 0), 0.0, 1.0, 1.0)}, {0: pts}),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_every_entry_point_rejects_through_the_one_gate(entry, case):
+    points, message = GATE_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](points)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lkld import label_uncertainty
-from lkld.geometry import OrientedRect, Point2, area, convex_hull, rigid_transform
+from lkld import geometry, label_uncertainty
+from lkld.geometry import ConvexPolygon, OrientedRect, Point2, area, convex_hull, rigid_transform
 from lkld.label_uncertainty import (
     LabelTrack,
     LabelUncertaintyRecord,
@@ -261,8 +261,20 @@ POINT_SETS = st.builds(
 )
 
 
+def _forms(points):
+    """One point set in every form the point-set gate takes, the array last."""
+    return {
+        "list rows": [list(p) for p in points],
+        "tuple rows": [tuple(p) for p in points],
+        "Point2 rows": [Point2(*p) for p in points],
+        "array rows": list(np.array(points, dtype=float).reshape(-1, 2)),
+        "generator": (tuple(p) for p in points),
+        "array": np.array(points, dtype=float).reshape(-1, 2),
+    }
+
+
 class TestInputForms:
-    """List rows, tuple rows, Point2 rows, generators and arrays take one path."""
+    """List, tuple, Point2 and array rows, generators and arrays take one path."""
 
     @settings(max_examples=100, deadline=None)
     @given(POINT_SETS)
@@ -270,19 +282,20 @@ class TestInputForms:
     @example([(-0.0, 0.0), (0.0, -0.0), (1.0, -0.0), (-0.0, 1.0)])
     @example(_shifted([(float(i % 7), float(i // 7)) for i in range(49)], 1e8))
     def test_every_form_converts_the_same(self, points):
-        forms = {
-            "list rows": [list(p) for p in points],
-            "tuple rows": [tuple(p) for p in points],
-            "Point2 rows": [Point2(*p) for p in points],
-            "array": np.array(points, dtype=float).reshape(-1, 2),
-        }
-        arrays = {name: label_uncertainty._xy_array(pts) for name, pts in forms.items()}
+        arrays = {name: geometry._xy_array(pts) for name, pts in _forms(points).items()}
         for name, arr in arrays.items():
             assert (arr.dtype, arr.shape) == (np.float64, (len(points), 2)), name
             assert arr.tobytes() == arrays["array"].tobytes(), name
-        forms["generator"] = (p for p in forms["tuple rows"])
-        hulls = {name: repr(convex_hull(pts).vertices) for name, pts in forms.items()}
+        hulls = {name: repr(convex_hull(pts).vertices) for name, pts in _forms(points).items()}
         assert set(hulls.values()) == {repr(convex_hull(arrays["array"]).vertices)}, hulls
+
+    @settings(max_examples=100, deadline=None)
+    @given(POINT_SETS)
+    @example([(-0.0, 0.0), (1.0, -0.0), (-0.0, 1.0)])
+    def test_polygons_take_every_form(self, points):
+        vertices = convex_hull(points).vertices
+        polygons = {name: repr(ConvexPolygon(pts).vertices) for name, pts in _forms(vertices).items()}
+        assert set(polygons.values()) == {repr(vertices)}, polygons
 
 
 class TestHullGrowth:

@@ -4,7 +4,10 @@ Rigid transforms between label frames, convex hulls (monotone chain, with an
 Akl-Toussaint prefilter), convex polygon intersection
 (half-plane clipping), shoelace areas, and IoU.
 All polygons are counter-clockwise vertex tuples; everything is pure and
-thread-safe.
+thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
+``ConvexPolygon``, ``contains_point`` and ``label_uncertainty.LabelTrack``; it
+rejects string, bytes, boolean, ``None``, complex, NaN and infinite
+coordinates, rows that are not pairs and integers beyond the float range.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ PREFILTER_MIN_POINTS = 40
 # squared span of the cloud: far above rounding (about 1e-16 of the same
 # scale), so no point on or near the extreme polygon is ever dropped.
 PREFILTER_MARGIN = 1e-9
+# Point coordinate types: Python's and numpy's ints and floats, but no bool.
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 class Point2(NamedTuple):
@@ -51,6 +56,45 @@ class Point2(NamedTuple):
 
 
 Pose = tuple[Point2, float]  # (center, heading in radians) of a label frame
+
+
+def _xy_array(points: object) -> np.ndarray:
+    """A point set as a new float64 ``(n, 2)`` array: the only conversion of point input.
+
+    An int or float array of shape ``(n, 2)`` or ``(0,)`` is converted whole;
+    any other array of that shape, or an iterable of rows (lists, tuples,
+    ``Point2`` or 1-D arrays), is concatenated and converted once. ``None``
+    (which numpy would read as NaN), string, bytes, boolean and complex
+    coordinates raise ``ValueError``, and so do rows that are not pairs,
+    integers beyond the float range and NaN and infinite coordinates.
+    """
+    if isinstance(points, np.ndarray) and points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 2):
+        raise ValueError("points must be (x, y) pairs, an array of shape (n, 2)")
+    if isinstance(points, np.ndarray) and points.dtype.kind in "iuf":  # other arrays are read as rows
+        points = points.astype(float)
+        finite = np.isfinite(points).all()
+    else:
+        flat: list = []
+        try:
+            rows = list(points)
+            any(map(flat.extend, rows))  # extend returns None, so every row is taken
+        except TypeError:  # the points, or one of them, are not a sequence
+            raise ValueError("points must be (x, y) pairs") from None
+        types = set(map(type, flat))  # float and int, the usual ones, need no subclass test
+        if not types <= {float, int} and any(t is bool or not issubclass(t, _NUMBER_TYPES) for t in types):
+            raise ValueError("point coordinates must be numbers")
+        if not set(map(len, rows)) <= {2}:
+            raise ValueError("points must be (x, y) pairs")
+        try:
+            finite = all(map(math.isfinite, flat))
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("point coordinates must be numbers within the float range") from None
+        points = flat
+    arr = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not finite:
+        k = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+        raise ValueError(f"point coordinates must be finite, got {arr[k].tolist()} at point {k}")
+    return arr
 
 
 def _normalize_angle(theta: float) -> float:
@@ -87,8 +131,8 @@ class OrientedRect:
         return (self.center, self.theta)
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 @dataclass(frozen=True)
@@ -98,11 +142,8 @@ class ConvexPolygon:
     vertices: tuple[Point2, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(Point2(float(p[0]), float(p[1])) for p in self.vertices)
+        verts = tuple(map(Point2._make, _xy_array(self.vertices).tolist()))
         object.__setattr__(self, "vertices", verts)
-        for p in verts:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ValueError(f"vertex coordinates must be finite, got {p}")
         if len(verts) != len(set(verts)):
             raise ValueError("polygon has repeated vertices")
         n = len(verts)
@@ -171,29 +212,20 @@ def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     """Minimal CCW convex polygon containing all points (monotone chain).
 
     ``points`` is an iterable of ``(x, y)`` pairs or an ``(n, 2)`` array,
-    and every form takes one path: one float64 array of finite pairs (rows
-    of other lengths are rejected). More than PREFILTER_MIN_POINTS rows
-    first lose every point strictly inside the polygon of their 8 extreme
-    points (Akl and Toussaint, 1978). Exact duplicates are dropped before
-    the scan (the first one seen is kept, so ``-0.0`` or ``0.0`` follows
-    the input order); collinear boundary points are removed. Fewer than
-    three non-collinear points yield a degenerate polygon with area 0.
-    Output starts at the lexicographically smallest vertex, which keeps
-    downstream CSV dumps reproducible.
+    read through the point-set gate ``_xy_array``, which rejects string,
+    bytes, boolean, ``None``, complex, NaN and infinite coordinates, rows
+    that are not pairs and integers beyond the float range. More than
+    PREFILTER_MIN_POINTS rows first lose every point strictly inside the
+    polygon of their 8 extreme points (Akl and Toussaint, 1978). Exact
+    duplicates are dropped before the scan (the first one seen is kept, so
+    ``-0.0`` or ``0.0`` follows the input order); collinear boundary points
+    are removed. Fewer than three non-collinear points yield a degenerate
+    polygon with area 0. Output starts at the lexicographically smallest
+    vertex, which keeps downstream CSV dumps reproducible.
     """
-    try:
-        arr = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
-        if arr.shape[1:] != (2,) and arr.shape != (0,):
-            raise ValueError
-    except ValueError:  # also numpy's, for rows of unequal lengths
-        raise ValueError("hull input must be (x, y) pairs, an array of shape (n, 2)") from None
-    arr = arr.reshape(-1, 2)
-    if not np.isfinite(arr).all():
-        bad = arr[~np.isfinite(arr).all(axis=1)][0]
-        raise ValueError(f"hull input coordinates must be finite, got {tuple(bad.tolist())}")
-    pts = sorted(set(map(tuple, _drop_interior(arr).tolist())))
+    pts = sorted(set(map(tuple, _drop_interior(_xy_array(points)).tolist())))
     if len(pts) <= 2:
-        return ConvexPolygon(tuple(Point2(*p) for p in pts))
+        return ConvexPolygon(tuple(pts))
 
     def build(ordered: list[tuple[float, float]]) -> list[tuple[float, float]]:
         chain: list[tuple[float, float]] = []
@@ -211,7 +243,7 @@ def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     # Near-straight corners go only from the finished hull, each losing at most
     # COLLINEAR_EPS / 2: in a partial chain two close points can flatten a far corner.
     # The corner tested is ring[-1]; a lap of corners that all turn more ends the walk.
-    ring, kept = deque(Point2(*p) for p in lower[:-1] + upper[:-1]), 0
+    ring, kept = deque(lower[:-1] + upper[:-1]), 0
     while kept < len(ring) and len(ring) >= 3:
         if _cross(ring[-2], ring[-1], ring[0]) <= COLLINEAR_EPS:
             ring.pop()  # ring[-2] has a new neighbour: it is tested next
@@ -228,20 +260,11 @@ def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
 
     The first vertex is the corner at (+length/2, +width/2) in the rect frame.
     """
-    cos_t = math.cos(rect.theta)
-    sin_t = math.sin(rect.theta)
-    hl = 0.5 * rect.length
-    hw = 0.5 * rect.width
+    cos_t, sin_t = math.cos(rect.theta), math.sin(rect.theta)
+    hl, hw = 0.5 * rect.length, 0.5 * rect.width
+    (x, y) = rect.center
     corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    return ConvexPolygon(
-        tuple(
-            Point2(
-                rect.center.x + cos_t * cx - sin_t * cy,
-                rect.center.y + sin_t * cx + cos_t * cy,
-            )
-            for cx, cy in corners
-        )
-    )
+    return ConvexPolygon(tuple((x + cos_t * cx - sin_t * cy, y + sin_t * cx + cos_t * cy) for cx, cy in corners))
 
 
 def area(poly: ConvexPolygon) -> float:
@@ -271,7 +294,7 @@ def contains_point(poly: ConvexPolygon, p: Point2, tol: float = 1e-9) -> bool:
     n = len(v)
     if n < 3:
         return False
-    px, py = float(p[0]), float(p[1])
+    ((px, py),) = _xy_array((p,)).tolist()
     for i in range(n):
         a = v[i]
         b = v[(i + 1) % n]

@@ -20,8 +20,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import iadd
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +28,7 @@ from ._util import csv_table, fmt_sig, json_int, json_number, json_str
 # perfbench/tracing.py wraps convex_hull, iou and rigid_transform under this
 # module's names: label_iou calls the first two through them, and
 # rigid_transform, unused here, is imported only so that name exists.
-from .geometry import OrientedRect, Point2, convex_hull, iou, rect_to_polygon, rigid_transform  # noqa: F401
+from .geometry import OrientedRect, Point2, _xy_array, convex_hull, iou, rect_to_polygon, rigid_transform  # noqa: F401
 
 __all__ = [
     "LabelTrack",
@@ -63,47 +61,16 @@ MAX_HISTOGRAM_BINS = 1_000_000
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
 
 
-# A sweep's coordinate types: Python's and numpy's ints and floats, but no bool.
-_NUMBER_TYPES = (int, float, np.integer, np.floating)
-
-
-def _xy_array(pts: object) -> np.ndarray:
-    """One sweep's points as a float64 ``(k, 2)`` array; anything else raises.
-
-    Every form (rows of lists, tuples or ``Point2``, or an array, listed
-    first) is concatenated and converted once. A ``None`` (which numpy
-    would read as NaN), a string or a boolean coordinate is rejected, and
-    so are rows of other lengths, integers beyond the float range and NaN
-    and infinite coordinates (JSON ``NaN``, ``1e400``).
-    """
-    try:
-        rows = pts.tolist() if isinstance(pts, np.ndarray) else list(pts)
-        flat = reduce(iadd, rows, [])
-    except TypeError:  # the points, or one of them, are not a sequence
-        raise ValueError("points must be (x, y) pairs") from None
-    if any(t is bool or not issubclass(t, _NUMBER_TYPES) for t in set(map(type, flat))):
-        raise ValueError("point coordinates must be numbers")
-    if not set(map(len, rows)) <= {2}:
-        raise ValueError("points must be (x, y) pairs")
-    try:
-        arr = np.array(flat, dtype=float).reshape(-1, 2)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("point coordinates must be numbers within the float range") from None
-    finite = np.isfinite(arr)
-    if not finite.all():
-        k = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ValueError(f"point coordinates must be finite, got {arr[k].tolist()} at point {k}")
-    return arr
-
-
 @dataclass
 class LabelTrack:
     """One object's per-sweep rectangle poses and the points observed inside it.
 
     Coordinates are in a shared global frame. Every sweep with points must
     also carry a pose; sweeps may have a pose but no points. Each sweep's
-    points, given as ``(x, y)`` pairs, are stored as one float64 ``(k, 2)``
-    array.
+    points, ``(x, y)`` pairs or a ``(k, 2)`` array, become one new float64
+    ``(k, 2)`` array through the point-set gate ``geometry._xy_array``, which
+    rejects string, bytes, boolean, ``None``, complex, NaN and infinite
+    coordinates, rows that are not pairs and integers beyond the float range.
     """
 
     label_id: str
@@ -141,21 +108,26 @@ def aggregate_points(track: LabelTrack, reference_sweep: int) -> np.ndarray:
     A point rigidly attached to the box has the same box-local coordinates
     in every sweep, so each sweep's block is expressed in that sweep's own
     label frame, ``R(-theta_s) (p - c_s)``. The reference label is then the
-    axis-aligned box centred at the origin. Blocks follow sweep id order.
+    axis-aligned box centred at the origin. Blocks follow sweep id order; a
+    block beyond the float range raises, naming the track and the sweep.
     """
     if reference_sweep not in track.poses:
         raise ValueError(
             f"reference sweep {reference_sweep} not among poses of track {track.label_id!r}"
         )
     blocks = [np.empty((0, 2))]
-    for sweep in sorted(track.points):
-        pts = track.points[sweep]
-        if len(pts):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, once per track
+        for sweep, pts in sorted(track.points.items()):
             center, theta = track.poses[sweep].pose
             c, s = math.cos(theta), math.sin(theta)
             # Row vectors: (p - c) @ R(-theta)^T.
             blocks.append((pts - center) @ np.array([[c, -s], [s, c]]))
-    return np.concatenate(blocks)
+    cloud = np.concatenate(blocks)
+    if not np.isfinite(cloud).all():
+        bad = next(sweep for sweep, block in zip(sorted(track.points), blocks[1:]) if not np.isfinite(block).all())
+        raise ValueError(f"track {track.label_id!r} sweep {bad}: "
+                         "points moved into the label frame are beyond the float range")
+    return cloud
 
 
 def label_iou(track: LabelTrack, reference_sweep: int) -> float:

@@ -1,13 +1,16 @@
 """2D geometry for oriented box labels in the bird's-eye plane.
 
 Rigid transforms between label frames, convex hulls (monotone chain, with an
-Akl-Toussaint prefilter), convex polygon intersection
-(half-plane clipping), shoelace areas, and IoU.
+Akl-Toussaint prefilter that takes many clouds in one segmented pass), convex
+polygon intersection (half-plane clipping that skips edges nothing crosses),
+shoelace areas, and IoU.
 All polygons are counter-clockwise vertex tuples; everything is pure and
 thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
 ``ConvexPolygon``, ``contains_point`` and ``label_uncertainty.LabelTrack``; it
 rejects string, bytes, boolean, ``None``, complex, NaN and infinite
-coordinates, rows that are not pairs and integers beyond the float range.
+coordinates, rows that are not lists, tuples or 1-D arrays of two, and
+numbers beyond the float range. ``convex_hull`` builds its polygon from
+vertices that have passed the gate, so only the polygon checks run again.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +51,8 @@ PREFILTER_MIN_POINTS = 40
 PREFILTER_MARGIN = 1e-9
 # Point coordinate types: Python's and numpy's ints and floats, but no bool.
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
+# Row types of an iterable point set: lists, tuples (Point2 among them) and 1-D arrays.
+_ROW_TYPES = (list, tuple, np.ndarray)
 
 
 class Point2(NamedTuple):
@@ -65,21 +70,24 @@ def _xy_array(points: object) -> np.ndarray:
     any other array of that shape, or an iterable of rows (lists, tuples,
     ``Point2`` or 1-D arrays), is concatenated and converted once. ``None``
     (which numpy would read as NaN), string, bytes, boolean and complex
-    coordinates raise ``ValueError``, and so do rows that are not pairs,
-    integers beyond the float range and NaN and infinite coordinates.
+    coordinates raise ``ValueError``, and so do rows that are not pairs
+    (a bytes, str, dict or set row among them), numbers beyond the float
+    range (a Python integer, or a long double that float64 cannot hold) and
+    NaN and infinite coordinates.
     """
     if isinstance(points, np.ndarray) and points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 2):
         raise ValueError("points must be (x, y) pairs, an array of shape (n, 2)")
-    if isinstance(points, np.ndarray) and points.dtype.kind in "iuf":  # other arrays are read as rows
-        points = points.astype(float)
-        finite = np.isfinite(points).all()
-    else:
+    if not (isinstance(points, np.ndarray) and points.dtype.kind in "iuf"):  # other arrays are read as rows
         flat: list = []
         try:
             rows = list(points)
             any(map(flat.extend, rows))  # extend returns None, so every row is taken
         except TypeError:  # the points, or one of them, are not a sequence
             raise ValueError("points must be (x, y) pairs") from None
+        # A bytes, str, dict or set row would extend by its items, so only sequences are rows.
+        row_types = set(map(type, rows))
+        if not row_types <= {list, tuple, Point2} and not all(issubclass(t, _ROW_TYPES) for t in row_types):
+            raise ValueError("points must be (x, y) pairs")
         types = set(map(type, flat))  # float and int, the usual ones, need no subclass test
         if not types <= {float, int} and any(t is bool or not issubclass(t, _NUMBER_TYPES) for t in types):
             raise ValueError("point coordinates must be numbers")
@@ -89,12 +97,21 @@ def _xy_array(points: object) -> np.ndarray:
             finite = all(map(math.isfinite, flat))
         except OverflowError:  # an integer beyond the float range
             raise ValueError("point coordinates must be numbers within the float range") from None
+        if finite:
+            return np.asarray(flat, dtype=float).reshape(-1, 2)
         points = flat
-    arr = np.asarray(points, dtype=float).reshape(-1, 2)
-    if not finite:
-        k = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-        raise ValueError(f"point coordinates must be finite, got {arr[k].tolist()} at point {k}")
-    return arr
+    try:
+        with np.errstate(over="ignore"):  # a long double beyond the float range becomes inf
+            arr = np.array(points, dtype=float).reshape(-1, 2)
+    except OverflowError:  # an integer beyond the float range after a NaN or an infinity
+        raise ValueError("point coordinates must be numbers within the float range") from None
+    if np.isfinite(arr).all():
+        return arr
+    k = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+    given = points[k] if isinstance(points, np.ndarray) else points[2 * k:2 * k + 2]
+    if np.isfinite(np.asarray(given, dtype=np.longdouble)).all():
+        raise ValueError("point coordinates must be numbers within the float range")
+    raise ValueError(f"point coordinates must be finite, got {arr[k].tolist()} at point {k}")
 
 
 def _normalize_angle(theta: float) -> float:
@@ -142,8 +159,19 @@ class ConvexPolygon:
     vertices: tuple[Point2, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(map(Point2._make, _xy_array(self.vertices).tolist()))
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", tuple(map(Point2._make, _xy_array(self.vertices).tolist())))
+        self._check()
+
+    @classmethod
+    def _of_gated(cls, vertices: tuple[Point2, ...]) -> ConvexPolygon:
+        """A polygon on float vertices that have passed the point-set gate; checks all the rest."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vertices", vertices)
+        poly._check()
+        return poly
+
+    def _check(self) -> None:
+        verts = self.vertices
         if len(verts) != len(set(verts)):
             raise ValueError("polygon has repeated vertices")
         n = len(verts)
@@ -180,32 +208,65 @@ def rigid_transform(p: Point2, from_pose: Pose, to_pose: Pose) -> Point2:
     )
 
 
+# Extreme-polygon corners in ccw order, as rows of the least x, x + y, y, x - y
+# and then the greatest, and each corner's successor.
+_RING = np.array([[0, 1, 2, 7, 4, 5, 6, 3], [1, 2, 7, 4, 5, 6, 3, 0]])
+
+
 # Near the float limit sums and products overflow: an infinite margin drops nothing,
 # a NaN keeps its point, and an infinite cross product keeps its sign.
 @np.errstate(over="ignore", invalid="ignore")
-def _drop_interior(pts: np.ndarray) -> np.ndarray:
-    """Rows of an ``(n, 2)`` array not strictly inside its extreme polygon.
+def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of an ``(n, 2)`` array not strictly inside their cloud's extreme polygon.
 
-    Akl-Toussaint: the points of least and greatest x, y, x + y and x - y,
-    taken in counter-clockwise order, span a polygon inside the hull, and a
-    point strictly inside it (by PREFILTER_MARGIN) cannot be a hull vertex.
-    Rows must be finite and keep their order. Short inputs come back whole.
+    The rows are cut into consecutive clouds of ``counts`` rows each (empty
+    clouds allowed) and all clouds are filtered in one pass, with temporaries
+    of a few times the input's size; the survivors come back in order, with
+    each cloud's survivor count. Akl-Toussaint: the points of least and
+    greatest x, y, x + y and x - y of a cloud, taken in counter-clockwise
+    order, span a polygon inside its hull, and a point strictly inside it (by
+    PREFILTER_MARGIN) cannot be a hull vertex. Clouds of at most
+    PREFILTER_MIN_POINTS rows, and clouds of one repeated point, come back
+    whole. Rows must be finite.
     """
+    counts = np.asarray(counts)
     if len(pts) <= PREFILTER_MIN_POINTS:
-        return pts
+        return pts, counts
+    full = counts > 0  # reduceat would give an empty cloud its next row
+    sizes = counts[full]
+    starts = sizes.cumsum() - sizes
     x, y = pts[:, 0], pts[:, 1]
-    s, d = x + y, x - y
-    # Equal points project equally, so each takes its first index in every
-    # direction: consecutive distinct indices are distinct points.
-    ring = [x.argmin(), s.argmin(), y.argmin(), d.argmax(), x.argmax(), s.argmax(), y.argmax(), d.argmin()]
-    edges = [(i, j) for i, j in zip(ring, ring[1:] + ring[:1]) if i != j]
-    if not edges:
-        return pts
-    a, b = pts[np.array(edges).T]
-    e = b - a
-    span = max(x[ring[4]] - x[ring[0]], y[ring[6]] - y[ring[2]])
-    cross = e[:, :1] * (y - a[:, 1:]) - e[:, 1:] * (x - a[:, :1])
-    return pts[~(cross > PREFILTER_MARGIN * span * span).all(axis=0)]
+    v = pts[:, [0, 0, 1, 0]].T  # x, x + y, y, x - y
+    v[1] += y
+    v[3] -= y
+    # In each direction, a cloud's corner is the first row reaching its
+    # extreme, as argmin or argmax would pick: 8 reduceat extremes, then one
+    # lookup of each extreme's first row.
+    reached = np.concatenate((v == np.repeat(np.minimum.reduceat(v, starts, axis=1), sizes, axis=1),
+                              v == np.repeat(np.maximum.reduceat(v, starts, axis=1), sizes, axis=1)))
+    rows = np.flatnonzero(reached)
+    offsets = np.arange(0, reached.size, len(pts))[:, None]
+    corners = rows[rows.searchsorted(offsets + starts)] - offsets  # least x, x + y, y, x - y, then greatest
+    # The ccw ring and each corner's successor on it. Equal points project equally, so
+    # distinct corners are distinct points. A cloud's repeated corner takes the
+    # place of its first edge's start, which tests that edge again; a cloud
+    # with no edge (one point, repeated) keeps every row, since all its cross
+    # products are 0.
+    c = pts[corners]  # (8, clouds, 2)
+    span = np.maximum(c[4, :, 0] - c[0, :, 0], c[6, :, 1] - c[2, :, 1])
+    ring, after = corners[_RING]
+    edge = ring != after
+    first = edge.argmax(axis=0), np.arange(len(sizes))
+    a = pts[np.where(edge, ring, ring[first])]
+    e = pts[np.where(edge, after, after[first])] - a
+    # An infinite margin keeps every row of a cloud too short to prefilter.
+    margin = np.where(sizes > PREFILTER_MIN_POINTS, PREFILTER_MARGIN * span * span, np.inf)
+    if len(sizes) > 1:  # one cloud's edges broadcast over its rows, with no (8, rows, 2) copies
+        a, e, margin = np.repeat(a, sizes, axis=1), np.repeat(e, sizes, axis=1), np.repeat(margin, sizes)
+    cross = e[..., 0] * (y - a[..., 1]) - e[..., 1] * (x - a[..., 0])
+    kept = np.flatnonzero(~(cross > margin).all(axis=0))
+    ends = np.cumsum(counts)
+    return pts[kept], np.searchsorted(kept, ends) - np.searchsorted(kept, ends - counts)
 
 
 def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
@@ -223,9 +284,10 @@ def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     polygon with area 0. Output starts at the lexicographically smallest
     vertex, which keeps downstream CSV dumps reproducible.
     """
-    pts = sorted(set(map(tuple, _drop_interior(_xy_array(points)).tolist())))
+    arr = _xy_array(points)
+    pts = sorted(set(map(tuple, _drop_interior(arr, (len(arr),))[0].tolist())))
     if len(pts) <= 2:
-        return ConvexPolygon(tuple(pts))
+        return ConvexPolygon._of_gated(tuple(map(Point2._make, pts)))
 
     def build(ordered: list[tuple[float, float]]) -> list[tuple[float, float]]:
         chain: list[tuple[float, float]] = []
@@ -252,7 +314,7 @@ def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
             ring.rotate(-1)
             kept += 1
     ring.rotate(-ring.index(min(ring)))
-    return ConvexPolygon(tuple(ring))
+    return ConvexPolygon._of_gated(tuple(map(Point2._make, ring)))
 
 
 def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
@@ -304,12 +366,23 @@ def contains_point(poly: ConvexPolygon, p: Point2, tol: float = 1e-9) -> bool:
     return True
 
 
+def _canonical(poly: ConvexPolygon) -> bool:
+    """True if ``poly`` is what ``convex_hull`` makes of its vertices: it starts at
+    its least vertex and every corner turns by more than COLLINEAR_EPS."""
+    v = poly.vertices
+    n = len(v)
+    return v[0] == min(v) and all(_cross(v[i - 1], v[i], v[(i + 1) % n]) > COLLINEAR_EPS for i in range(n))
+
+
 def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Intersection of two convex polygons by clipping a against each edge of b.
 
-    Degenerate inputs yield the empty polygon. The clipped vertex set is
-    re-canonicalized through convex_hull, which dedupes coincident corners
-    and drops collinear jitter. The pair is clipped in a fixed order, so
+    Degenerate inputs yield the empty polygon. An edge that every vertex
+    clears (within CLIP_EPS) clips nothing and is skipped. A clipped vertex
+    set is re-canonicalized through convex_hull, which dedupes coincident
+    corners and drops collinear jitter; when no edge clips and ``a`` is
+    already what convex_hull returns (a hull inside the other polygon),
+    ``a`` itself is the result. The pair is clipped in a fixed order, so
     ``intersect_convex(a, b) == intersect_convex(b, a)`` exactly.
     """
     if len(a) < 3 or len(b) < 3:
@@ -318,6 +391,7 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
         a, b = b, a
 
     output: list[tuple[float, float]] = [(p.x, p.y) for p in a.vertices]
+    clipped_any = False
     bv = b.vertices
     for i in range(len(bv)):
         if not output:
@@ -329,6 +403,10 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
         ey = e2.y - e1.y
         # Signed distance of each vertex to the clip line, ccw-inside positive.
         dists = [((ex * (py - e1.y) - ey * (px - e1.x)) * inv_len) for px, py in output]
+        inside = [dist >= -CLIP_EPS for dist in dists]  # a NaN distance is outside
+        if all(inside):
+            continue
+        clipped_any = True
         clipped: list[tuple[float, float]] = []
         n = len(output)
         for j in range(n):
@@ -336,8 +414,8 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
             q = output[(j + 1) % n]
             dp = dists[j]
             dq = dists[(j + 1) % n]
-            p_in = dp >= -CLIP_EPS
-            q_in = dq >= -CLIP_EPS
+            p_in = inside[j]
+            q_in = inside[(j + 1) % n]
             if p_in:
                 clipped.append(p)
             if p_in != q_in:
@@ -346,6 +424,8 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
                 clipped.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
         output = clipped
 
+    if not clipped_any and _canonical(a):
+        return a
     if len(output) < 3:
         return EMPTY_POLYGON
     return convex_hull(output)

@@ -20,15 +20,17 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._util import csv_table, fmt_sig, json_int, json_number, json_str
 # perfbench/tracing.py wraps convex_hull, iou and rigid_transform under this
-# module's names: label_iou calls the first two through them, and
+# module's names: _hull_ious calls the first two through them, and
 # rigid_transform, unused here, is imported only so that name exists.
-from .geometry import OrientedRect, Point2, _xy_array, convex_hull, iou, rect_to_polygon, rigid_transform  # noqa: F401
+from .geometry import (  # noqa: F401
+    OrientedRect, Point2, _drop_interior, _xy_array, convex_hull, iou, rect_to_polygon, rigid_transform,
+)
 
 __all__ = [
     "LabelTrack",
@@ -57,6 +59,11 @@ MIN_SCALE = 1e-6
 # Most bins iou_histogram makes. The records CSV prints IoUs to 6 significant
 # digits, steps of 1e-6 below 1, so finer bins separate no more records.
 MAX_HISTOGRAM_BINS = 1_000_000
+
+# evaluate_tracks takes whole tracks in runs of about this many points: enough
+# to spread numpy's per-call cost, few enough that the frame change's and the
+# prefilter's temporaries stay near half a megabyte each.
+RUN_ROWS = 4096
 
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
 
@@ -102,32 +109,95 @@ def choose_reference_sweep(track: LabelTrack) -> int:
     return max(track.poses, key=lambda sweep: (len(track.points.get(sweep, ())), -sweep))
 
 
-def aggregate_points(track: LabelTrack, reference_sweep: int) -> np.ndarray:
-    """Every sweep's points in the reference label's frame, as an ``(n, 2)`` array.
-
-    A point rigidly attached to the box has the same box-local coordinates
-    in every sweep, so each sweep's block is expressed in that sweep's own
-    label frame, ``R(-theta_s) (p - c_s)``. The reference label is then the
-    axis-aligned box centred at the origin. Blocks follow sweep id order; a
-    block beyond the float range raises, naming the track and the sweep.
-    """
+def _check_reference(track: LabelTrack, reference_sweep: int) -> None:
     if reference_sweep not in track.poses:
         raise ValueError(
             f"reference sweep {reference_sweep} not among poses of track {track.label_id!r}"
         )
-    blocks = [np.empty((0, 2))]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below, once per track
+
+
+def _label_frame_points(tracks: Sequence[LabelTrack]) -> tuple[np.ndarray, list[int]]:
+    """Every track's points in label frames, as one ``(n, 2)`` array, and each track's row count.
+
+    A point rigidly attached to the box has the same box-local coordinates
+    in every sweep, so each sweep's block is expressed in that sweep's own
+    label frame, ``R(-theta_s) (p - c_s)``. Blocks follow the tracks' order
+    and, within a track, sweep id order. All tracks move in one pass: each
+    sweep's center, cosine and sine are spread to its rows by ``np.repeat``
+    and the rotation is written as elementwise products. The first block
+    beyond the float range in that order raises, naming its track and sweep.
+    """
+    blocks, frames = [], []
+    for track in tracks:
         for sweep, pts in sorted(track.points.items()):
-            center, theta = track.poses[sweep].pose
-            c, s = math.cos(theta), math.sin(theta)
-            # Row vectors: (p - c) @ R(-theta)^T.
-            blocks.append((pts - center) @ np.array([[c, -s], [s, c]]))
-    cloud = np.concatenate(blocks)
-    if not np.isfinite(cloud).all():
-        bad = next(sweep for sweep, block in zip(sorted(track.points), blocks[1:]) if not np.isfinite(block).all())
-        raise ValueError(f"track {track.label_id!r} sweep {bad}: "
+            rect = track.poses[sweep]
+            blocks.append(pts)
+            frames.append((*rect.center, math.cos(rect.theta), math.sin(rect.theta)))
+    per_track = [track.n_points for track in tracks]
+    if not blocks:
+        return np.empty((0, 2)), per_track
+    sizes = [len(block) for block in blocks]
+    frames = np.array(frames)
+    offset = np.concatenate(blocks)
+    moved = np.empty_like(offset)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, once per call
+        offset -= np.repeat(frames[:, :2], sizes, axis=0)
+        c, s = np.repeat(frames[:, 2:], sizes, axis=0).T
+        dx, dy = offset.T
+        np.multiply(dx, c, out=moved[:, 0])
+        moved[:, 0] += dy * s
+        np.multiply(dy, c, out=moved[:, 1])
+        moved[:, 1] -= dx * s
+    finite = np.isfinite(moved).all(axis=1)
+    if not finite.all():
+        block = np.searchsorted(np.cumsum(sizes), finite.argmin(), side="right")
+        label_id, sweep = [(t.label_id, sweep) for t in tracks for sweep in sorted(t.points)][block]
+        raise ValueError(f"track {label_id!r} sweep {sweep}: "
                          "points moved into the label frame are beyond the float range")
-    return cloud
+    return moved, per_track
+
+
+def _track_runs(tracks: Sequence[LabelTrack]) -> Iterator[Sequence[LabelTrack]]:
+    """Consecutive runs of whole tracks of about RUN_ROWS points each; a larger track is a run of its own."""
+    first, rows = 0, 0
+    for last, track in enumerate(tracks, 1):
+        rows += track.n_points
+        if rows >= RUN_ROWS:
+            yield tracks[first:last]
+            first, rows = last, 0
+    if first < len(tracks):
+        yield tracks[first:]
+
+
+def aggregate_points(track: LabelTrack, reference_sweep: int) -> np.ndarray:
+    """Every sweep's points in the reference label's frame, as an ``(n, 2)`` array.
+
+    Each sweep's block is in that sweep's own label frame, so the reference
+    label is the axis-aligned box centred at the origin; blocks follow sweep
+    id order, and a block beyond the float range raises, naming the track
+    and the sweep. This is the frame change ``evaluate_tracks`` makes for
+    each run of tracks, run on one track.
+    """
+    _check_reference(track, reference_sweep)
+    return _label_frame_points([track])[0]
+
+
+def _hull_ious(tracks: Sequence[LabelTrack], references: Sequence[int]) -> list[float]:
+    """Each track's hull IoU with its reference box.
+
+    Tracks go in runs of about RUN_ROWS points, each with one frame change
+    and one prefilter; each track then gets its own hull and IoU.
+    """
+    clouds = []
+    for run in _track_runs(tracks):
+        survivors, kept = _drop_interior(*_label_frame_points(run))
+        clouds += np.split(survivors, np.cumsum(kept)[:-1])
+    ious = []
+    for track, reference, cloud in zip(tracks, references, clouds):
+        ref = track.poses[reference]
+        label_poly = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, ref.length, ref.width))
+        ious.append(iou(convex_hull(cloud), label_poly))
+    return ious
 
 
 def label_iou(track: LabelTrack, reference_sweep: int) -> float:
@@ -138,11 +208,8 @@ def label_iou(track: LabelTrack, reference_sweep: int) -> float:
     does not depend on the global origin. Fewer than three non-collinear
     aggregated points give a degenerate hull and an IoU of 0.
     """
-    cloud = aggregate_points(track, reference_sweep)
-    hull = convex_hull(cloud)
-    ref = track.poses[reference_sweep]
-    label_poly = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, ref.length, ref.width))
-    return iou(hull, label_poly)
+    _check_reference(track, reference_sweep)
+    return _hull_ious([track], [reference_sweep])[0]
 
 
 @dataclass(frozen=True)
@@ -235,18 +302,29 @@ def iou_histogram(ious: Sequence[float], n_bins: int) -> list[tuple[float, float
     return [(i / n_bins, (i + 1) / n_bins, counts[i]) for i in range(n_bins)]
 
 
+def _records(
+    tracks: Sequence[LabelTrack], mappings: Sequence[UncertaintyMapping]
+) -> list[LabelUncertaintyRecord]:
+    ious = _hull_ious(tracks, [choose_reference_sweep(t) for t in tracks])
+    return [
+        LabelUncertaintyRecord(
+            label_id=t.label_id,
+            class_name=t.class_name,
+            iou=v,
+            scale_b=map_iou(m, v),
+            n_points=t.n_points,
+            n_sweeps=t.n_sweeps,
+        )
+        for t, m, v in zip(tracks, mappings, ious)
+    ]
+
+
 def evaluate_track(track: LabelTrack, mapping: UncertaintyMapping) -> LabelUncertaintyRecord:
-    """Run the full heuristic for one track: reference sweep, hull IoU, scale."""
-    reference = choose_reference_sweep(track)
-    iou_value = label_iou(track, reference)
-    return LabelUncertaintyRecord(
-        label_id=track.label_id,
-        class_name=track.class_name,
-        iou=iou_value,
-        scale_b=map_iou(mapping, iou_value),
-        n_points=track.n_points,
-        n_sweeps=track.n_sweeps,
-    )
+    """Run the full heuristic for one track: reference sweep, hull IoU, scale.
+
+    The same path as ``evaluate_tracks`` on a one-track document.
+    """
+    return _records([track], [mapping])[0]
 
 
 def evaluate_tracks(
@@ -256,20 +334,21 @@ def evaluate_tracks(
 ) -> list[LabelUncertaintyRecord]:
     """Evaluate many tracks, one mapping per class with an optional default.
 
-    Records come back in label-id order.
+    Whole tracks go in runs of about RUN_ROWS points: each run's points move
+    into their label frames in one pass and lose their interior points to one
+    segmented prefilter; each track then gets its own hull and IoU. Faults
+    are reported in track order. Records come back in label-id order.
     """
     per_class = dict(per_class or {})
-
-    def pick(track: LabelTrack) -> UncertaintyMapping:
-        chosen = per_class.get(track.class_name, mapping)
-        if chosen is None:
-            raise ValueError(
-                f"no uncertainty mapping for class {track.class_name!r} and no default given"
-            )
-        return chosen
-
-    records = [evaluate_track(t, pick(t)) for t in tracks]
-    return sorted(records, key=lambda r: r.label_id)
+    chosen = [per_class.get(t.class_name, mapping) for t in tracks]
+    missing = next((k for k, m in enumerate(chosen) if m is None), None)
+    if missing is not None:
+        for run in _track_runs(tracks[:missing]):  # an earlier track's fault comes first
+            _label_frame_points(run)
+        raise ValueError(
+            f"no uncertainty mapping for class {tracks[missing].class_name!r} and no default given"
+        )
+    return sorted(_records(tracks, chosen), key=lambda r: r.label_id)
 
 
 def tracks_from_json(doc: object) -> list[LabelTrack]:

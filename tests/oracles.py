@@ -9,6 +9,12 @@ scalar Python loops, one parameter at a time; it shares only the loss
 functions, the dataset generator and the record-based calibration report
 with the library. ``reference_convex_hull`` is the library's monotone chain
 without the Akl-Toussaint prefilter, run on every point.
+``reference_drop_interior`` is that prefilter as it ran on one cloud at a
+time, ``reference_intersect_convex`` the clip that always re-hulls its
+result, and ``reference_evaluate_tracks`` the per-track label-uncertainty
+pipeline built from them: the label-frame rotation written as elementwise
+products, the prefilter, the hull, the clip and the IoU, one track after
+another.
 """
 
 from __future__ import annotations
@@ -22,7 +28,18 @@ from scipy.spatial import ConvexHull
 
 from lkld.calibration import calibration_report
 from lkld.distributions import LaplaceParams, kld_loss, kld_loss_zero_label_scale
-from lkld.geometry import COLLINEAR_EPS, ConvexPolygon, Point2
+from lkld.geometry import (
+    CLIP_EPS,
+    COLLINEAR_EPS,
+    PREFILTER_MARGIN,
+    PREFILTER_MIN_POINTS,
+    ConvexPolygon,
+    OrientedRect,
+    Point2,
+    area,
+    rect_to_polygon,
+)
+from lkld.label_uncertainty import LabelUncertaintyRecord, choose_reference_sweep, map_iou
 from lkld.synth_trainer import (
     _LOGSCALE_LIMIT,
     EpochStats,
@@ -133,6 +150,90 @@ def reference_convex_hull(points) -> ConvexPolygon:
             kept += 1
     ring.rotate(-ring.index(min(ring)))
     return ConvexPolygon(tuple(ring))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_drop_interior(pts: np.ndarray) -> np.ndarray:
+    """Rows of one cloud's ``(n, 2)`` array not strictly inside its extreme polygon.
+
+    The per-cloud Akl-Toussaint prefilter: the points of least and greatest
+    x, x + y, y and x - y, first index on ties, in ccw order; a point goes
+    only if every edge's cross product exceeds PREFILTER_MARGIN times the
+    squared span. Short clouds and clouds with no edge come back whole.
+    """
+    if len(pts) <= PREFILTER_MIN_POINTS:
+        return pts
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    ring = [x.argmin(), s.argmin(), y.argmin(), d.argmax(), x.argmax(), s.argmax(), y.argmax(), d.argmin()]
+    edges = [(i, j) for i, j in zip(ring, ring[1:] + ring[:1]) if i != j]
+    if not edges:
+        return pts
+    a, b = pts[np.array(edges).T]
+    e = b - a
+    span = max(x[ring[4]] - x[ring[0]], y[ring[6]] - y[ring[2]])
+    cross = e[:, :1] * (y - a[:, 1:]) - e[:, 1:] * (x - a[:, :1])
+    return pts[~(cross > PREFILTER_MARGIN * span * span).all(axis=0)]
+
+
+def reference_intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
+    """Clip a against every edge of b (the smaller vertex tuple clips), then re-hull."""
+    if len(a) < 3 or len(b) < 3:
+        return ConvexPolygon(())
+    if b.vertices < a.vertices:
+        a, b = b, a
+    output = [(p.x, p.y) for p in a.vertices]
+    bv = b.vertices
+    for i in range(len(bv)):
+        if not output:
+            return ConvexPolygon(())
+        e1, e2 = bv[i], bv[(i + 1) % len(bv)]
+        inv_len = 1.0 / math.hypot(e2.x - e1.x, e2.y - e1.y)
+        ex, ey = e2.x - e1.x, e2.y - e1.y
+        dists = [((ex * (py - e1.y) - ey * (px - e1.x)) * inv_len) for px, py in output]
+        clipped = []
+        n = len(output)
+        for j in range(n):
+            p, q = output[j], output[(j + 1) % n]
+            dp, dq = dists[j], dists[(j + 1) % n]
+            p_in, q_in = dp >= -CLIP_EPS, dq >= -CLIP_EPS
+            if p_in:
+                clipped.append(p)
+            if p_in != q_in:
+                t = min(1.0, max(0.0, dp / (dp - dq)))
+                clipped.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        output = clipped
+    if len(output) < 3:
+        return ConvexPolygon(())
+    return reference_convex_hull(output)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_label_frame(track) -> np.ndarray:
+    """A track's points, each sweep's block in its own label frame, in sweep id order."""
+    blocks = [np.empty((0, 2))]
+    for sweep, pts in sorted(track.points.items()):
+        rect = track.poses[sweep]
+        c, s = math.cos(rect.theta), math.sin(rect.theta)
+        dx, dy = pts[:, 0] - rect.center.x, pts[:, 1] - rect.center.y
+        blocks.append(np.stack([dx * c + dy * s, dy * c - dx * s], axis=1))
+    return np.concatenate(blocks)
+
+
+def reference_evaluate_tracks(tracks, mapping=None, per_class=None) -> list:
+    """``evaluate_tracks`` one track at a time, on the reference frame change, prefilter, hull and clip."""
+    records = []
+    for track in tracks:
+        chosen = (per_class or {}).get(track.class_name, mapping)
+        ref = track.poses[choose_reference_sweep(track)]
+        hull = reference_convex_hull(reference_drop_interior(reference_label_frame(track)).tolist())
+        box = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, ref.length, ref.width))
+        inter = area(reference_intersect_convex(hull, box))
+        union = area(hull) + area(box) - inter
+        value = 0.0 if union <= 0.0 else min(1.0, max(0.0, inter / union))
+        records.append(LabelUncertaintyRecord(track.label_id, track.class_name, value,
+                                              map_iou(chosen, value), track.n_points, track.n_sweeps))
+    return sorted(records, key=lambda r: r.label_id)
 
 
 def _reference_evaluate(wm, cm, ws, cs, data) -> tuple[float, float]:

@@ -821,6 +821,19 @@ class TestExitCodesAndAtomicity:
         assert "malformed track at tracks[0]: point coordinates must be finite" in message
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("row", [{"x": 0.5, "y": 0.2}, {"0": 0.5, "1": 0.2}, "01"])
+    def test_a_row_that_is_not_a_list_is_not_a_pair(self, tmp_path, capsys, row):
+        # A dict row would extend by its keys, a string by its characters.
+        doc = json.loads(json.dumps(SAMPLE_TRACKS))
+        doc["tracks"][0]["points"][0]["xy"].append(row)
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(doc))
+        out = tmp_path / "records.csv"
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: malformed track at tracks[0]: points must be (x, y) pairs\n"
+        assert not out.exists()
+
     def test_frame_change_beyond_the_float_range_names_the_track_and_sweep(self, tmp_path, capsys):
         # Each coordinate is a float, but the point lies 2e308 from its pose center.
         poses = [{"sweep_id": s, "center": [c, 0.0], "theta": 0.0, "length": 4.0, "width": 2.0}

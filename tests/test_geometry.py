@@ -1,17 +1,20 @@
 """Tests for rigid transforms, hulls, clipping, areas, and IoU."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lkld import geometry
 from lkld.geometry import (
     PREFILTER_MIN_POINTS,
     ConvexPolygon,
     OrientedRect,
     Point2,
     _drop_interior,
+    _xy_array,
     area,
     contains_point,
     convex_hull,
@@ -22,7 +25,13 @@ from lkld.geometry import (
 )
 from lkld.label_uncertainty import LabelTrack
 
-from oracles import monte_carlo_intersection_area, random_convex_polygon, reference_convex_hull
+from oracles import (
+    monte_carlo_intersection_area,
+    random_convex_polygon,
+    reference_convex_hull,
+    reference_drop_interior,
+    reference_intersect_convex,
+)
 
 # Point clouds for property tests: duplicates, collinear runs and clustered
 # points all come up; coordinates are bounded so areas stay well scaled.
@@ -75,6 +84,48 @@ _JUST_INSIDE = [(math.nextafter(x, 0.0), math.nextafter(y, 0.0)) for x, y in _ON
     (x - math.copysign(1e-12, x), y - math.copysign(1e-12, y)) for x, y in _ON_EDGES
 ]
 _RNG = np.random.default_rng(17)
+
+# Clouds for the segmented prefilter: either side of PREFILTER_MIN_POINTS, empty,
+# one repeated point (no ring edge), collinear, and ties on every extreme.
+_TIE_COORD = st.integers(-3, 3).map(float)
+PREFILTER_CLOUDS = st.one_of(
+    st.lists(st.tuples(HULL_COORD, HULL_COORD), max_size=PREFILTER_MIN_POINTS + 1),
+    st.lists(st.tuples(_TIE_COORD, _TIE_COORD), min_size=PREFILTER_MIN_POINTS, max_size=60),
+    st.builds(lambda p, n: [p] * n, st.tuples(HULL_COORD, HULL_COORD), st.integers(0, 50)),
+    st.builds(lambda ts, a, b: [(t, a * t + b) for t in ts],
+              st.lists(HULL_COORD, min_size=PREFILTER_MIN_POINTS - 1, max_size=50), _TIE_COORD, HULL_COORD),
+    st.sampled_from([PREFILTER_MIN_POINTS, PREFILTER_MIN_POINTS + 1]).flatmap(
+        lambda n: st.lists(st.tuples(HULL_COORD, HULL_COORD), min_size=n, max_size=n)),
+)
+
+
+def _inside(rect, local):
+    # Points inside rect: box-local fractions in [-0.5, 0.5] of its length and width.
+    c, s = math.cos(rect.theta), math.sin(rect.theta)
+    pts = [(u * rect.length, v * rect.width) for u, v in local]
+    return [(rect.center.x + c * u - s * v, rect.center.y + s * u + c * v) for u, v in pts]
+
+
+_RECTS = st.builds(
+    OrientedRect,
+    st.builds(Point2, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.1, 8.0),
+    st.floats(0.1, 8.0),
+)
+_FRACTION = st.floats(-0.5, 0.5)
+# Canonical hulls (as convex_hull returns them) and boxes that are not (they
+# start at their +length/+width corner), and hulls of points inside a box.
+POLYGONS = st.one_of(
+    CLOUDS.map(convex_hull),
+    _RECTS.map(rect_to_polygon),
+    st.builds(_inside, _RECTS, st.lists(st.tuples(_FRACTION, _FRACTION), max_size=30)).map(convex_hull),
+)
+CONTAINED_PAIRS = st.builds(
+    lambda rect, local: (convex_hull(_inside(rect, local)), rect_to_polygon(rect)),
+    _RECTS,
+    st.lists(st.tuples(_FRACTION, _FRACTION), min_size=3, max_size=30),
+)
 
 
 def square(x0=0.0, y0=0.0, side=1.0):
@@ -190,9 +241,45 @@ class TestConvexHull:
 
     def test_prefilter_drops_interior_points_and_keeps_every_vertex(self):
         cloud = np.random.default_rng(8).uniform(-1.0, 1.0, (2000, 2))
-        survivors = _drop_interior(cloud)
+        survivors, (kept,) = _drop_interior(cloud, [len(cloud)])
+        assert kept == len(survivors)
         assert len(survivors) < len(cloud) // 4
         assert set(reference_convex_hull(cloud.tolist()).vertices) <= set(map(tuple, survivors.tolist()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(PREFILTER_CLOUDS, max_size=6), st.sampled_from([1.0, 1e300, -1.7e308]))
+    @example([[(1.5, -2.0)] * 50, [], _OCTAGON + _ON_EDGES + _JUST_INSIDE], 1.0)
+    @example([[(float(i), float(j)) for i in range(7) for j in range(7)]] * 3, -1.7e308)
+    @example([[(-0.0, -0.0)] * 41, []], 1.0)
+    def test_segmented_prefilter_keeps_the_rows_of_the_per_cloud_reference(self, clouds, scale):
+        # Coordinates up to about 1e302, or up to 1.7e308 in size, where x + y and
+        # x - y overflow.
+        arrays = [np.array(cloud, dtype=float).reshape(-1, 2) for cloud in clouds]
+        if abs(scale) > 1e300:
+            scale /= max([1.0] + [np.abs(a).max() for a in arrays if a.size])
+        arrays = [a * scale for a in arrays]
+        survivors, kept = _drop_interior(np.concatenate([np.empty((0, 2))] + arrays), [len(a) for a in arrays])
+        expected = [reference_drop_interior(a) for a in arrays]
+        assert kept.tolist() == [len(e) for e in expected]
+        assert survivors.tobytes() == np.concatenate([np.empty((0, 2))] + expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(CLOUDS, LARGE_CLOUDS, st.builds(
+        lambda cloud, scale: [(x * scale, y * scale) for x, y in cloud],
+        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), max_size=60),
+        st.sampled_from([1e-150, 1e-7, 1e150, 1e300]),
+    )))
+    @example([(x, 0.1 * x) for x in np.linspace(-3.0, 7.0, 60).tolist()])  # collinear up to rounding
+    @example([(0.0, 0.0), (1.0, 1e-12), (2.0, 0.0), (1.0, 1.0)])  # a corner turning by about COLLINEAR_EPS
+    @example([(0.0, 0.0), (1e300, 0.0), (-1e300, -1e300)])  # cross products overflow
+    def test_hull_is_a_fixed_point(self, points):
+        # intersect_convex returns an unclipped canonical hull as it is, on the
+        # strength of this. Near 1e300 a corner's cross product can overflow to
+        # NaN, so such a hull is not canonical and gets hulled again.
+        hull = convex_hull(points)
+        assert repr(convex_hull(hull.vertices).vertices) == repr(hull.vertices)
+        if all(abs(c) < 1e150 for p in hull.vertices for c in p):
+            assert len(hull) < 3 or geometry._canonical(hull)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_array_input_with_non_finite_coordinates_rejected(self, bad):
@@ -309,6 +396,27 @@ class TestIntersectConvex:
     def test_exactly_symmetric_for_arbitrary_hulls(self, points_a, points_b):
         a, b = convex_hull(points_a), convex_hull(points_b)
         assert intersect_convex(a, b).vertices == intersect_convex(b, a).vertices
+
+    @settings(max_examples=300, deadline=None)
+    @given(POLYGONS, POLYGONS)
+    @example(square(), square(x0=0.5))
+    @example(square(), square(x0=5.0))
+    @example(square(x0=0.25, side=0.5), square())
+    def test_equals_the_clip_that_always_re_hulls(self, a, b):
+        for p, q in ((a, b), (b, a)):
+            assert repr(intersect_convex(p, q).vertices) == repr(reference_intersect_convex(p, q).vertices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(CONTAINED_PAIRS)
+    @example((convex_hull([(0.5, 0.2), (-0.5, 0.2), (0.0, -0.3)]),
+              rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, 4.0, 2.0))))
+    def test_a_hull_inside_a_box_is_its_own_intersection(self, pair):
+        hull, box = pair
+        assert repr(intersect_convex(hull, box).vertices) == repr(reference_intersect_convex(hull, box).vertices)
+        if len(hull) >= 3 and hull.vertices < box.vertices and all(
+            contains_point(box, p, tol=0.0) for p in hull.vertices
+        ):
+            assert intersect_convex(box, hull) is hull
 
 
 class TestArea:
@@ -432,6 +540,14 @@ GATE_CASES = {
     "3-column rows": ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], _PAIRS),
     "10**400": ([(10**400, 0), (1, 0), (0, 1)], "^point coordinates must be numbers within the float range$"),
     "NaN": ([(math.nan, 0), (1, 0), (0, 1)], r"^point coordinates must be finite, got \[nan, 0.0\] at point 0$"),
+    # The finiteness pass stops at the NaN, so the cast meets the integer.
+    "NaN, then 10**400": ([(math.nan, 10**400), (1, 0), (0, 1)],
+                          "^point coordinates must be numbers within the float range$"),
+    # Rows that would extend by their items: bytes as small integers, a dict by its keys.
+    "bytes row": ([b"01", (1, 0), (0, 1)], _PAIRS),
+    "str row": (["01", (1, 0), (0, 1)], _PAIRS),
+    "dict row": ([{3: 0, 4: 0}, (1, 0), (0, 1)], _PAIRS),
+    "set row": ([{1, 2}, (1, 0), (0, 1)], _PAIRS),
 }
 _TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 ENTRY_POINTS = {
@@ -448,3 +564,17 @@ def test_every_entry_point_rejects_through_the_one_gate(entry, case):
     points, message = GATE_CASES[case]
     with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[entry](points)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max, reason="long double is float64 here")
+@pytest.mark.parametrize("entry", [_xy_array, convex_hull], ids=["_xy_array", "convex_hull"])
+@pytest.mark.parametrize("form", [np.array, list], ids=["array", "rows"])
+def test_long_double_beyond_the_float_range_is_named_without_a_warning(entry, form):
+    big = np.array([[np.longdouble("1e4000"), 0], [1, 0], [0, 1]], dtype=np.longdouble)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^point coordinates must be numbers within the float range$"):
+            entry(form(big))
+        big[0, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \[inf, 0.0\] at point 0$"):
+            entry(form(big))

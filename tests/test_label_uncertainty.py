@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import reference_evaluate_tracks, reference_label_frame
+
 from lkld import geometry, label_uncertainty
 from lkld.geometry import ConvexPolygon, OrientedRect, Point2, area, convex_hull, rigid_transform
 from lkld.label_uncertainty import (
@@ -340,6 +342,78 @@ class TestPipeline:
     def test_missing_mapping_raises(self):
         with pytest.raises(ValueError):
             evaluate_tracks(self.make_tracks(), mapping=None, per_class={})
+
+
+def _track_from(label_id, rect, sweeps, local):
+    """A track whose box moves by ``sweeps`` (offset, turn); points are box-local fractions."""
+    poses, points = {}, {}
+    for sweep, ((dx, dy), turn) in enumerate(sweeps):
+        theta = rect.theta + turn
+        poses[sweep] = OrientedRect(Point2(rect.center.x + dx, rect.center.y + dy), theta, rect.length, rect.width)
+        c, s = math.cos(theta), math.sin(theta)
+        pts = [(u * rect.length, v * rect.width) for u, v in local[sweep % len(local)]] if local else []
+        points[sweep] = [(poses[sweep].center.x + c * u - s * v, poses[sweep].center.y + s * u + c * v)
+                         for u, v in pts]
+    return make_track(poses, points, label_id=label_id, class_name="car" if len(sweeps) > 2 else "ped")
+
+
+# Fractions beyond 0.5 put points outside the box, so some hulls cross its
+# edges and get clipped; quarter steps give ties and collinear runs.
+_FRACTION = st.one_of(st.floats(-0.7, 0.7), st.integers(-3, 3).map(lambda k: k / 4))
+TRACKS = st.lists(
+    st.builds(
+        _track_from,
+        st.text("abc", min_size=1, max_size=3),
+        st.builds(
+            OrientedRect,
+            st.builds(Point2, st.sampled_from([0.0, 12.5, -3e5, 5e6]), st.floats(-1e3, 1e3)),
+            st.floats(-math.pi, math.pi),
+            st.floats(0.5, 5.0),
+            st.floats(0.5, 3.0),
+        ),
+        st.lists(st.tuples(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.floats(-0.1, 0.1)),
+                 min_size=1, max_size=4),
+        st.lists(st.lists(st.tuples(_FRACTION, _FRACTION), max_size=30), max_size=3),
+    ),
+    max_size=5,
+)
+
+
+class TestOneDocumentPass:
+    """evaluate_tracks moves and prefilters runs of whole tracks at once, exactly as one track at a time would."""
+
+    MAPPING = fit_mapping(2.00, 0.05, 0.01)
+    PER_CLASS = {"ped": fit_mapping(0.25, 0.05, 0.01)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(TRACKS, st.sampled_from([1, 7, 64, label_uncertainty.RUN_ROWS]))
+    def test_records_equal_the_per_track_reference(self, tracks, run_rows):
+        # Run sizes cut the document into runs of one track up to all of them.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(label_uncertainty, "RUN_ROWS", run_rows)
+            got = evaluate_tracks(tracks, self.MAPPING, self.PER_CLASS)
+        assert got == reference_evaluate_tracks(tracks, self.MAPPING, self.PER_CLASS)
+        for track in tracks:
+            assert [evaluate_track(track, self.PER_CLASS.get(track.class_name, self.MAPPING))] == (
+                reference_evaluate_tracks([track], self.MAPPING, self.PER_CLASS))
+            moved = aggregate_points(track, choose_reference_sweep(track))
+            assert moved.tobytes() == reference_label_frame(track).tobytes()
+
+    def test_the_first_fault_in_track_order_is_reported(self):
+        far = {0: simple_rect(), 3: simple_rect(cx=-1e308)}
+        tracks = [
+            make_track({0: simple_rect()}, {0: [(0.1, 0.2)]}, label_id="z-fine"),
+            make_track(far, {0: [(0.1, 0.2)], 3: [(1e308, 0.0)]}, label_id="y-far"),
+            make_track(far, {3: [(1e308, 0.0)]}, label_id="a-far", class_name="bicycle"),
+        ]
+        message = "track 'y-far' sweep 3: points moved into the label frame are beyond the float range"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_tracks(tracks, self.MAPPING)
+        # A track with no mapping is a fault of its own, after those of the tracks before it.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_tracks(tracks, per_class={"vehicle": self.MAPPING})
+        with pytest.raises(ValueError, match="^no uncertainty mapping for class 'vehicle'"):
+            evaluate_tracks(tracks, per_class={"bicycle": self.MAPPING})
 
 
 class TestJsonAndCsv:

@@ -19,12 +19,12 @@ then puts it back as it found it. The command bodies make no reference
 cycles (``fit-map``'s indented ``json.dumps`` leaves the stdlib encoder's
 few), so reference counting frees all they make; the collector would
 only traverse, again and again, the containers a large input builds, such
-as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file, from
-the decode through the geometry. The ``labelunc_mixed`` benchmark went from
-0.382 s to 0.348 s (``BENCH_14.json``). ``labelunc`` then moves the points
-of runs of whole tracks into their label frames and prefilters them one run
-at a time (``label_uncertainty.evaluate_tracks``), and skips the clip of
-hulls inside their boxes (``BENCH_17.json``).
+as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file. That
+took the ``labelunc_mixed`` benchmark from 0.382 s to 0.348 s
+(``BENCH_14.json``); moving and prefiltering the points of runs of whole
+tracks at once and skipping the clip of hulls inside their boxes took it to
+0.323 s (``BENCH_17.json``), and gating those runs' points once to 0.30 s
+(``BENCH_18.json``).
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ polygon intersection (half-plane clipping that skips edges nothing crosses),
 shoelace areas, and IoU.
 All polygons are counter-clockwise vertex tuples; everything is pure and
 thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
-``ConvexPolygon``, ``contains_point`` and ``label_uncertainty.LabelTrack``; it
-rejects string, bytes, boolean, ``None``, complex, NaN and infinite
-coordinates, rows that are not lists, tuples or 1-D arrays of two, and
-numbers beyond the float range. ``convex_hull`` builds its polygon from
-vertices that have passed the gate, so only the polygon checks run again.
+``ConvexPolygon``, ``contains_point`` and ``label_uncertainty``; it rejects
+string, bytes, boolean, ``None``, complex, NaN and infinite coordinates, rows
+that are not lists, tuples or 1-D arrays of two, and numbers beyond the float
+range. ``convex_hull`` and ``rect_to_polygon`` build polygons from finite
+floats, so only the polygon checks run again.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def _xy_array(points: object) -> np.ndarray:
     coordinates raise ``ValueError``, and so do rows that are not pairs
     (a bytes, str, dict or set row among them), numbers beyond the float
     range (a Python integer, or a long double that float64 cannot hold) and
-    NaN and infinite coordinates.
+    NaN and infinite coordinates. Types and row lengths are checked in Python;
+    numpy casts and checks finiteness once, and only a failing set is read again.
     """
     if isinstance(points, np.ndarray) and points.shape != (0,) and (points.ndim != 2 or points.shape[1] != 2):
         raise ValueError("points must be (x, y) pairs, an array of shape (n, 2)")
@@ -93,17 +94,11 @@ def _xy_array(points: object) -> np.ndarray:
             raise ValueError("point coordinates must be numbers")
         if not set(map(len, rows)) <= {2}:
             raise ValueError("points must be (x, y) pairs")
-        try:
-            finite = all(map(math.isfinite, flat))
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("point coordinates must be numbers within the float range") from None
-        if finite:
-            return np.asarray(flat, dtype=float).reshape(-1, 2)
         points = flat
     try:
         with np.errstate(over="ignore"):  # a long double beyond the float range becomes inf
             arr = np.array(points, dtype=float).reshape(-1, 2)
-    except OverflowError:  # an integer beyond the float range after a NaN or an infinity
+    except OverflowError:  # an integer beyond the float range
         raise ValueError("point coordinates must be numbers within the float range") from None
     if np.isfinite(arr).all():
         return arr
@@ -221,13 +216,13 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
 
     The rows are cut into consecutive clouds of ``counts`` rows each (empty
     clouds allowed) and all clouds are filtered in one pass, with temporaries
-    of a few times the input's size; the survivors come back in order, with
-    each cloud's survivor count. Akl-Toussaint: the points of least and
-    greatest x, y, x + y and x - y of a cloud, taken in counter-clockwise
-    order, span a polygon inside its hull, and a point strictly inside it (by
-    PREFILTER_MARGIN) cannot be a hull vertex. Clouds of at most
-    PREFILTER_MIN_POINTS rows, and clouds of one repeated point, come back
-    whole. Rows must be finite.
+    of 16 floats a row for one cloud and 48 for several; the survivors come
+    back in order, with each cloud's survivor count. Akl-Toussaint: the
+    points of least and greatest x, y, x + y and x - y of a cloud, taken in
+    counter-clockwise order, span a polygon inside its hull, and a point
+    strictly inside it (by PREFILTER_MARGIN) cannot be a hull vertex. Clouds
+    of at most PREFILTER_MIN_POINTS rows, and clouds of one repeated point,
+    come back whole. Rows must be finite.
     """
     counts = np.asarray(counts)
     if len(pts) <= PREFILTER_MIN_POINTS:
@@ -247,6 +242,7 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
     rows = np.flatnonzero(reached)
     offsets = np.arange(0, reached.size, len(pts))[:, None]
     corners = rows[rows.searchsorted(offsets + starts)] - offsets  # least x, x + y, y, x - y, then greatest
+    del v, reached, rows  # freed before the (8, rows) cross products
     # The ccw ring and each corner's successor on it. Equal points project equally, so
     # distinct corners are distinct points. A cloud's repeated corner takes the
     # place of its first edge's start, which tests that edge again; a cloud
@@ -263,7 +259,12 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
     margin = np.where(sizes > PREFILTER_MIN_POINTS, PREFILTER_MARGIN * span * span, np.inf)
     if len(sizes) > 1:  # one cloud's edges broadcast over its rows, with no (8, rows, 2) copies
         a, e, margin = np.repeat(a, sizes, axis=1), np.repeat(e, sizes, axis=1), np.repeat(margin, sizes)
-    cross = e[..., 0] * (y - a[..., 1]) - e[..., 1] * (x - a[..., 0])
+    # e_x (y - a_y) - e_y (x - a_x), with at most two (8, rows) arrays alive at once
+    cross = (y - a[..., 1]) * e[..., 0]
+    term = x - a[..., 0]
+    term *= e[..., 1]
+    cross -= term
+    del term
     kept = np.flatnonzero(~(cross > margin).all(axis=0))
     ends = np.cumsum(counts)
     return pts[kept], np.searchsorted(kept, ends) - np.searchsorted(kept, ends - counts)
@@ -321,12 +322,15 @@ def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
     """Expand an oriented rectangle into its 4-corner CCW polygon.
 
     The first vertex is the corner at (+length/2, +width/2) in the rect frame.
+    Only corners beyond the float range go through the point-set gate, to name them.
     """
     cos_t, sin_t = math.cos(rect.theta), math.sin(rect.theta)
     hl, hw = 0.5 * rect.length, 0.5 * rect.width
     (x, y) = rect.center
-    corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    return ConvexPolygon(tuple((x + cos_t * cx - sin_t * cy, y + sin_t * cx + cos_t * cy) for cx, cy in corners))
+    vertices = tuple(Point2(float(x + cos_t * cx - sin_t * cy), float(y + sin_t * cx + cos_t * cy))
+                     for cx, cy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)))
+    finite = all(math.isfinite(v) for corner in vertices for v in corner)
+    return ConvexPolygon._of_gated(vertices) if finite else ConvexPolygon(vertices)
 
 
 def area(poly: ConvexPolygon) -> float:

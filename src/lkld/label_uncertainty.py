@@ -20,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -60,9 +61,9 @@ MIN_SCALE = 1e-6
 # digits, steps of 1e-6 below 1, so finer bins separate no more records.
 MAX_HISTOGRAM_BINS = 1_000_000
 
-# evaluate_tracks takes whole tracks in runs of about this many points: enough
-# to spread numpy's per-call cost, few enough that the frame change's and the
-# prefilter's temporaries stay near half a megabyte each.
+# tracks_from_json and evaluate_tracks take whole tracks in runs of about this
+# many points: enough to spread the gate's and numpy's per-call costs, few enough
+# that the frame change's and the prefilter's temporaries stay near 0.5 MB each.
 RUN_ROWS = 4096
 
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
@@ -78,6 +79,7 @@ class LabelTrack:
     ``(k, 2)`` array through the point-set gate ``geometry._xy_array``, which
     rejects string, bytes, boolean, ``None``, complex, NaN and infinite
     coordinates, rows that are not pairs and integers beyond the float range.
+    ``tracks_from_json`` gates runs of tracks, so its sweep arrays are slices of a run's array.
     """
 
     label_id: str
@@ -86,6 +88,18 @@ class LabelTrack:
     points: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._check_poses()
+        self.points = {sweep: _xy_array(pts) for sweep, pts in self.points.items()}
+
+    @classmethod
+    def _pose_checked(cls, *fields) -> LabelTrack:
+        """A track that runs only the pose checks: its caller puts the points through the gate."""
+        track = object.__new__(cls)
+        track.label_id, track.class_name, track.poses, track.points = fields
+        track._check_poses()
+        return track
+
+    def _check_poses(self) -> None:
         if not self.poses:
             raise ValueError(f"track {self.label_id!r} has no poses")
         missing = set(self.points) - set(self.poses)
@@ -93,7 +107,6 @@ class LabelTrack:
             raise ValueError(
                 f"track {self.label_id!r} has points in sweeps without poses: {sorted(missing)}"
             )
-        self.points = {sweep: _xy_array(pts) for sweep, pts in self.points.items()}
 
     @property
     def n_points(self) -> int:
@@ -157,16 +170,17 @@ def _label_frame_points(tracks: Sequence[LabelTrack]) -> tuple[np.ndarray, list[
     return moved, per_track
 
 
-def _track_runs(tracks: Sequence[LabelTrack]) -> Iterator[Sequence[LabelTrack]]:
-    """Consecutive runs of whole tracks of about RUN_ROWS points each; a larger track is a run of its own."""
-    first, rows = 0, 0
-    for last, track in enumerate(tracks, 1):
+def _track_runs(tracks: Iterable[LabelTrack]) -> Iterator[list[LabelTrack]]:
+    """Runs of consecutive whole tracks of about RUN_ROWS points, each given before the next track is read."""
+    run, rows = [], 0
+    for track in tracks:
+        run.append(track)
         rows += track.n_points
         if rows >= RUN_ROWS:
-            yield tracks[first:last]
-            first, rows = last, 0
-    if first < len(tracks):
-        yield tracks[first:]
+            yield run
+            run, rows = [], 0
+    if run:
+        yield run
 
 
 def aggregate_points(track: LabelTrack, reference_sweep: int) -> np.ndarray:
@@ -351,6 +365,34 @@ def evaluate_tracks(
     return sorted(_records(tracks, chosen), key=lambda r: r.label_id)
 
 
+def _track_from_json(raw: dict) -> LabelTrack:
+    """One document track with its fields and poses checked and its points left as rows."""
+    label_id = json_str(raw["label_id"], "label_id")
+    class_name = json_str(raw["class_name"], "class_name")
+    poses: dict[int, OrientedRect] = {}
+    for pose in raw["poses"]:
+        sweep = json_int(pose["sweep_id"], "sweep_id")
+        if sweep in poses:
+            raise ValueError(f"duplicate sweep_id {sweep} in poses")
+        cx, cy = pose["center"]
+        poses[sweep] = OrientedRect(
+            center=Point2(json_number(cx, "center"), json_number(cy, "center")),
+            theta=json_number(pose["theta"], "theta"),
+            length=json_number(pose["length"], "length"),
+            width=json_number(pose["width"], "width"),
+        )
+    points: dict[int, list] = {}
+    for entry in raw.get("points", []):
+        sweep = json_int(entry["sweep_id"], "sweep_id")
+        if sweep in points:
+            raise ValueError(f"duplicate sweep_id {sweep} in points")
+        xy = entry["xy"]
+        if not isinstance(xy, list):
+            raise ValueError(f"xy must be a list, got {xy!r}")
+        points[sweep] = xy
+    return LabelTrack._pose_checked(label_id, class_name, poses, points)
+
+
 def tracks_from_json(doc: object) -> list[LabelTrack]:
     """Build tracks from the JSON document layout.
 
@@ -364,46 +406,46 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
     Label ids and class names must be JSON strings, sweep ids JSON
     integers, and centers, angles, sizes and point coordinates JSON
     numbers: ``1``, ``null``, ``2.9``, ``true`` and ``"1"`` are rejected
-    where they do not fit, not truncated or converted.
+    where they do not fit, not truncated or converted. Points are gated
+    once, in runs of whole tracks of about RUN_ROWS points; a failed run is
+    gated again sweep by sweep, so the first fault in track order is named.
     """
     if not isinstance(doc, dict) or "tracks" not in doc:
         raise ValueError("track document must be an object with a 'tracks' list")
     raw_tracks = doc["tracks"]
     if not isinstance(raw_tracks, list):
         raise ValueError("'tracks' must be a list")
-
     tracks: list[LabelTrack] = []
-    for idx, raw in enumerate(raw_tracks):
-        where = f"tracks[{idx}]"
+    fault: list = []  # index and error of a track failing a field or pose check
+
+    def parsed() -> Iterator[LabelTrack]:
+        for idx, raw in enumerate(raw_tracks):
+            try:
+                track = _track_from_json(raw)
+            except (KeyError, TypeError, ValueError) as exc:
+                fault[:] = idx, exc
+                return
+            yield track
+
+    for run in _track_runs(parsed()):
         try:
-            label_id = json_str(raw["label_id"], "label_id")
-            class_name = json_str(raw["class_name"], "class_name")
-            poses: dict[int, OrientedRect] = {}
-            for pose in raw["poses"]:
-                sweep = json_int(pose["sweep_id"], "sweep_id")
-                if sweep in poses:
-                    raise ValueError(f"duplicate sweep_id {sweep} in poses")
-                cx, cy = pose["center"]
-                poses[sweep] = OrientedRect(
-                    center=Point2(json_number(cx, "center"), json_number(cy, "center")),
-                    theta=json_number(pose["theta"], "theta"),
-                    length=json_number(pose["length"], "length"),
-                    width=json_number(pose["width"], "width"),
-                )
-            points: dict[int, object] = {}
-            for entry in raw.get("points", []):
-                sweep = json_int(entry["sweep_id"], "sweep_id")
-                if sweep in points:
-                    raise ValueError(f"duplicate sweep_id {sweep} in points")
-                xy = entry["xy"]
-                if not isinstance(xy, list):
-                    raise ValueError(f"xy must be a list, got {xy!r}")
-                points[sweep] = xy
-            tracks.append(
-                LabelTrack(label_id=label_id, class_name=class_name, poses=poses, points=points)
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed track at {where}: {exc}") from exc
+            arr = _xy_array(chain.from_iterable(xy for track in run for xy in track.points.values()))
+        except ValueError:
+            for idx, track in enumerate(run, len(tracks)):
+                for xy in track.points.values():
+                    try:
+                        _xy_array(xy)
+                    except ValueError as exc:
+                        raise ValueError(f"malformed track at tracks[{idx}]: {exc}") from exc
+            raise
+        start = 0
+        for track in run:
+            for sweep, xy in track.points.items():
+                track.points[sweep] = arr[start:start + len(xy)]
+                start += len(xy)
+        tracks += run
+    if fault:
+        raise ValueError(f"malformed track at tracks[{fault[0]}]: {fault[1]}") from fault[1]
     return tracks
 
 

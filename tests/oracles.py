@@ -14,7 +14,9 @@ time, ``reference_intersect_convex`` the clip that always re-hulls its
 result, and ``reference_evaluate_tracks`` the per-track label-uncertainty
 pipeline built from them: the label-frame rotation written as elementwise
 products, the prefilter, the hull, the clip and the IoU, one track after
-another.
+another. ``reference_tracks_from_json`` is the tracks-document parse that
+builds each track through ``LabelTrack``, whose point-set gate takes one
+sweep at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from lkld.geometry import (
     area,
     rect_to_polygon,
 )
-from lkld.label_uncertainty import LabelUncertaintyRecord, choose_reference_sweep, map_iou
+from lkld._util import json_int, json_number, json_str
+from lkld.label_uncertainty import LabelTrack, LabelUncertaintyRecord, choose_reference_sweep, map_iou
 from lkld.synth_trainer import (
     _LOGSCALE_LIMIT,
     EpochStats,
@@ -234,6 +237,45 @@ def reference_evaluate_tracks(tracks, mapping=None, per_class=None) -> list:
         records.append(LabelUncertaintyRecord(track.label_id, track.class_name, value,
                                               map_iou(chosen, value), track.n_points, track.n_sweeps))
     return sorted(records, key=lambda r: r.label_id)
+
+
+def reference_tracks_from_json(doc) -> list:
+    """``tracks_from_json`` one track at a time: each built by ``LabelTrack``, gated sweep by sweep."""
+    if not isinstance(doc, dict) or "tracks" not in doc:
+        raise ValueError("track document must be an object with a 'tracks' list")
+    raw_tracks = doc["tracks"]
+    if not isinstance(raw_tracks, list):
+        raise ValueError("'tracks' must be a list")
+    tracks = []
+    for idx, raw in enumerate(raw_tracks):
+        try:
+            label_id = json_str(raw["label_id"], "label_id")
+            class_name = json_str(raw["class_name"], "class_name")
+            poses = {}
+            for pose in raw["poses"]:
+                sweep = json_int(pose["sweep_id"], "sweep_id")
+                if sweep in poses:
+                    raise ValueError(f"duplicate sweep_id {sweep} in poses")
+                cx, cy = pose["center"]
+                poses[sweep] = OrientedRect(
+                    center=Point2(json_number(cx, "center"), json_number(cy, "center")),
+                    theta=json_number(pose["theta"], "theta"),
+                    length=json_number(pose["length"], "length"),
+                    width=json_number(pose["width"], "width"),
+                )
+            points = {}
+            for entry in raw.get("points", []):
+                sweep = json_int(entry["sweep_id"], "sweep_id")
+                if sweep in points:
+                    raise ValueError(f"duplicate sweep_id {sweep} in points")
+                xy = entry["xy"]
+                if not isinstance(xy, list):
+                    raise ValueError(f"xy must be a list, got {xy!r}")
+                points[sweep] = xy
+            tracks.append(LabelTrack(label_id=label_id, class_name=class_name, poses=poses, points=points))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed track at tracks[{idx}]: {exc}") from exc
+    return tracks
 
 
 def _reference_evaluate(wm, cm, ws, cs, data) -> tuple[float, float]:

@@ -304,6 +304,19 @@ def seeded_tracks(seed: int, n_tracks: int) -> dict:
     return {"tracks": tracks}
 
 
+def _blas_kernel_cannot_be_chosen() -> str | None:
+    """Why OPENBLAS_CORETYPE cannot choose numpy's BLAS kernel in a child process, or None if it can."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not describe its BLAS build in np.show_config(mode='dicts')"
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return "numpy's OpenBLAS is not built with DYNAMIC_ARCH, so it has one kernel"
+    return None
+
+
 class TestLabelUncCommands:
     # sha256 of the records CSV for seeded_tracks(11, 24); any change to the
     # parse, the frame change, the hull or the IoU shows here.
@@ -317,6 +330,29 @@ class TestLabelUncCommands:
                      "--class-anchors", "pedestrian:0.25,0.05,0.01", "-o", str(records)])
         assert code == 0
         assert hashlib.sha256(records.read_bytes()).hexdigest() == self.RECORDS_PIN
+
+    @pytest.mark.parametrize("var, value", [
+        ("OPENBLAS_CORETYPE", "Haswell"), ("OPENBLAS_CORETYPE", "Sandybridge"),
+        ("OPENBLAS_CORETYPE", "Prescott"), ("PYTHONHASHSEED", "0"), ("PYTHONHASHSEED", "1"),
+    ])
+    def test_labelunc_records_do_not_depend_on_the_blas_kernel_or_the_hash_seed(self, tmp_path, var, value):
+        # OpenBLAS built with DYNAMIC_ARCH picks its kernel from the CPU unless
+        # OPENBLAS_CORETYPE names one; the records must not change with it.
+        reason = _blas_kernel_cannot_be_chosen()
+        if reason:
+            pytest.skip(reason)
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(seeded_tracks(11, 24)))
+        argv = ["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                "--class-anchors", "pedestrian:0.25,0.05,0.01", "-o"]
+        assert main([*argv, str(tmp_path / "here.csv")]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               var: value}
+        child = subprocess.run([sys.executable, "-m", "lkld", *argv, str(tmp_path / "child.csv")],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
     def test_labelunc_and_iou_hist(self, tmp_path):
         tracks = tmp_path / "tracks.json"

@@ -1,6 +1,7 @@
 """Tests for rigid transforms, hulls, clipping, areas, and IoU."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,21 @@ class TestConvexHull:
         assert kept == len(survivors)
         assert len(survivors) < len(cloud) // 4
         assert set(reference_convex_hull(cloud.tolist()).vertices) <= set(map(tuple, survivors.tolist()))
+
+    def test_prefilter_temporaries_on_one_large_cloud_are_bounded(self):
+        # As many points as the labelunc benchmark's seed-7 document, in one
+        # cloud. The cross products, two (8, n) float64 arrays, take 21.3 MB;
+        # the bound was set from that count before the first run.
+        cloud = np.random.default_rng(0).uniform(-1.0, 1.0, (166_715, 2))
+        tracemalloc.start()
+        try:
+            survivors, (kept,) = _drop_interior(cloud, [len(cloud)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == len(survivors)
+        assert survivors.tobytes() == reference_drop_interior(cloud).tobytes()
+        assert peak < 26e6, f"{peak / 1e6:.1f} MB"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(PREFILTER_CLOUDS, max_size=6), st.sampled_from([1.0, 1e300, -1.7e308]))

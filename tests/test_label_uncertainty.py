@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_evaluate_tracks, reference_label_frame
+from oracles import reference_evaluate_tracks, reference_label_frame, reference_tracks_from_json
 
 from lkld import geometry, label_uncertainty
 from lkld.geometry import ConvexPolygon, OrientedRect, Point2, area, convex_hull, rigid_transform
@@ -414,6 +414,107 @@ class TestOneDocumentPass:
             evaluate_tracks(tracks, per_class={"vehicle": self.MAPPING})
         with pytest.raises(ValueError, match="^no uncertainty mapping for class 'vehicle'"):
             evaluate_tracks(tracks, per_class={"bicycle": self.MAPPING})
+
+
+_JSON_COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70), st.just(-0.0)
+)
+
+
+@st.composite
+def _track_docs(draw):
+    """A valid tracks document: up to 6 tracks of 1-3 sweeps, each sweep with 0-12 points or none."""
+    tracks = []
+    for i in range(draw(st.integers(1, 6))):
+        sweeps = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+        poses = [{"sweep_id": sweep, "center": [draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))],
+                  "theta": draw(st.floats(-4.0, 4.0)), "length": 4.0, "width": 2.0} for sweep in sweeps]
+        points = [{"sweep_id": sweep, "xy": draw(st.lists(st.lists(_JSON_COORD, min_size=2, max_size=2),
+                                                          max_size=12))}
+                  for sweep in draw(st.lists(st.sampled_from(sweeps), unique=True))]
+        tracks.append({"label_id": f"t{i}", "class_name": "car", "poses": poses, "points": points})
+    return {"tracks": tracks}
+
+
+# Each makes a bad row from the good row [0.5, 0.25].
+POINT_FAULTS = {
+    "NaN": [math.nan, 0.25],
+    "1e400": [0.5, json.loads("1e400")],
+    "10**400": [10**400, 0.25],
+    "true": [True, 0.25],
+    '"1"': [0.5, "1"],
+    "ragged row": [0.5],
+    "dict row": {"x": 0.5, "y": 0.25},
+}
+
+
+def _no_poses(track):
+    track["poses"] = []
+
+
+def _points_without_a_pose(track):
+    track["points"].append({"sweep_id": 99, "xy": []})
+
+
+def _string_theta(track):
+    track["poses"][-1]["theta"] = "0"
+
+
+def _zero_length(track):
+    track["poses"][0]["length"] = 0
+
+
+POSE_FAULTS = [_no_poses, _points_without_a_pose, _string_theta, _zero_length]
+
+
+@st.composite
+def _faulty_track_docs(draw):
+    """A tracks document with a bad point, a bad pose or both, anywhere."""
+    doc = draw(_track_docs())
+    tracks = doc["tracks"]
+    point, pose = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    if point:
+        entries = [entry for track in tracks for entry in track["points"]]
+        if not entries:  # no sweep has points: the last track's first sweep gets an empty list
+            entries = [{"sweep_id": tracks[-1]["poses"][0]["sweep_id"], "xy": []}]
+            tracks[-1]["points"] += entries
+        xy = draw(st.sampled_from(entries))["xy"]
+        xy.insert(draw(st.integers(0, len(xy))), draw(st.sampled_from(list(POINT_FAULTS.values()))))
+    if pose:
+        draw(st.sampled_from(POSE_FAULTS))(draw(st.sampled_from(tracks)))
+    return doc
+
+
+class TestRunGate:
+    """tracks_from_json gates runs of whole tracks at once, exactly as gating one sweep at a time would."""
+
+    @staticmethod
+    def parse(doc, run_rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(label_uncertainty, "RUN_ROWS", run_rows)
+            return tracks_from_json(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_track_docs(), st.sampled_from([1, 7, 64, 4096]))
+    def test_tracks_equal_the_per_sweep_parse(self, doc, run_rows):
+        got, want = self.parse(doc, run_rows), reference_tracks_from_json(doc)
+        assert len(got) == len(want)
+        for track, expected in zip(got, want):
+            assert (track.label_id, track.class_name, track.poses, track.n_points) == (
+                expected.label_id, expected.class_name, expected.poses, expected.n_points)
+            assert list(track.points) == list(expected.points)
+            for sweep, pts in track.points.items():
+                assert (pts.dtype, pts.shape) == (expected.points[sweep].dtype, expected.points[sweep].shape)
+                assert pts.tobytes() == expected.points[sweep].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_faulty_track_docs(), st.sampled_from([1, 7, 64, 4096]))
+    def test_the_first_fault_is_the_per_sweep_parse_fault(self, doc, run_rows):
+        with pytest.raises(ValueError) as want:
+            reference_tracks_from_json(doc)
+        with pytest.raises(ValueError) as got:
+            self.parse(doc, run_rows)
+        assert str(got.value) == str(want.value)
 
 
 class TestJsonAndCsv:

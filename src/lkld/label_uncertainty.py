@@ -430,13 +430,12 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
     for run in _track_runs(parsed()):
         try:
             arr = _xy_array(chain.from_iterable(xy for track in run for xy in track.points.values()))
-        except ValueError:
+        except ValueError:  # LabelTrack gates one sweep at a time, naming the first bad one
             for idx, track in enumerate(run, len(tracks)):
-                for xy in track.points.values():
-                    try:
-                        _xy_array(xy)
-                    except ValueError as exc:
-                        raise ValueError(f"malformed track at tracks[{idx}]: {exc}") from exc
+                try:
+                    LabelTrack(track.label_id, track.class_name, track.poses, track.points)
+                except ValueError as exc:
+                    raise ValueError(f"malformed track at tracks[{idx}]: {exc}") from exc
             raise
         start = 0
         for track in run:

@@ -19,12 +19,17 @@ then puts it back as it found it. The command bodies make no reference
 cycles (``fit-map``'s indented ``json.dumps`` leaves the stdlib encoder's
 few), so reference counting frees all they make; the collector would
 only traverse, again and again, the containers a large input builds, such
-as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file. That
-took the ``labelunc_mixed`` benchmark from 0.382 s to 0.348 s
-(``BENCH_14.json``); moving and prefiltering the points of runs of whole
-tracks at once and skipping the clip of hulls inside their boxes took it to
-0.323 s (``BENCH_17.json``), and gating those runs' points once to 0.30 s
-(``BENCH_18.json``).
+as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file.
+
+``import lkld.cli`` loads numpy, the stdlib modules that every command uses
+and ``lkld._util``, and none of the domain modules. Each command imports the
+one it runs when it runs, so start-up pays only for what the command uses:
+
+- ``calib``: ``calibration``;
+- ``labelunc``, ``fit-map``, ``iou-hist``: ``label_uncertainty``, which
+  loads ``geometry``;
+- ``loss-eval``, ``grad-check``, ``surface``: ``distributions``;
+- ``train``, ``compare``: ``synth_trainer``, which loads the other four.
 """
 
 from __future__ import annotations
@@ -38,11 +43,14 @@ import os
 import string
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._util import fmt_sig, write_text_atomic
-from . import calibration, distributions, label_uncertainty, synth_trainer
+
+if TYPE_CHECKING:
+    from . import label_uncertainty
 
 RANGE_TOL = 1e-12
 # Most points a start:stop:step range may have; it is checked before any is made.
@@ -152,6 +160,8 @@ def _round_sig(value: float) -> float:
 
 
 def cmd_loss_eval(args: argparse.Namespace) -> int:
+    from . import distributions
+
     _check_outputs([args.output])
     pred = distributions.LaplaceParams(args.pred_location, args.pred_scale)
     if args.loss == "nll":
@@ -176,6 +186,8 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
+    from . import distributions
+
     _check_outputs([args.output])
     result = distributions.gradient_check(
         args.loss,
@@ -197,6 +209,8 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
+    from . import distributions
+
     _check_outputs([args.output])
     if args.loss == "nll" and args.label_scale is not None:
         raise ValueError("--label-scale only applies to --loss kld")
@@ -211,6 +225,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _mappings_from_args(args: argparse.Namespace):
+    from . import label_uncertainty
+
     default = label_uncertainty.fit_mapping(*parse_anchors(args.anchors))
     per_class = {}
     for entry in args.class_anchors or []:
@@ -232,6 +248,8 @@ def _note_if_linear(mapping: label_uncertainty.UncertaintyMapping, source: str) 
 
 
 def cmd_labelunc(args: argparse.Namespace) -> int:
+    from . import label_uncertainty
+
     _check_outputs([args.output], [args.tracks])
     default, per_class = _mappings_from_args(args)
     _note_if_linear(default, "--anchors")
@@ -245,6 +263,8 @@ def cmd_labelunc(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_map(args: argparse.Namespace) -> int:
+    from . import label_uncertainty
+
     _check_outputs([args.output])
     mapping = label_uncertainty.fit_mapping(*parse_anchors(args.anchors))
     _note_if_linear(mapping, "--anchors")
@@ -265,6 +285,8 @@ def cmd_fit_map(args: argparse.Namespace) -> int:
 
 
 def cmd_iou_hist(args: argparse.Namespace) -> int:
+    from . import label_uncertainty
+
     _check_outputs([args.output], [args.records])
     with _open_input(args.records, newline="") as handle:
         ious = label_uncertainty.ious_from_csv(handle)
@@ -289,6 +311,8 @@ def class_file_part(name: str) -> str:
 
 
 def cmd_calib(args: argparse.Namespace) -> int:
+    from . import calibration
+
     with _open_input(args.records, newline="") as handle:
         preds = calibration.records_from_csv(handle)
     grid = parse_range(args.grid) if args.grid else calibration.DEFAULT_GRID
@@ -309,6 +333,8 @@ def cmd_calib(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import synth_trainer
+
     _check_outputs([args.output], [args.config])
     config = synth_trainer.config_from_dict(_read_json(args.config))
     if args.seed is not None:
@@ -319,6 +345,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import synth_trainer
+
     _check_outputs([args.output], [args.config])
     configs = synth_trainer.compare_configs_from_dict(_read_json(args.config))
     if args.seed is not None:

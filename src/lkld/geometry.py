@@ -137,6 +137,8 @@ class OrientedRect:
             raise ValueError(f"width must be > 0, got {self.width}")
         object.__setattr__(self, "center", Point2(float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "theta", _normalize_angle(self.theta))
+        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "width", float(self.width))
 
     @property
     def pose(self) -> Pose:
@@ -327,7 +329,7 @@ def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
     cos_t, sin_t = math.cos(rect.theta), math.sin(rect.theta)
     hl, hw = 0.5 * rect.length, 0.5 * rect.width
     (x, y) = rect.center
-    vertices = tuple(Point2(float(x + cos_t * cx - sin_t * cy), float(y + sin_t * cx + cos_t * cy))
+    vertices = tuple(Point2(x + cos_t * cx - sin_t * cy, y + sin_t * cx + cos_t * cy)
                      for cx, cy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)))
     finite = all(math.isfinite(v) for corner in vertices for v in corner)
     return ConvexPolygon._of_gated(vertices) if finite else ConvexPolygon(vertices)

@@ -795,6 +795,77 @@ class TestModuleEntryPoint:
         assert sorted(tmp_path.iterdir()) == []
 
 
+# Runs ``lkld.cli.main(argv)`` in a fresh interpreter and prints, as its last
+# line, the lkld modules loaded by ``import lkld.cli`` and after the run, and
+# the lkld or numpy objects the run left in cyclic garbage.
+FOOTPRINT_PROBE = """
+import gc, json, sys, types
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "lkld")
+
+def owner(obj):
+    kind = type(obj)
+    return obj.__module__ if kind is type or kind is types.FunctionType else kind.__module__
+
+import lkld.cli
+imported = loaded()
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+try:
+    code = lkld.cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    code = exc.code
+gc.collect()
+leaked = [repr(type(obj)) for obj in gc.garbage if str(owner(obj)).partition(".")[0] in ("lkld", "numpy")]
+gc.set_debug(0)
+print(json.dumps({"code": code, "imported": imported, "loaded": loaded(), "leaked": leaked}))
+"""
+
+CLI_MODULES = ["lkld", "lkld._util", "lkld.cli"]
+
+
+class TestImportFootprint:
+    """``import lkld.cli`` loads no domain module; each command loads only its own."""
+
+    FOOTPRINTS = {
+        "calib": ["calibration"],
+        "labelunc": ["geometry", "label_uncertainty"],
+        "fit-map": ["geometry", "label_uncertainty"],
+        "iou-hist": ["geometry", "label_uncertainty"],
+        "loss-eval": ["distributions"],
+        "grad-check": ["distributions"],
+        "surface": ["distributions"],
+        "train": ["calibration", "distributions", "geometry", "label_uncertainty", "synth_trainer"],
+        "compare": ["calibration", "distributions", "geometry", "label_uncertainty", "synth_trainer"],
+    }
+
+    @staticmethod
+    def probe(tmp_path, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(argv)], cwd=tmp_path,
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        return json.loads(child.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["frobnicate"], 2), (["calib"], 2)])
+    def test_start_up_and_usage_errors_load_no_domain_module(self, tmp_path, argv, code):
+        seen = self.probe(tmp_path, argv)
+        assert seen["code"] == code
+        assert seen["imported"] == seen["loaded"] == CLI_MODULES
+        assert seen["leaked"] == []
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINTS))
+    def test_a_command_loads_only_its_own_modules(self, tmp_path, name):
+        seen = self.probe(tmp_path, nine_commands(tmp_path)[name])
+        assert seen["code"] == 0
+        assert seen["imported"] == CLI_MODULES
+        assert seen["loaded"] == sorted(CLI_MODULES + [f"lkld.{m}" for m in self.FOOTPRINTS[name]])
+        # The import runs with the collector paused: it must leave no cycles either.
+        assert seen["leaked"] == []
+
+
 class TestExitCodesAndAtomicity:
     @staticmethod
     def run_calib_under_umask(tmp_path, mask):

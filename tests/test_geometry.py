@@ -362,6 +362,17 @@ class TestRectToPolygon:
         with pytest.raises(ValueError):
             OrientedRect(Point2(0, 0), 0.0, 1.0, -2.0)
 
+    def test_float32_sizes_give_float64_corners(self):
+        # A float32 size is the float64 it stands for: the corners are computed
+        # in float64, not in float32 as they were when the size was kept as given.
+        rect = OrientedRect(Point2(0, 0), 0.3, np.float32(4.1), np.float32(2.0))
+        assert type(rect.length) is float and type(rect.width) is float
+        assert rect.length == 4.099999904632568
+        poly = rect_to_polygon(rect)
+        assert poly.vertices[0] == (1.662919550492159, 1.5611528986898504)
+        assert all(type(v) is float for corner in poly.vertices for v in corner)
+        assert poly == rect_to_polygon(OrientedRect(Point2(0, 0), 0.3, 4.099999904632568, 2.0))
+
     def test_theta_normalized(self):
         rect = OrientedRect(Point2(0, 0), 3 * math.pi, 1.0, 1.0)
         assert -math.pi < rect.theta <= math.pi

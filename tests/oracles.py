@@ -70,6 +70,41 @@ def kl_divergence_quadrature(
     return value
 
 
+def _reference_sgn(x: float) -> float:
+    # sgn(0) = 0 for both zeros; a NaN keeps its sign bit.
+    if x == 0.0:
+        return 0.0
+    return math.copysign(1.0, x)
+
+
+def reference_nll_terms(y: float, loc: float, b_hat: float) -> tuple[float, float, float]:
+    """The NLL float kernel with an explicit sign helper, operation for operation."""
+    err = y - loc
+    abs_err = abs(err)
+    value = math.log(2.0 * b_hat) + abs_err / b_hat
+    d_location = -_reference_sgn(err) / b_hat
+    d_scale = (1.0 - abs_err / b_hat) / b_hat
+    return value, d_location, d_scale
+
+
+def reference_kld_terms(y: float, b: float, loc: float, b_hat: float) -> tuple[float, float, float]:
+    """The KL float kernel with an explicit sign helper, operation for operation."""
+    err = y - loc
+    abs_err = abs(err)
+    r = b / b_hat
+    s = abs_err / b_hat
+    decay = math.expm1(-abs_err / b)
+    if 0.5 < r < 2.0:
+        value = (s + r * decay) + ((r - 1.0) - math.log1p(r - 1.0))
+    elif r > 0.0:
+        value = (s + r * decay) + (r - 1.0) - math.log(r)
+    else:
+        value = math.log(b_hat) - math.log(b) + (b * (decay + 1.0) + abs_err) / b_hat - 1.0
+    d_location = _reference_sgn(err) * decay / b_hat
+    d_scale = (1.0 - (b * (decay + 1.0) + abs_err) / b_hat) / b_hat
+    return value, d_location, d_scale
+
+
 def central_difference(fn, x: float, step: float = 1e-6) -> float:
     return (fn(x + step) - fn(x - step)) / (2.0 * step)
 

@@ -19,7 +19,12 @@ from lkld.distributions import (
     surface_grid,
 )
 
-from oracles import central_difference, kl_divergence_quadrature
+from oracles import (
+    central_difference,
+    kl_divergence_quadrature,
+    reference_kld_terms,
+    reference_nll_terms,
+)
 
 # Label-to-predicted scale ratios b / b_hat around the log1p branch edges
 # (0.5, 2) and out to 1e+-12.
@@ -191,6 +196,39 @@ class TestFloatKernels:
         ]
         for grad, terms in cases:
             assert bits(grad.value, grad.d_location, grad.d_scale) == bits(*terms)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        y=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(allow_nan=True)),
+        loc=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(allow_nan=True)),
+        b=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        b_hat=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(y=-0.0, loc=0.0, b=0.3, b_hat=0.5)  # err = -0.0
+    @example(y=0.0, loc=-0.0, b=0.3, b_hat=0.5)  # err = +0.0
+    @example(y=1.0, loc=1.0, b=0.3, b_hat=0.5)
+    @example(y=-math.nan, loc=0.0, b=0.3, b_hat=0.5)
+    @example(y=1e308, loc=-1e308, b=0.3, b_hat=0.5)  # err = inf
+    def test_terms_equal_the_explicit_sign_reference_bitwise(self, y, loc, b, b_hat):
+        # Bitwise, except that a NaN matches any NaN: which NaN an operation
+        # on two of them returns depends on how the C compiler ordered its
+        # operands, not on this code.
+        def pattern(values):
+            return [None if v != v else bits(v) for v in values]
+
+        nll = nll_terms(y, loc, b_hat)
+        kld = kld_terms(y, b, loc, b_hat)
+        assert pattern(nll) == pattern(reference_nll_terms(y, loc, b_hat))
+        assert pattern(kld) == pattern(reference_kld_terms(y, b, loc, b_hat))
+        err = y - loc
+        if err == 0.0:
+            # sgn(+-0) = 0, so both location partials are -0.0: the NLL's
+            # -0 / b_hat and the KL's 0 * expm1(-0) / b_hat.
+            assert bits(nll[1], kld[1]) == bits(-0.0, -0.0)
+        elif err == err:
+            sign = math.copysign(1.0, err)
+            assert math.copysign(1.0, nll[1]) == -sign
+            assert kld[1] == 0.0 or math.copysign(1.0, kld[1]) == -sign
 
 
 class TestGradientConsistency:

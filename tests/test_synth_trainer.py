@@ -975,6 +975,108 @@ class TestByteIdentity:
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[mode]
 
 
+class TestExactRuns:
+    """Exact reports and final parameters of runs the default pins do not reach.
+
+    Each case pins ``repr(report)`` (exact floats, ``nan`` and ``None`` as
+    such) and the sha256 of the returned ``theta``: a divergence through
+    each guard of the step loop, active clipping, tail averaging, and both
+    settings of ``score_epochs``.
+    """
+
+    FD = FeatureDependentNoise(0.1, 0.5)
+    CASES = {
+        # The head outputs leave the range the step kernel accepts at the
+        # 62nd step of the second epoch.
+        "range_guard": (
+            dict(label_scale=ZeroLabelScale(), learning_rate=0.5, grad_clip=1e12, epochs=4, n_test=40),
+            True,
+            "4148bd9f0e1d4f2d3b7bcc49068892673a8db4f8437090ab0d6a029cb542b151",
+            "TrainReport(epoch_stats=(EpochStats(mean_loss=7.127126076419688, "
+            "mean_abs_error=5.123260537150449, ece=0.17222222222222228), "
+            "EpochStats(mean_loss=inf, mean_abs_error=8.432815993126798, ece=nan)), "
+            "test_mae=inf, test_ece=nan, diverged=True)",
+        ),
+        # In range, but the loss gradient overflows at the 5th step.
+        "finite_guard": (
+            dict(n_train=40, n_test=40, feature_dim=3, label_scale=ZeroLabelScale(),
+                 learning_rate=200.0, grad_clip=1e12, seed=3),
+            True,
+            "fd7407c98fd3c0ee60187cccb6a7a55c0c70c2c9c0646cdc29690ec0eadf06bc",
+            "TrainReport(epoch_stats=(EpochStats(mean_loss=inf, "
+            "mean_abs_error=120.71979347058603, ece=nan),), test_mae=inf, test_ece=nan, "
+            "diverged=True)",
+        ),
+        "clipped": (
+            dict(n_train=64, n_test=40, noise=FD, grad_clip=0.05, epochs=3),
+            True,
+            "d2ab031b0e2f2128c42b962256dd69bf1529e154a453fb79ac7b42f8e9054991",
+            "TrainReport(epoch_stats=(EpochStats(mean_loss=2.1605502344888565, "
+            "mean_abs_error=1.5830979755101957, ece=0.08717171717171716), "
+            "EpochStats(mean_loss=2.127314330120694, mean_abs_error=1.5655904959635811, "
+            "ece=0.0832891414141414), EpochStats(mean_loss=2.0965671413668394, "
+            "mean_abs_error=1.5471608572904763, ece=0.08017045454545454)), "
+            "test_mae=1.459002411407663, test_ece=0.12606060606060607, diverged=False)",
+        ),
+        "averaged": (
+            dict(n_train=64, n_test=40, noise=FD, label_scale=HeuristicLabelScale((0.5, 0.25, 0.1)),
+                 epochs=4, average_tail_epochs=2),
+            True,
+            "23e69c101e5ad835750422e6521ae891f6ed898d6cb7bf1bb516193d077463f2",
+            "TrainReport(epoch_stats=(EpochStats(mean_loss=1.881402882502446, "
+            "mean_abs_error=1.4171553355169753, ece=0.052266414141414134), "
+            "EpochStats(mean_loss=1.5239203991385497, mean_abs_error=0.996286383498475, "
+            "ece=0.03821338383838383), EpochStats(mean_loss=1.05482222027571, "
+            "mean_abs_error=0.584799541433082, ece=0.05676767676767678), "
+            "EpochStats(mean_loss=0.6159949264263359, mean_abs_error=0.31121364802301316, "
+            "ece=0.06683712121212121)), test_mae=0.23773696695172405, "
+            "test_ece=0.06676767676767678, diverged=False)",
+        ),
+        "clipped_averaged_unscored": (
+            dict(n_train=64, n_test=40, noise=FD, label_scale=ZeroLabelScale(), grad_clip=0.05,
+                 epochs=4, average_tail_epochs=3),
+            False,
+            "d4acd00bccaccee5dae32977faadf31908a69bbba721a6ca1d1c91f3e9a8b555",
+            "TrainReport(epoch_stats=(EpochStats(mean_loss=2.2668540941183495, "
+            "mean_abs_error=1.5830734265909507, ece=None), "
+            "EpochStats(mean_loss=2.2324823543953918, mean_abs_error=1.5653456367601277, "
+            "ece=None), EpochStats(mean_loss=2.2010054251022098, "
+            "mean_abs_error=1.5466977083018163, ece=None), "
+            "EpochStats(mean_loss=2.171580436617773, mean_abs_error=1.5283592962261037, "
+            "ece=None)), test_mae=1.4666387213340881, test_ece=0.12732323232323234, "
+            "diverged=False)",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_run_is_pinned(self, name, monkeypatch):
+        fields, score_epochs, theta_digest, report_repr = self.CASES[name]
+        kernel = synth_trainer._sample_step
+        results = []
+
+        def recording(*args):
+            results.append(kernel(*args))
+            return results[-1]
+
+        monkeypatch.setattr(synth_trainer, "_sample_step", recording)
+        cfg = small_config(**fields)
+        predictor, report = train(cfg, score_epochs=score_epochs)
+        assert repr(report) == report_repr
+        assert hashlib.sha256(predictor.theta.tobytes()).hexdigest() == theta_digest
+        finite = [r for r in results if r is not None and all(map(math.isfinite, r))]
+        if name == "range_guard":
+            assert results[-1] is None
+        elif name == "finite_guard":
+            assert results[-1] is not None and results[-1] not in finite
+        else:
+            assert finite == results
+        sq_head_grads = [g_loc * g_loc + g_log * g_log for _, g_loc, g_log in finite]
+        if "clipped" in name:
+            assert max(sq_head_grads) > cfg.grad_clip**2
+        # No step reaches the clip through a norm whose square overflows.
+        assert max(sq_head_grads) < 1e300
+
+
 class TestReportCsv:
     def test_train_report_layout(self):
         cfg = small_config(epochs=2)

@@ -82,14 +82,6 @@ class LossGrad:
     d_scale: float
 
 
-def _sgn(x: float) -> float:
-    # Subgradient convention: sgn(0) = 0, so the location gradient vanishes
-    # exactly at zero error for both losses.
-    if x == 0.0:
-        return 0.0
-    return math.copysign(1.0, x)
-
-
 def nll_terms(y: float, loc: float, b_hat: float) -> tuple[float, float, float]:
     """NLL of a Laplace prediction ``(loc, b_hat)`` at a point label ``y``, on floats.
 
@@ -98,13 +90,15 @@ def nll_terms(y: float, loc: float, b_hat: float) -> tuple[float, float, float]:
     d_scale    = (1/b_hat) * (1 - |y - y_hat| / b_hat)
 
     Returns ``(value, d_location, d_scale)``. Inputs are not validated:
-    ``b_hat`` must be positive and finite, ``y`` and ``loc`` finite.
+    ``b_hat`` must be positive and finite, ``y`` and ``loc`` finite. Both
+    kernels take sgn(0) = 0 (for either zero), so the location gradient
+    vanishes exactly at zero error.
     """
     err = y - loc
-    abs_err = abs(err)
-    value = math.log(2.0 * b_hat) + abs_err / b_hat
-    d_location = -_sgn(err) / b_hat
-    d_scale = (1.0 - abs_err / b_hat) / b_hat
+    ratio = abs(err) / b_hat
+    value = math.log(2.0 * b_hat) + ratio
+    d_location = -(math.copysign(1.0, err) if err else 0.0) / b_hat
+    d_scale = (1.0 - ratio) / b_hat
     return value, d_location, d_scale
 
 
@@ -134,7 +128,7 @@ def kld_terms(y: float, b: float, loc: float, b_hat: float) -> tuple[float, floa
     else:
         # b/b_hat underflowed; fall back to separated logs.
         value = math.log(b_hat) - math.log(b) + (b * (decay + 1.0) + abs_err) / b_hat - 1.0
-    d_location = _sgn(err) * decay / b_hat
+    d_location = (math.copysign(1.0, err) if err else 0.0) * decay / b_hat
     d_scale = (1.0 - (b * (decay + 1.0) + abs_err) / b_hat) / b_hat
     return value, d_location, d_scale
 

@@ -500,9 +500,13 @@ def train(
         generated_train, generated_test = generate(config)
         train_set = train_set if train_set is not None else generated_train
         test_set = test_set if test_set is not None else generated_test
+    for name, data in (("train_set", train_set), ("test_set", test_set)):
+        n, d = data.features.shape
+        if n == 0:
+            raise ValueError(f"{name} is empty")
+        if d != config.feature_dim:
+            raise ValueError(f"{name} feature_dim {d} != config feature_dim {config.feature_dim}")
     n, d = train_set.features.shape
-    if d != config.feature_dim:
-        raise ValueError(f"dataset feature_dim {d} != config feature_dim {config.feature_dim}")
     if init is not None and init.feature_dim != d:
         raise ValueError(
             f"init predictor feature_dim {init.feature_dim} != dataset feature_dim {d}"
@@ -513,17 +517,21 @@ def train(
     label_scales = [None] * n if scales_arr is None else scales_arr.tolist()
     rows = np.hstack((train_set.features, np.ones((n, 1))))
     gram = rows @ rows.T
-    gram_rows = list(gram)
-    # Squared norm of [*x, 1]: the per-parameter gradient's norm is the head
-    # gradient's norm times sqrt of this.
-    sq_norms = gram.diagonal().tolist()
-    ys = train_set.labels.tolist()
+    # Per sample: its Gram row, label, label scale, the squared norm of
+    # [*x, 1] (the per-parameter gradient's norm is the head gradient's norm
+    # times its square root) and its first cell in the flat (n, 2) views.
+    samples = list(
+        zip(gram, train_set.labels.tolist(), label_scales, gram.diagonal().tolist(), range(0, 2 * n, 2))
+    )
 
     predictor = (init or Predictor.initial(d)).copy()
     theta = predictor.theta
     # This epoch's lr-scaled, clipped head steps by sample; zero until visited.
     steps = np.zeros((n, 2))
-    step_rows = list(steps)
+    step_cells = memoryview(steps).cast("B").cast("d")
+    # How far the steps so far have moved the current sample's head outputs.
+    moved = np.empty(2)
+    moved_cells = memoryview(moved)
     weights = np.empty(n)
     lr = config.learning_rate
     clip = config.grad_clip
@@ -537,43 +545,50 @@ def train(
     # Head outputs on the train set, (n, 2): each epoch starts from them and
     # the one before was scored from them. Overflow gives inf, which the
     # step kernel and _evaluate report as divergence.
+    outputs = np.empty((n, 2))
+    output_cells = memoryview(outputs).cast("B").cast("d")
     with np.errstate(over="ignore"):
-        outputs = rows @ theta.T
+        np.matmul(rows, theta.T, out=outputs)
 
     for epoch_idx in range(config.epochs):
         averaging = config.average_tail_epochs > 0 and epoch_idx >= avg_start
-        start = outputs.tolist()
         steps.fill(0.0)
         order = order_rng.permutation(n)
         total_loss = 0.0
         total_abs = 0.0
         seen = 0
-        for idx in order.tolist():
-            loc, log_scale = start[idx]
-            moved_loc, moved_log = gram_rows[idx].dot(steps).tolist()
-            loc -= moved_loc
-            step = _sample_step(loc, log_scale - moved_log, ys[idx], label_scales[idx])
+        for gram_row, y, label_scale, sq_norm, cell in map(samples.__getitem__, order.tolist()):
+            gram_row.dot(steps, moved)
+            moved_loc, moved_log = moved_cells
+            loc = output_cells[cell] - moved_loc
+            step = _sample_step(loc, output_cells[cell + 1] - moved_log, y, label_scale)
             if step is None:
                 diverged = True
                 total_loss = math.inf
                 break
             value, g_loc, g_log = step
             seen += 1
-            total_abs += abs(ys[idx] - loc)
+            total_abs += abs(y - loc)
             if not (math.isfinite(value) and math.isfinite(g_loc) and math.isfinite(g_log)):
                 diverged = True
                 total_loss = math.inf
                 break
             total_loss += value
 
-            norm = math.sqrt((g_loc * g_loc + g_log * g_log) * sq_norms[idx])
+            norm = math.sqrt((g_loc * g_loc + g_log * g_log) * sq_norm)
             if norm > clip:
+                if norm == math.inf:
+                    # The squares overflowed, not the gradient: take the norm
+                    # of the gradient over its larger head partial.
+                    big = max(abs(g_loc), abs(g_log))
+                    g_loc /= big
+                    g_log /= big
+                    norm = math.sqrt((g_loc * g_loc + g_log * g_log) * sq_norm)
                 factor = clip / norm
                 g_loc *= factor
                 g_log *= factor
-            step_row = step_rows[idx]
-            step_row[0] = lr * g_loc
-            step_row[1] = lr * g_log
+            step_cells[cell] = lr * g_loc
+            step_cells[cell + 1] = lr * g_log
 
         if averaging:
             # The iterate after step j is theta - sum_{i<=j} step_i x_i, so
@@ -583,7 +598,7 @@ def train(
             acc_count += seen
         theta -= steps.T @ rows
         with np.errstate(over="ignore"):
-            outputs = rows @ theta.T
+            np.matmul(rows, theta.T, out=outputs)
 
         if seen:
             mean_loss = total_loss / seen

@@ -16,7 +16,8 @@ pipeline built from them: the label-frame rotation written as elementwise
 products, the prefilter, the hull, the clip and the IoU, one track after
 another. ``reference_tracks_from_json`` is the tracks-document parse that
 builds each track through ``LabelTrack``, whose point-set gate takes one
-sweep at a time.
+sweep at a time. ``reference_nll_terms`` and ``reference_kld_terms`` are
+the float loss kernels with the sign taken by an explicit helper.
 """
 
 from __future__ import annotations
@@ -404,6 +405,11 @@ def reference_train(config, train_set=None, test_set=None, init=None):
                 sq += x[j] * x[j]
             norm = math.sqrt((g_loc * g_loc + g_log * g_log) * sq)
             if norm > clip:
+                if norm == math.inf:
+                    big = max(abs(g_loc), abs(g_log))
+                    g_loc /= big
+                    g_log /= big
+                    norm = math.sqrt((g_loc * g_loc + g_log * g_log) * sq)
                 factor = clip / norm
                 g_loc *= factor
                 g_log *= factor

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,33 @@ class TestTrain:
         _, report = train(cfg)
         assert not report.diverged
         assert report.test_ece < 0.03
+
+    @pytest.mark.parametrize("log_bias", [-354.0, -354.25, -354.5])
+    def test_a_gradient_whose_squared_norm_overflows_is_clipped(self, log_bias):
+        # A predicted scale near e**-354 gives head partials near 1e154: finite,
+        # but the sum of their squares overflows. The step is still clipped to
+        # grad_clip, along the gradient.
+        cfg = SynthConfig(
+            n_train=1, n_test=40, feature_dim=4, label_scale=ZeroLabelScale(), seed=3,
+            epochs=1, average_tail_epochs=0,
+        )
+        train_set, test_set = generate(cfg)
+        init = Predictor([0.0] * 4, 0.0, [0.0] * 4, log_bias)
+        _, grads = sample_param_grads(
+            init, tuple(train_set.features[0]), float(train_set.labels[0]), None
+        )
+        assert all(map(math.isfinite, grads))
+        assert math.isinf(sum(g * g for g in grads))
+        predictor, report = train(cfg, train_set, test_set, init=init)
+        assert not report.diverged
+        moved = np.subtract(predictor.as_vector(), init.as_vector())
+        lr_clip = cfg.learning_rate * cfg.grad_clip
+        assert float(np.linalg.norm(moved)) == pytest.approx(lr_clip, rel=1e-9)
+        direction = np.divide(grads, max(map(abs, grads)))
+        np.testing.assert_allclose(
+            moved, -lr_clip * direction / np.linalg.norm(direction), rtol=1e-9, atol=1e-15
+        )
+        assert_runs_match((predictor, report), reference_train(cfg, train_set, test_set, init))
 
     def test_divergence_is_recorded_not_raised(self):
         cfg = small_config(
@@ -942,6 +970,34 @@ class TestInputChecks:
         with pytest.raises(ValueError) as err:
             train(cfg, init=Predictor.initial(cfg.feature_dim + 1))
         assert str(err.value) == "init predictor feature_dim 5 != dataset feature_dim 4"
+
+    @pytest.mark.parametrize(
+        "which, rows, width, message",
+        [
+            ("train", 0, 4, "train_set is empty"),
+            ("test", 0, 4, "test_set is empty"),
+            ("train", 5, 3, "train_set feature_dim 3 != config feature_dim 4"),
+            ("test", 5, 3, "test_set feature_dim 3 != config feature_dim 4"),
+            ("test", 5, 5, "test_set feature_dim 5 != config feature_dim 4"),
+        ],
+    )
+    def test_datasets_are_checked_before_the_first_epoch(
+        self, which, rows, width, message, monkeypatch
+    ):
+        cfg = small_config()
+        datasets = dict(zip(("train", "test"), generate(cfg)))
+        features = np.zeros((rows, width))
+        datasets[which] = Dataset(features, *(np.zeros(rows) for _ in range(4)))
+
+        def no_steps(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(synth_trainer, "_sample_step", no_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                train(cfg, datasets["train"], datasets["test"])
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("x", [(0.1,), (0.1, -0.2, 0.3)])
     def test_sample_param_grads_rejects_a_row_of_the_wrong_width(self, x):

@@ -9,8 +9,10 @@ thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
 ``ConvexPolygon``, ``contains_point`` and ``label_uncertainty``; it rejects
 string, bytes, boolean, ``None``, complex, NaN and infinite coordinates, rows
 that are not lists, tuples or 1-D arrays of two, and numbers beyond the float
-range. ``convex_hull`` and ``rect_to_polygon`` build polygons from finite
-floats, so only the polygon checks run again.
+range. ``convex_hull`` is the gate, the prefilter and the chain ``_chain_hull``,
+which ``label_uncertainty`` calls alone on the clouds it has gated and
+prefiltered in runs. ``_chain_hull`` and ``rect_to_polygon`` build polygons
+from finite floats, so only the polygon checks run again.
 """
 
 from __future__ import annotations
@@ -288,16 +290,27 @@ def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     vertex, which keeps downstream CSV dumps reproducible.
     """
     arr = _xy_array(points)
-    pts = sorted(set(map(tuple, _drop_interior(arr, (len(arr),))[0].tolist())))
+    return _chain_hull(_drop_interior(arr, (len(arr),))[0])
+
+
+def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
+    """``convex_hull`` of a finite float64 ``(n, 2)`` array that has passed the gate and the prefilter.
+
+    Survivors of ``_drop_interior`` need neither again: the gate would only
+    copy them, and a second pass finds the same corners, span and cross
+    products, so it drops nothing.
+    """
+    pts = sorted(set(map(tuple, arr.tolist())))
     if len(pts) <= 2:
         return ConvexPolygon._of_gated(tuple(map(Point2._make, pts)))
 
     def build(ordered: list[tuple[float, float]]) -> list[tuple[float, float]]:
         chain: list[tuple[float, float]] = []
         for p in ordered:
+            px, py = p
             while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0.0:
                     break
                 chain.pop()
             chain.append(p)

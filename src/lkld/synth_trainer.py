@@ -508,6 +508,10 @@ def train(
             raise ValueError(f"{name} is empty")
         if d != config.feature_dim:
             raise ValueError(f"{name} feature_dim {d} != config feature_dim {config.feature_dim}")
+        for field in ("true_targets", "labels", "true_scales", "quality"):
+            shape = np.shape(getattr(data, field))
+            if shape != (n,):
+                raise ValueError(f"{name} {field} shape {shape} != ({n},), one value per features row")
     n, d = train_set.features.shape
     if init is not None and init.feature_dim != d:
         raise ValueError(

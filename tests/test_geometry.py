@@ -14,6 +14,7 @@ from lkld.geometry import (
     ConvexPolygon,
     OrientedRect,
     Point2,
+    _chain_hull,
     _drop_interior,
     _xy_array,
     area,
@@ -98,6 +99,14 @@ PREFILTER_CLOUDS = st.one_of(
     st.sampled_from([PREFILTER_MIN_POINTS, PREFILTER_MIN_POINTS + 1]).flatmap(
         lambda n: st.lists(st.tuples(HULL_COORD, HULL_COORD), min_size=n, max_size=n)),
 )
+
+
+def _scaled(cloud, scale):
+    # A cloud as a float64 array times scale; beyond 1e300 the largest coordinate becomes |scale|.
+    arr = np.array(cloud, dtype=float).reshape(-1, 2)
+    if abs(scale) > 1e300 and arr.size:
+        scale /= max(1.0, np.abs(arr).max())
+    return arr * scale
 
 
 def _inside(rect, local):
@@ -278,6 +287,34 @@ class TestConvexHull:
         expected = [reference_drop_interior(a) for a in arrays]
         assert kept.tolist() == [len(e) for e in expected]
         assert survivors.tobytes() == np.concatenate([np.empty((0, 2))] + expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(PREFILTER_CLOUDS, st.sampled_from([1.0, 1e8, 1e300, -1.7e308]))
+    @example(_OCTAGON + _ON_EDGES + _JUST_INSIDE, 1.0)
+    @example([(-0.0, -0.0)] + [(float(i), float(j)) for i in range(7) for j in range(7)] + [(0.0, 0.0)], 1.0)
+    @example([(float(i), 2.0 * i + 1.0) for i in range(50)], -1.7e308)
+    def test_chain_on_prefiltered_rows_is_the_hull(self, cloud, scale):
+        # The gate only copies finite float64 rows and a second prefilter pass
+        # drops nothing, so the chain alone on the survivors is convex_hull.
+        arr = _scaled(cloud, scale)
+        survivors, (kept,) = _drop_interior(arr, [len(arr)])
+        assert kept == len(survivors)
+        assert _drop_interior(survivors, [kept])[0].tobytes() == survivors.tobytes()
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(_chain_hull(survivors).vertices) == repr(convex_hull(arr).vertices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(PREFILTER_CLOUDS, st.sampled_from([1.0, 1e8, 1e300, -1.7e308])), max_size=6))
+    @example([(_OCTAGON + _ON_EDGES + _JUST_INSIDE, 1.0), ([(1.5, -2.0)] * 50, 1e8), ([], 1.0)])
+    @example([([(float(i), float(j)) for i in range(7) for j in range(7)], -1.7e308), ([(-0.0, 0.0)] * 41, 1.0)])
+    def test_chain_on_each_segmented_survivor_cloud_is_its_hull(self, clouds):
+        # label_uncertainty hands each cloud that survives a run's segmented
+        # pass straight to the chain: each must give its own raw cloud's hull.
+        arrays = [_scaled(cloud, scale) for cloud, scale in clouds]
+        survivors, kept = _drop_interior(np.concatenate([np.empty((0, 2))] + arrays), [len(a) for a in arrays])
+        for raw, cloud in zip(arrays, np.split(survivors, np.cumsum(kept)[:-1])):
+            assert _drop_interior(cloud, [len(cloud)])[0].tobytes() == cloud.tobytes()
+            assert repr(_chain_hull(cloud).vertices) == repr(convex_hull(raw).vertices)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(CLOUDS, LARGE_CLOUDS, st.builds(

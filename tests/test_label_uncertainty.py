@@ -399,6 +399,32 @@ class TestOneDocumentPass:
             moved = aggregate_points(track, choose_reference_sweep(track))
             assert moved.tobytes() == reference_label_frame(track).tobytes()
 
+    def test_each_point_meets_the_prefilter_once(self, monkeypatch):
+        # Points drawn inside their boxes give hulls that no box edge clips, so
+        # every row the prefilter sees is a track's point: one segmented pass
+        # per run, and no second pass on each track's survivors.
+        rng = np.random.default_rng(5)
+        sweeps = [((0.4 * k, -0.1 * k), 0.02 * k) for k in range(3)]
+        tracks = [
+            _track_from(f"t{i}", simple_rect(cx=10.0 * i, theta=0.3 * i), sweeps,
+                        [rng.uniform(-0.45, 0.45, (n, 2)).tolist() for _ in sweeps])
+            for i, n in enumerate([2, 15, 60, 200, 30, 120])
+        ]
+        drop = geometry._drop_interior
+        rows = []
+
+        def counted(pts, counts):
+            rows.append(len(pts))
+            return drop(pts, counts)
+
+        monkeypatch.setattr(geometry, "_drop_interior", counted)
+        monkeypatch.setattr(label_uncertainty, "_drop_interior", counted)
+        monkeypatch.setattr(label_uncertainty, "RUN_ROWS", 400)
+        records = evaluate_tracks(tracks, self.MAPPING)
+        assert len(rows) > 1
+        assert sum(rows) == sum(t.n_points for t in tracks)
+        assert records == reference_evaluate_tracks(tracks, self.MAPPING, {})
+
     def test_the_first_fault_in_track_order_is_reported(self):
         far = {0: simple_rect(), 3: simple_rect(cx=-1e308)}
         tracks = [

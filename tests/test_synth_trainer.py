@@ -978,6 +978,14 @@ class TestInputChecks:
             ("train", 5, 3, "train_set feature_dim 3 != config feature_dim 4"),
             ("test", 5, 3, "test_set feature_dim 3 != config feature_dim 4"),
             ("test", 5, 5, "test_set feature_dim 5 != config feature_dim 4"),
+            # Rows of features, true_targets, labels, true_scales and quality.
+            ("train", (20, 20, 10, 20, 20), 4, "train_set labels shape (10,) != (20,), one value per features row"),
+            ("train", (20, 20, 20, 5, 20), 4, "train_set true_scales shape (5,) != (20,), one value per features row"),
+            ("train", (20, 21, 20, 20, 20), 4, "train_set true_targets shape (21,) != (20,), one value per features row"),
+            ("train", (20, 20, 20, 20, 0), 4, "train_set quality shape (0,) != (20,), one value per features row"),
+            ("test", (30, 30, 10, 30, 30), 4, "test_set labels shape (10,) != (30,), one value per features row"),
+            ("test", (30, 29, 30, 30, 30), 4, "test_set true_targets shape (29,) != (30,), one value per features row"),
+            ("test", (30, 30, 30, 30, 31), 4, "test_set quality shape (31,) != (30,), one value per features row"),
         ],
     )
     def test_datasets_are_checked_before_the_first_epoch(
@@ -985,8 +993,9 @@ class TestInputChecks:
     ):
         cfg = small_config()
         datasets = dict(zip(("train", "test"), generate(cfg)))
-        features = np.zeros((rows, width))
-        datasets[which] = Dataset(features, *(np.zeros(rows) for _ in range(4)))
+        sizes = (rows,) * 5 if isinstance(rows, int) else rows
+        features = np.zeros((sizes[0], width))
+        datasets[which] = Dataset(features, *(np.zeros(k) for k in sizes[1:]))
 
         def no_steps(*args):
             raise AssertionError("an epoch ran")
@@ -995,6 +1004,14 @@ class TestInputChecks:
         with pytest.raises(ValueError) as err:
             train(cfg, datasets["train"], datasets["test"])
         assert str(err.value) == message
+
+    def test_a_column_of_labels_is_rejected(self):
+        # An (n, 1) test-set column would broadcast against the (n,) predictions.
+        cfg = small_config()
+        data, test = generate(cfg)
+        with pytest.raises(ValueError) as err:
+            train(cfg, data, dataclasses.replace(test, labels=test.labels[:, None]))
+        assert str(err.value) == "test_set labels shape (500, 1) != (500,), one value per features row"
 
     @pytest.mark.parametrize("x", [(0.1,), (0.1, -0.2, 0.3)])
     def test_sample_param_grads_rejects_a_row_of_the_wrong_width(self, x):

@@ -234,6 +234,23 @@ class TestLossEvalAndGradCheck:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GRAD_CHECK_SHA256[loss]
 
+    # sha256 of `lkld loss-eval --label-location 0.1 --pred-location 0.35 --pred-scale 0.6`
+    # per loss (kld at --label-scale 0.2); kld0 gives nll's bytes.
+    LOSS_EVAL_SHA256 = {
+        "nll": "324adc6749fe35ac4facd5e43754d35a4ae46a142fc63bc1cc66e51034a06660",
+        "kld": "c92fb048d73d6fd904a07b7ce3d29645612a29c47310080d975fd49e1d722ff3",
+        "kld0": "324adc6749fe35ac4facd5e43754d35a4ae46a142fc63bc1cc66e51034a06660",
+    }
+
+    @pytest.mark.parametrize("loss", ["nll", "kld", "kld0"])
+    def test_loss_eval_bytes_are_pinned(self, tmp_path, loss):
+        out = tmp_path / "loss.csv"
+        label_scale = ["--label-scale", "0.2"] if loss == "kld" else []
+        code = main(["loss-eval", "--loss", loss, "--label-location", "0.1", *label_scale,
+                     "--pred-location", "0.35", "--pred-scale", "0.6", "-o", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.LOSS_EVAL_SHA256[loss]
+
     def test_grad_check_step_reaching_a_non_positive_scale(self, tmp_path, capsys):
         # b_hat - step <= 0 for a drawn b_hat: the finite difference cannot be taken.
         out = tmp_path / "grad.csv"
@@ -304,6 +321,25 @@ def seeded_tracks(seed: int, n_tracks: int) -> dict:
     return {"tracks": tracks}
 
 
+def _box_track(label_id: str, class_name: str, cx: float, cy: float, pts: list) -> dict:
+    """A 4 x 2 box over two sweeps, 0.5 apart: ``pts`` around its centre, then the first two turned."""
+    return {"label_id": label_id, "class_name": class_name,
+            "poses": [{"sweep_id": sweep, "center": [cx + 0.5 * sweep, cy], "theta": 0.0,
+                       "length": 4.0, "width": 2.0} for sweep in (0, 1)],
+            "points": [{"sweep_id": 0, "xy": [[cx + x, cy + y] for x, y in pts]},
+                       {"sweep_id": 1, "xy": [[cx + 0.5 + y, cy - x] for x, y in pts[:2]]}]}
+
+
+FREE_TEXT_TRACKS = {"tracks": [
+    _box_track("veh,1", 'car,"big"', 0.0, 0.0, [[1.5, 0.8], [-1.5, 0.8], [-1.2, -0.9], [1.7, -0.6]]),
+    _box_track('say "hi"', "cr\rclass", 10.0, 0.0, [[0.5, 0.5], [-1.0, 0.2], [0.3, -0.7]]),
+    _box_track("line\nbreak", 'car,"big"', 20.0, 5.0,
+               [[1.9, 0.9], [-1.9, 0.9], [-1.9, -0.9], [1.9, -0.9], [2.5, 0.0]]),
+    _box_track("crlf\r\nid", "plain", -7.0, 3.0, [[0.1, 0.1], [0.2, 0.3], [-0.4, 0.25]]),
+    _box_track('"', "\n", 3.0, -8.0, [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
+]}
+
+
 def _blas_kernel_cannot_be_chosen() -> str | None:
     """Why OPENBLAS_CORETYPE cannot choose numpy's BLAS kernel in a child process, or None if it can."""
     try:
@@ -330,6 +366,42 @@ class TestLabelUncCommands:
                      "--class-anchors", "pedestrian:0.25,0.05,0.01", "-o", str(records)])
         assert code == 0
         assert hashlib.sha256(records.read_bytes()).hexdigest() == self.RECORDS_PIN
+
+    # sha256 of the records CSV for FREE_TEXT_TRACKS, whose label ids and class
+    # names hold ",", '"', "\r" and "\n": rows with a "\r" quote every cell.
+    FREE_TEXT_RECORDS_PIN = "e713df96c2f8925dbde8244cd5308cfbecb963cda186fb9b32d3170b8980032e"
+
+    def test_free_text_records_are_pinned(self, tmp_path):
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(FREE_TEXT_TRACKS))
+        records = tmp_path / "records.csv"
+        code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                     "--class-anchors", 'car,"big":0.25,0.05,0.01', "-o", str(records)])
+        assert code == 0
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == self.FREE_TEXT_RECORDS_PIN
+
+    # sha256 of `lkld iou-hist --bins 7` on 50 records with IoUs k/40.
+    IOU_HIST_PIN = "5076c9a53b0d2c94215286e37ca33e1098b95054d68b27fa5fa9a670a1628311"
+
+    def test_iou_hist_bytes_are_pinned(self, tmp_path):
+        records = tmp_path / "records.csv"
+        rows = [f"t{k},car,{k * 13 % 41 / 40},0.1,3,1" for k in range(50)]
+        records.write_text("\n".join(["label_id,class_name,iou,scale_b,n_points,n_sweeps", *rows]) + "\n")
+        hist = tmp_path / "hist.csv"
+        assert main(["iou-hist", "--records", str(records), "--bins", "7", "-o", str(hist)]) == 0
+        assert hashlib.sha256(hist.read_bytes()).hexdigest() == self.IOU_HIST_PIN
+
+    # sha256 of `lkld fit-map` stdout per anchors: an exponential fit and the linear fallback.
+    FIT_MAP_SHA256 = {
+        "2.0,0.05,0.01": "562c52c864ad476fc9aea78ec075cd1414aee82ccee99544837cf0f15aec3933",
+        "0.3,0.2,0.1": "1839cf7e66ddd8b51fbf6143339ef9e659c29999b78d79a46cafe2ec1be78391",
+    }
+
+    @pytest.mark.parametrize("anchors", sorted(FIT_MAP_SHA256))
+    def test_fit_map_bytes_are_pinned(self, capsys, anchors):
+        assert main(["fit-map", "--anchors", anchors]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FIT_MAP_SHA256[anchors]
 
     @pytest.mark.parametrize("var, value", [
         ("OPENBLAS_CORETYPE", "Haswell"), ("OPENBLAS_CORETYPE", "Sandybridge"),
@@ -518,6 +590,25 @@ class TestCalibCommand:
         assert text.strip().split("\n")[-1].startswith("ece,")
         assert (tmp_path / "calib.vehicle.csv").exists()
         assert (tmp_path / "calib.bike.csv").exists()
+
+    # sha256 of `lkld calib --per-class` on the default grid, per output file:
+    # 60 rows of three classes, one holding a ",".
+    CALIB_SHA256 = {
+        "calib.csv": "8a222c95c4b67726cbb4bd42549238faa9f914c64e6dd656244b8f62da34f2da",
+        "calib.car.csv": "ace861165b3062074b9303a93b51a3dabb96e5910d8c85bef985743a1acebb5a",
+        "calib.bike.csv": "b500025a53da32e929161d4d5fbff216adbc42b437671c8c1b8cde91d4d1a11f",
+        "calib.a%2Cb.csv": "11bc242901ea7a7c27258b8e3b2e668d36f3850ad8550ff089400f7ebc2ae616",
+    }
+
+    def test_per_class_bytes_are_pinned(self, tmp_path):
+        classes = ["car", "bike", "a,b"]
+        rows = [f'{(k * 37 % 101 - 50) / 100},{0.1 + (k % 7) / 20},"{classes[k % 3]}"' for k in range(60)]
+        (tmp_path / "preds.csv").write_text("\n".join(["residual,scale,class_name", *rows]) + "\n")
+        code = main(["calib", "--records", str(tmp_path / "preds.csv"), "--per-class",
+                     "-o", str(tmp_path / "calib.csv")])
+        assert code == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("calib*.csv")}
+        assert got == self.CALIB_SHA256
 
     @pytest.mark.parametrize(
         "first, second, names",

@@ -53,7 +53,6 @@ _EXPORTS = {
         "evaluate_tracks",
         "fit_mapping",
         "iou_histogram",
-        "label_iou",
         "map_iou",
     ),
     "synth_trainer": (

@@ -1,4 +1,5 @@
-"""Small shared helpers: float formatting, JSON value checks, the CSV input dialect, atomic writes."""
+"""Small shared helpers: float formatting, JSON value checks, the CSV input dialect, the numeric
+CSV writer, atomic writes."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import os
 import stat
 import tempfile
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 
 def fmt_sig(x: float, digits: int = 9) -> str:
@@ -59,6 +60,17 @@ def csv_table(lines: Iterable[str], what: str) -> Iterator[tuple[list[str], Any]
         yield [cell.strip() for cell in header], reader
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from exc
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]], comment: str | None = None) -> str:
+    """A numeric table as CSV text: each row's cells joined by ``,`` and ended by ``\n``.
+
+    Cells must need no quoting. ``comment``, when given, comes first as a ``# `` line.
+    """
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines += map(",".join, rows)
+    return "\n".join(lines) + "\n"
 
 
 def _umask() -> int:

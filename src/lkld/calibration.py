@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import csv_table, fmt_sig
+from ._util import csv_table, csv_text, fmt_sig
 
 __all__ = [
     "CalibrationReport",
@@ -125,11 +125,8 @@ def calibration_report(
 
 def report_to_csv(report: CalibrationReport) -> str:
     """Curve rows followed by a summary line ``ece,<value>``."""
-    lines = ["expected_cdf,observed_cdf"]
-    for expected, observed in report.curve:
-        lines.append(f"{fmt_sig(expected)},{fmt_sig(observed)}")
-    lines.append(f"ece,{fmt_sig(report.ece)}")
-    return "\n".join(lines) + "\n"
+    rows = [(fmt_sig(expected), fmt_sig(observed)) for expected, observed in report.curve]
+    return csv_text(("expected_cdf", "observed_cdf"), [*rows, ("ece", fmt_sig(report.ece))])
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,8 @@ except the label-uncertainty records CSV, whose format is pinned at 6.
 The two CSV inputs, ``calib``'s predictions and ``iou-hist``'s records, are
 parsed in the library (``calibration.records_from_csv``,
 ``label_uncertainty.ious_from_csv``) in one dialect, ``_util.csv_table``.
+Every numeric CSV output is written by one helper, ``_util.csv_text``; only
+the records CSV, which holds free text, goes through ``csv.writer``.
 Sizes taken from the command line are bounded before anything is made:
 ``MAX_RANGE_POINTS`` per ``start:stop:step`` range,
 ``distributions.MAX_SURFACE_CELLS`` for the ``surface`` grid and
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._util import fmt_sig, write_text_atomic
+from ._util import csv_text, fmt_sig, write_text_atomic
 
 if TYPE_CHECKING:
     from . import label_uncertainty
@@ -164,24 +166,19 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
 
     _check_outputs([args.output])
     pred = distributions.LaplaceParams(args.pred_location, args.pred_scale)
+    if args.loss != "kld" and args.label_scale is not None:
+        raise ValueError("--label-scale only applies to --loss kld")
     if args.loss == "nll":
-        if args.label_scale is not None:
-            raise ValueError("--label-scale only applies to --loss kld")
         grad = distributions.nll_loss(args.label_location, pred)
     elif args.loss == "kld0":
-        if args.label_scale is not None:
-            raise ValueError("--label-scale only applies to --loss kld")
         grad = distributions.kld_loss_zero_label_scale(args.label_location, pred)
     else:
         if args.label_scale is None:
             raise ValueError("--loss kld requires --label-scale")
         label = distributions.LaplaceParams(args.label_location, args.label_scale)
         grad = distributions.kld_loss(label, pred)
-    text = (
-        "value,d_location,d_scale\n"
-        f"{fmt_sig(grad.value)},{fmt_sig(grad.d_location)},{fmt_sig(grad.d_scale)}\n"
-    )
-    _emit(text, args.output)
+    row = (fmt_sig(grad.value), fmt_sig(grad.d_location), fmt_sig(grad.d_scale))
+    _emit(csv_text(("value", "d_location", "d_scale"), [row]), args.output)
     return 0
 
 

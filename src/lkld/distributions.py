@@ -31,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._util import fmt_sig
+from ._util import csv_text, fmt_sig
 
 __all__ = [
     "LaplaceParams",
@@ -175,11 +175,11 @@ class SurfaceGrid:
             raise ValueError(f"values shape {self.values.shape} != axes shape {expected}")
 
     def to_csv(self) -> str:
-        lines = ["error,scale,value"]
-        for i, e in enumerate(self.error_axis):
-            for j, s in enumerate(self.scale_axis):
-                lines.append(f"{fmt_sig(e)},{fmt_sig(s)},{fmt_sig(self.values[i, j])}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("error", "scale", "value"), (
+            (fmt_sig(e), fmt_sig(s), fmt_sig(v))
+            for e, row in zip(self.error_axis, self.values)
+            for s, v in zip(self.scale_axis, row.tolist())
+        ))
 
 
 def _check_axis(name: str, axis: Sequence[float], positive: bool) -> tuple[float, ...]:
@@ -253,20 +253,11 @@ class GradCheckResult:
         return self.failures == 0
 
     def to_csv(self) -> str:
-        header = "loss,samples,step,rtol,atol,failures,max_scaled_location,max_scaled_scale"
-        row = ",".join(
-            [
-                self.loss_kind,
-                str(self.samples),
-                fmt_sig(self.step),
-                fmt_sig(self.rtol),
-                fmt_sig(self.atol),
-                str(self.failures),
-                fmt_sig(self.max_scaled_location),
-                fmt_sig(self.max_scaled_scale),
-            ]
-        )
-        return f"{header}\n{row}\n"
+        header = ("loss", "samples", "step", "rtol", "atol", "failures",
+                  "max_scaled_location", "max_scaled_scale")
+        row = (self.loss_kind, str(self.samples), fmt_sig(self.step), fmt_sig(self.rtol), fmt_sig(self.atol),
+               str(self.failures), fmt_sig(self.max_scaled_location), fmt_sig(self.max_scaled_scale))
+        return csv_text(header, [row])
 
 
 def gradient_check(

@@ -38,6 +38,9 @@ __all__ = [
     "contains_point",
 ]
 
+# Largest rectangle area: the shoelace sum is twice an area, and an IoU's
+# union adds two, so either would overflow above half the float range.
+MAX_RECT_AREA = float(np.finfo(np.float64).max) / 2
 # Hull corners whose cross product is at or below this count as collinear and
 # are dropped; keeps vertex output strictly convex and deterministic.
 COLLINEAR_EPS = 1e-12
@@ -121,7 +124,10 @@ def _normalize_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class OrientedRect:
-    """Axis lengths and pose of an oriented rectangle (length along heading)."""
+    """Axis lengths and pose of an oriented rectangle (length along heading).
+
+    Its area ``length * width`` must be above 0 and at most MAX_RECT_AREA.
+    """
 
     center: Point2
     theta: float
@@ -141,10 +147,9 @@ class OrientedRect:
         object.__setattr__(self, "theta", _normalize_angle(self.theta))
         object.__setattr__(self, "length", float(self.length))
         object.__setattr__(self, "width", float(self.width))
-
-    @property
-    def pose(self) -> Pose:
-        return (self.center, self.theta)
+        if not 0.0 < self.length * self.width <= MAX_RECT_AREA:
+            raise ValueError(f"length * width must be > 0 and at most {MAX_RECT_AREA:.6g}, "
+                             f"got {self.length} * {self.width}")
 
 
 def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -286,8 +291,10 @@ def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     duplicates are dropped before the scan (the first one seen is kept, so
     ``-0.0`` or ``0.0`` follows the input order); collinear boundary points
     are removed. Fewer than three non-collinear points yield a degenerate
-    polygon with area 0. Output starts at the lexicographically smallest
-    vertex, which keeps downstream CSV dumps reproducible.
+    polygon with area 0, and so does a cloud flat to rounding: its hull is
+    the segment between its least and greatest points. Output starts at the
+    lexicographically smallest vertex, which keeps downstream CSV dumps
+    reproducible.
     """
     arr = _xy_array(points)
     return _chain_hull(_drop_interior(arr, (len(arr),))[0])
@@ -318,10 +325,15 @@ def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
 
     lower = build(pts)
     upper = build(pts[::-1])
+    ring = lower[:-1] + upper[:-1]
+    # Only rounding puts a point on both chains, and only in a cloud that is flat to
+    # rounding, so its hull is the segment between its ends, as for a collinear cloud.
+    if len(set(ring)) < len(ring):
+        return ConvexPolygon._of_gated((Point2._make(pts[0]), Point2._make(pts[-1])))
     # Near-straight corners go only from the finished hull, each losing at most
     # COLLINEAR_EPS / 2: in a partial chain two close points can flatten a far corner.
     # The corner tested is ring[-1]; a lap of corners that all turn more ends the walk.
-    ring, kept = deque(lower[:-1] + upper[:-1]), 0
+    ring, kept = deque(ring), 0
     while kept < len(ring) and len(ring) >= 3:
         if _cross(ring[-2], ring[-1], ring[0]) <= COLLINEAR_EPS:
             ring.pop()  # ring[-2] has a new neighbour: it is tested next

@@ -10,8 +10,10 @@ and a large scale; a well-supported label yields a small one. Working in
 the label frame keeps the IoU independent of where the global origin is.
 
 Records are written as CSV by ``records_to_csv`` (header
-``RECORDS_CSV_HEADER``), and ``ious_from_csv`` reads their ``iou`` column
-back in the shared CSV input dialect (``_util.csv_table``).
+``RECORDS_CSV_HEADER``) through ``csv.writer``, since label ids and class
+names are free text, and ``ious_from_csv`` reads their ``iou`` column back
+in the shared CSV input dialect (``_util.csv_table``). ``histogram_to_csv``
+writes its numeric table through ``_util.csv_text``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import csv_table, fmt_sig, json_int, json_number, json_str
+from ._util import csv_table, csv_text, fmt_sig, json_int, json_number, json_str
 # perfbench/tracing.py wraps convex_hull, iou and rigid_transform under this
 # module's names. _hull_ious calls iou through its name; convex_hull, like
 # rigid_transform, is unused here and imported only so that the tracer can patch it.
@@ -42,7 +44,6 @@ __all__ = [
     "MAX_HISTOGRAM_BINS",
     "choose_reference_sweep",
     "aggregate_points",
-    "label_iou",
     "fit_mapping",
     "map_iou",
     "iou_histogram",
@@ -123,13 +124,6 @@ def choose_reference_sweep(track: LabelTrack) -> int:
     return max(track.poses, key=lambda sweep: (len(track.points.get(sweep, ())), -sweep))
 
 
-def _check_reference(track: LabelTrack, reference_sweep: int) -> None:
-    if reference_sweep not in track.poses:
-        raise ValueError(
-            f"reference sweep {reference_sweep} not among poses of track {track.label_id!r}"
-        )
-
-
 def _label_frame_points(tracks: Sequence[LabelTrack]) -> tuple[np.ndarray, list[int]]:
     """Every track's points in label frames, as one ``(n, 2)`` array, and each track's row count.
 
@@ -193,13 +187,16 @@ def aggregate_points(track: LabelTrack, reference_sweep: int) -> np.ndarray:
     and the sweep. This is the frame change ``evaluate_tracks`` makes for
     each run of tracks, run on one track.
     """
-    _check_reference(track, reference_sweep)
+    if reference_sweep not in track.poses:
+        raise ValueError(f"reference sweep {reference_sweep} not among poses of track {track.label_id!r}")
     return _label_frame_points([track])[0]
 
 
-def _hull_ious(tracks: Sequence[LabelTrack], references: Sequence[int]) -> list[float]:
-    """Each track's hull IoU with its reference box.
+def _hull_ious(tracks: Sequence[LabelTrack]) -> list[float]:
+    """Each track's IoU of the hull of its points with the box of its ``choose_reference_sweep``.
 
+    In the label frame that box is axis-aligned and centred at the origin, so
+    the IoU does not depend on the global origin; a degenerate hull gives 0.
     Tracks go in runs of about RUN_ROWS points, each with one frame change
     and one prefilter; each track's survivors then go straight to the
     monotone chain, with no second gate or prefilter, and the hull to IoU.
@@ -209,23 +206,11 @@ def _hull_ious(tracks: Sequence[LabelTrack], references: Sequence[int]) -> list[
         survivors, kept = _drop_interior(*_label_frame_points(run))
         clouds += np.split(survivors, np.cumsum(kept)[:-1])
     ious = []
-    for track, reference, cloud in zip(tracks, references, clouds):
-        ref = track.poses[reference]
+    for track, cloud in zip(tracks, clouds):
+        ref = track.poses[choose_reference_sweep(track)]
         label_poly = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, ref.length, ref.width))
         ious.append(iou(_chain_hull(cloud), label_poly))
     return ious
-
-
-def label_iou(track: LabelTrack, reference_sweep: int) -> float:
-    """IoU between the hull of the aggregated points and the reference rectangle.
-
-    Both live in the reference label's frame, where the rectangle is the
-    axis-aligned ``length x width`` box centred at the origin, so the result
-    does not depend on the global origin. Fewer than three non-collinear
-    aggregated points give a degenerate hull and an IoU of 0.
-    """
-    _check_reference(track, reference_sweep)
-    return _hull_ious([track], [reference_sweep])[0]
 
 
 @dataclass(frozen=True)
@@ -321,7 +306,7 @@ def iou_histogram(ious: Sequence[float], n_bins: int) -> list[tuple[float, float
 def _records(
     tracks: Sequence[LabelTrack], mappings: Sequence[UncertaintyMapping]
 ) -> list[LabelUncertaintyRecord]:
-    ious = _hull_ious(tracks, [choose_reference_sweep(t) for t in tracks])
+    ious = _hull_ious(tracks)
     return [
         LabelUncertaintyRecord(
             label_id=t.label_id,
@@ -353,18 +338,19 @@ def evaluate_tracks(
     Whole tracks go in runs of about RUN_ROWS points: each run's points move
     into their label frames in one pass and lose their interior points to one
     segmented prefilter; each track then gets its own hull and IoU. Faults
-    are reported in track order. Records come back in label-id order.
+    are reported in track order: the tracks before one whose class has no
+    mapping are evaluated before that is raised. Records come back in
+    label-id order.
     """
     per_class = dict(per_class or {})
     chosen = [per_class.get(t.class_name, mapping) for t in tracks]
-    missing = next((k for k, m in enumerate(chosen) if m is None), None)
-    if missing is not None:
-        for run in _track_runs(tracks[:missing]):  # an earlier track's fault comes first
-            _label_frame_points(run)
+    missing = next((k for k, m in enumerate(chosen) if m is None), len(tracks))
+    records = _records(tracks[:missing], chosen[:missing])  # an earlier track's fault comes first
+    if missing < len(tracks):
         raise ValueError(
             f"no uncertainty mapping for class {tracks[missing].class_name!r} and no default given"
         )
-    return sorted(_records(tracks, chosen), key=lambda r: r.label_id)
+    return sorted(records, key=lambda r: r.label_id)
 
 
 def _track_from_json(raw: dict) -> LabelTrack:
@@ -486,7 +472,5 @@ def ious_from_csv(lines: Iterable[str]) -> list[float]:
 
 
 def histogram_to_csv(bins: Sequence[tuple[float, float, int]]) -> str:
-    lines = ["bin_low,bin_high,count"]
-    for low, high, count in bins:
-        lines.append(f"{fmt_sig(low)},{fmt_sig(high)},{count}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("bin_low", "bin_high", "count"),
+                    ((fmt_sig(low), fmt_sig(high), str(count)) for low, high, count in bins))

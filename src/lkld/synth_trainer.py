@@ -24,7 +24,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ._util import fmt_sig, json_int, json_number
+from ._util import csv_text, fmt_sig, json_int, json_number
 from .calibration import calibration_report, laplace_quantile
 from .distributions import kld_terms, nll_terms
 # Unused: imported only so the names perfbench/tracing.py wraps exist here.
@@ -797,23 +797,19 @@ def train_report_to_csv(config: SynthConfig, report: TrainReport) -> str:
 
     An unscored epoch (``ece`` None) leaves its ``ece`` cell empty.
     """
-    lines = [f"# {config.describe()}", "epoch,mean_loss,mean_abs_error,ece"]
-    for i, stats in enumerate(report.epoch_stats, start=1):
-        ece = "" if stats.ece is None else fmt_sig(stats.ece)
-        lines.append(f"{i},{fmt_sig(stats.mean_loss)},{fmt_sig(stats.mean_abs_error)},{ece}")
-    lines.append(
-        f"final,{fmt_sig(report.test_mae)},{fmt_sig(report.test_ece)},"
-        f"{str(report.diverged).lower()}"
-    )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (str(i), fmt_sig(stats.mean_loss), fmt_sig(stats.mean_abs_error),
+         "" if stats.ece is None else fmt_sig(stats.ece))
+        for i, stats in enumerate(report.epoch_stats, start=1)
+    ]
+    rows.append(("final", fmt_sig(report.test_mae), fmt_sig(report.test_ece), str(report.diverged).lower()))
+    return csv_text(("epoch", "mean_loss", "mean_abs_error", "ece"), rows, comment=config.describe())
 
 
 def comparison_to_csv(base: SynthConfig, rows: Sequence[CompareRow]) -> str:
     """One row per mode; ``base``'s settings but its label scale ride in a comment header."""
-    lines = [f"# {_describe(base, omit='label_scale')}", "mode,test_mae,test_ece,diverged"]
-    for row in rows:
-        lines.append(
-            f"{row.mode},{fmt_sig(row.test_mae)},{fmt_sig(row.test_ece)},"
-            f"{str(row.diverged).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("mode", "test_mae", "test_ece", "diverged"),
+        ((row.mode, fmt_sig(row.test_mae), fmt_sig(row.test_ece), str(row.diverged).lower()) for row in rows),
+        comment=_describe(base, omit="label_scale"),
+    )

@@ -154,7 +154,9 @@ def reference_convex_hull(points) -> ConvexPolygon:
 
     Dedupes with the first point seen kept, sorts, builds both monotone
     chains on every point and removes near-straight corners from the
-    finished ring; the output starts at its smallest vertex.
+    finished ring; the output starts at its smallest vertex. A point on both
+    chains, which only rounding puts there, gives the segment between the
+    least and the greatest point.
     """
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     for x, y in pts:
@@ -179,6 +181,8 @@ def reference_convex_hull(points) -> ConvexPolygon:
 
     lower = build(pts)
     upper = build(pts[::-1])
+    if set(lower[1:-1]) & set(upper[1:-1]):
+        return ConvexPolygon((Point2(*pts[0]), Point2(*pts[-1])))
     ring, kept = deque(Point2(*p) for p in lower[:-1] + upper[:-1]), 0
     while kept < len(ring) and len(ring) >= 3:
         if cross(ring[-2], ring[-1], ring[0]) <= COLLINEAR_EPS:

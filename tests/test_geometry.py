@@ -41,7 +41,7 @@ COORD = st.floats(-100.0, 100.0, allow_nan=False)
 CLOUDS = st.lists(st.builds(Point2, COORD, COORD), max_size=30)
 # Set before the property was first run and kept; iou now meets it exactly.
 IOU_SYMMETRY_TOL = 1e-9
-# The tolerance label_iou keeps at offsets up to 1e8.
+# The tolerance the labelunc hull IoU keeps at offsets up to 1e8.
 RIGID_MOTION_IOU_TOL = 1e-6
 
 
@@ -99,6 +99,11 @@ PREFILTER_CLOUDS = st.one_of(
     st.sampled_from([PREFILTER_MIN_POINTS, PREFILTER_MIN_POINTS + 1]).flatmap(
         lambda n: st.lists(st.tuples(HULL_COORD, HULL_COORD), min_size=n, max_size=n)),
 )
+
+
+# Points of one line that rounding at 1e8 once put on both monotone chains.
+_FLAT_TO_ROUNDING = [(t, -t - 6.893801387521911) for t in
+                     [0.0] * 21 + [-86.75263063542869] + [-0.0] * 14 + [80.82940759362188, -91.0, -92.0]]
 
 
 def _scaled(cloud, scale):
@@ -202,6 +207,16 @@ class TestConvexHull:
             again = convex_hull(hull.vertices)
             assert again.vertices == hull.vertices
 
+    def test_a_cloud_flat_to_rounding_gives_the_segment_between_its_ends(self):
+        # At 1e8 the cross products of these points on one line are rounding
+        # noise, and the point at t = -86.75 went on both chains: a polygon
+        # with a repeated vertex, which raised.
+        points = _scaled(_FLAT_TO_ROUNDING, 1e8)
+        hull = convex_hull(points)
+        assert hull.vertices == (tuple(points[-1]), tuple(points[-3]))  # t = -92, then t = 80.8
+        assert area(hull) == 0.0
+        assert repr(hull.vertices) == repr(reference_convex_hull(points.tolist()).vertices)
+
     def test_close_points_do_not_hide_a_far_corner(self):
         # (0, 0) and (3.7e-107, 0) are nearly one point; the corner at
         # (1.4e-107, -1) between them in x order is a real one.
@@ -290,6 +305,7 @@ class TestConvexHull:
 
     @settings(max_examples=200, deadline=None)
     @given(PREFILTER_CLOUDS, st.sampled_from([1.0, 1e8, 1e300, -1.7e308]))
+    @example(_FLAT_TO_ROUNDING, 1e8)
     @example(_OCTAGON + _ON_EDGES + _JUST_INSIDE, 1.0)
     @example([(-0.0, -0.0)] + [(float(i), float(j)) for i in range(7) for j in range(7)] + [(0.0, 0.0)], 1.0)
     @example([(float(i), 2.0 * i + 1.0) for i in range(50)], -1.7e308)
@@ -398,6 +414,26 @@ class TestRectToPolygon:
             OrientedRect(Point2(0, 0), 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             OrientedRect(Point2(0, 0), 0.0, 1.0, -2.0)
+
+    @pytest.mark.parametrize("side", [1e155, 1e-200])
+    def test_rejects_an_area_beyond_the_float_range(self, side):
+        # 1e155 squared overflows to inf and 1e-200 squared underflows to 0: the
+        # first gave an infinite area and iou(p, p) == 0, the second a polygon
+        # check that failed with no word of the rectangle.
+        with pytest.raises(ValueError) as err:
+            OrientedRect(Point2(0, 0), 0.0, side, side)
+        assert str(err.value) == (
+            f"length * width must be > 0 and at most {geometry.MAX_RECT_AREA:.6g}, got {side} * {side}"
+        )
+
+    def test_the_largest_area_keeps_its_area_and_iou(self):
+        width = geometry.MAX_RECT_AREA / 1e154
+        rect = OrientedRect(Point2(0, 0), 0.3, 1e154, width)
+        poly = rect_to_polygon(rect)
+        assert area(poly) == pytest.approx(geometry.MAX_RECT_AREA, rel=1e-12)
+        assert iou(poly, poly) == 1.0
+        with pytest.raises(ValueError, match=r"^length \* width must be > 0 and at most"):
+            OrientedRect(Point2(0, 0), 0.3, 1e154, width * (1 + 1e-9))
 
     def test_float32_sizes_give_float64_corners(self):
         # A float32 size is the float64 it stands for: the corners are computed

@@ -22,7 +22,6 @@ from lkld.label_uncertainty import (
     fit_mapping,
     histogram_to_csv,
     iou_histogram,
-    label_iou,
     map_iou,
     records_to_csv,
     tracks_from_json,
@@ -86,12 +85,18 @@ class TestAggregatePoints:
             aggregate_points(track, 3)
 
 
+def hull_iou(track):
+    """The track's hull IoU, through the path ``evaluate_tracks`` takes for one track."""
+    return evaluate_track(track, fit_mapping(2.00, 0.05, 0.01)).iou
+
+
 class TestLabelIou:
+    # Each track's reference sweep is the one choose_reference_sweep picks: sweep 0.
     def test_points_at_corners_give_unit_iou(self):
         rect = simple_rect()
         corners = [Point2(2, 1), Point2(-2, 1), Point2(-2, -1), Point2(2, -1)]
         track = make_track({0: rect}, {0: corners})
-        assert label_iou(track, 0) == pytest.approx(1.0, abs=1e-9)
+        assert hull_iou(track) == pytest.approx(1.0, abs=1e-9)
 
     def test_front_half_grid_gives_half_iou(self):
         rect = simple_rect()  # 4 x 2 box centered at origin
@@ -99,11 +104,11 @@ class TestLabelIou:
         ys = np.arange(-1.0, 1.0 + 1e-9, 0.05)
         pts = [Point2(float(x), float(y)) for x in xs for y in ys]
         track = make_track({0: rect}, {0: pts})
-        assert label_iou(track, 0) == pytest.approx(0.5, abs=0.02)
+        assert hull_iou(track) == pytest.approx(0.5, abs=0.02)
 
     def test_empty_points_give_zero(self):
         track = make_track({0: simple_rect(), 1: simple_rect(1, 1)}, {0: [], 1: []})
-        assert label_iou(track, 0) == 0.0
+        assert hull_iou(track) == 0.0
 
     @pytest.mark.parametrize("offset", [12.3, 5e6, 1e8])
     def test_rigid_motion_invariance(self, offset):
@@ -112,7 +117,7 @@ class TestLabelIou:
         rect = simple_rect()
         pts = [Point2(float(x), float(y)) for x, y in rng.uniform(-1.5, 1.5, (40, 2))]
         track = make_track({0: rect}, {0: pts})
-        base = label_iou(track, 0)
+        base = hull_iou(track)
 
         shift = Point2(offset, -0.5 * offset)
         phi = 0.7
@@ -123,7 +128,7 @@ class TestLabelIou:
         )
         moved_pts = [rigid_transform(p, origin, target) for p in pts]
         moved = make_track({0: moved_rect}, {0: moved_pts})
-        assert label_iou(moved, 0) == pytest.approx(base, abs=1e-6)
+        assert hull_iou(moved) == pytest.approx(base, abs=1e-6)
 
 
 class TestReferenceSweepChoice:
@@ -599,6 +604,24 @@ class TestJsonAndCsv:
         doc["tracks"][0]["points"][1]["xy"].append(bad_point)
         with pytest.raises(ValueError, match=r"malformed track at tracks\[0\]"):
             tracks_from_json(doc)
+
+    @pytest.mark.parametrize("side, points", [
+        (1e200, [[0.0, 0.0], [1e199, 0.0], [0.0, 1e199]]),  # its IoU read 0; the true one is 0.005
+        (1e-200, [[0.0, 0.0], [1e-201, 0.0], [0.0, 1e-201]]),
+    ])
+    def test_box_area_beyond_the_float_range_names_its_track(self, side, points):
+        doc = self.sample_doc()
+        doc["tracks"].append({
+            "label_id": "huge", "class_name": "vehicle",
+            "poses": [{"sweep_id": 0, "center": [0.0, 0.0], "theta": 0.0, "length": side, "width": side}],
+            "points": [{"sweep_id": 0, "xy": points}],
+        })
+        with pytest.raises(ValueError) as err:
+            tracks_from_json(doc)
+        assert str(err.value) == (
+            "malformed track at tracks[1]: length * width must be > 0 and at most "
+            f"{geometry.MAX_RECT_AREA:.6g}, got {side} * {side}"
+        )
 
     @pytest.mark.parametrize(
         "first, second, where", [("NaN", "1e400", 0), ("0.5", "1e400", 1), ("-Infinity", "0.5", 0)]

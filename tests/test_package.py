@@ -16,7 +16,7 @@ EXPORTS = {
                  "intersect_convex", "iou", "rect_to_polygon", "rigid_transform"],
     "label_uncertainty": ["LabelTrack", "LabelUncertaintyRecord", "UncertaintyMapping", "aggregate_points",
                           "choose_reference_sweep", "evaluate_track", "evaluate_tracks", "fit_mapping",
-                          "iou_histogram", "label_iou", "map_iou"],
+                          "iou_histogram", "map_iou"],
     "synth_trainer": ["ConstantLabelScale", "ConstantNoise", "Dataset", "FeatureDependentNoise",
                       "HeuristicLabelScale", "OracleLabelScale", "Predictor", "SynthConfig", "TrainReport",
                       "ZeroLabelScale", "compare", "generate", "train"],

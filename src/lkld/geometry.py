@@ -6,13 +6,13 @@ polygon intersection (half-plane clipping that skips edges nothing crosses),
 shoelace areas, and IoU.
 All polygons are counter-clockwise vertex tuples; everything is pure and
 thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
-``ConvexPolygon``, ``contains_point`` and ``label_uncertainty``; it rejects
-string, bytes, boolean, ``None``, complex, NaN and infinite coordinates, rows
-that are not lists, tuples or 1-D arrays of two, and numbers beyond the float
-range. ``convex_hull`` is the gate, the prefilter and the chain ``_chain_hull``,
+``ConvexPolygon``, ``contains_point`` and ``label_uncertainty``.
+``convex_hull`` is the gate, the prefilter and the chain ``_chain_hull``,
 which ``label_uncertainty`` calls alone on the clouds it has gated and
 prefiltered in runs. ``_chain_hull`` and ``rect_to_polygon`` build polygons
-from finite floats, so only the polygon checks run again.
+from finite floats, so only the polygon checks run again. The hull's, the
+clip's and the prefilter's tolerances are relative to the span of the points
+at hand, so hulls and IoUs do not depend on scale.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ __all__ = [
 # Largest rectangle area: the shoelace sum is twice an area, and an IoU's
 # union adds two, so either would overflow above half the float range.
 MAX_RECT_AREA = float(np.finfo(np.float64).max) / 2
-# Hull corners whose cross product is at or below this count as collinear and
-# are dropped; keeps vertex output strictly convex and deterministic.
+# Hull corners whose cross product is at most this times the squared span of their
+# points are collinear and dropped; keeps vertex output strictly convex and deterministic.
 COLLINEAR_EPS = 1e-12
-# Points within this distance of a clip line count as inside; avoids sliver
-# polygons from floating-point jitter.
+# Points within this times the span of both polygons of a clip line are inside;
+# avoids sliver polygons from floating-point jitter.
 CLIP_EPS = 1e-9
 # Hull input arrays longer than this are prefiltered; below it the numpy
 # calls cost more than the monotone chain saves.
@@ -154,6 +154,12 @@ class OrientedRect:
 
 def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _span(points: Iterable[tuple[float, float]]) -> float:
+    """The greater of the x and y extents of points, the scale of the tolerances."""
+    xs, ys = zip(*points)
+    return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
 @dataclass(frozen=True)
@@ -282,19 +288,16 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
 def convex_hull(points: Iterable[Point2] | np.ndarray) -> ConvexPolygon:
     """Minimal CCW convex polygon containing all points (monotone chain).
 
-    ``points`` is an iterable of ``(x, y)`` pairs or an ``(n, 2)`` array,
-    read through the point-set gate ``_xy_array``, which rejects string,
-    bytes, boolean, ``None``, complex, NaN and infinite coordinates, rows
-    that are not pairs and integers beyond the float range. More than
-    PREFILTER_MIN_POINTS rows first lose every point strictly inside the
-    polygon of their 8 extreme points (Akl and Toussaint, 1978). Exact
-    duplicates are dropped before the scan (the first one seen is kept, so
-    ``-0.0`` or ``0.0`` follows the input order); collinear boundary points
-    are removed. Fewer than three non-collinear points yield a degenerate
-    polygon with area 0, and so does a cloud flat to rounding: its hull is
-    the segment between its least and greatest points. Output starts at the
-    lexicographically smallest vertex, which keeps downstream CSV dumps
-    reproducible.
+    ``points`` is an iterable of ``(x, y)`` pairs or an ``(n, 2)`` array, read
+    through the point-set gate ``_xy_array``. More than PREFILTER_MIN_POINTS
+    rows first lose every point strictly inside the polygon of their 8
+    extreme points (Akl and Toussaint, 1978). Exact duplicates are dropped
+    before the scan (the first one seen is kept, so ``-0.0`` or ``0.0``
+    follows the input order); collinear boundary points are removed. Fewer
+    than three non-collinear points yield a degenerate polygon with area 0,
+    and so does a cloud flat to rounding: its hull is the segment between its
+    least and greatest points. Output starts at the lexicographically
+    smallest vertex, which keeps downstream CSV dumps reproducible.
     """
     arr = _xy_array(points)
     return _chain_hull(_drop_interior(arr, (len(arr),))[0])
@@ -330,12 +333,13 @@ def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
     # rounding, so its hull is the segment between its ends, as for a collinear cloud.
     if len(set(ring)) < len(ring):
         return ConvexPolygon._of_gated((Point2._make(pts[0]), Point2._make(pts[-1])))
-    # Near-straight corners go only from the finished hull, each losing at most
-    # COLLINEAR_EPS / 2: in a partial chain two close points can flatten a far corner.
-    # The corner tested is ring[-1]; a lap of corners that all turn more ends the walk.
+    # Near-straight corners go only from the finished hull, each losing at most COLLINEAR_EPS / 2 of the
+    # squared span, whose overflow the division avoids: in a partial chain two close points can flatten
+    # a far corner. The corner tested is ring[-1]; a lap of corners that all turn more ends the walk.
+    span = _span(ring)
     ring, kept = deque(ring), 0
     while kept < len(ring) and len(ring) >= 3:
-        if _cross(ring[-2], ring[-1], ring[0]) <= COLLINEAR_EPS:
+        if _cross(ring[-2], ring[-1], ring[0]) / span <= COLLINEAR_EPS * span:
             ring.pop()  # ring[-2] has a new neighbour: it is tested next
             kept = 0
         else:
@@ -349,15 +353,21 @@ def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
     """Expand an oriented rectangle into its 4-corner CCW polygon.
 
     The first vertex is the corner at (+length/2, +width/2) in the rect frame.
-    Only corners beyond the float range go through the point-set gate, to name them.
+    Corners beyond the float range, or that rounding leaves repeated or not strictly
+    convex, go to ``convex_hull``: its gate names the first, and the second give their
+    hull, of area 0 where the short side is lost against the long one.
     """
     cos_t, sin_t = math.cos(rect.theta), math.sin(rect.theta)
     hl, hw = 0.5 * rect.length, 0.5 * rect.width
     (x, y) = rect.center
     vertices = tuple(Point2(x + cos_t * cx - sin_t * cy, y + sin_t * cx + cos_t * cy)
                      for cx, cy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)))
-    finite = all(math.isfinite(v) for corner in vertices for v in corner)
-    return ConvexPolygon._of_gated(vertices) if finite else ConvexPolygon(vertices)
+    if all(math.isfinite(v) for corner in vertices for v in corner):
+        try:
+            return ConvexPolygon._of_gated(vertices)
+        except ValueError:  # repeated or not strictly convex
+            pass
+    return convex_hull(vertices)
 
 
 def area(poly: ConvexPolygon) -> float:
@@ -398,23 +408,24 @@ def contains_point(poly: ConvexPolygon, p: Point2, tol: float = 1e-9) -> bool:
 
 
 def _canonical(poly: ConvexPolygon) -> bool:
-    """True if ``poly`` is what ``convex_hull`` makes of its vertices: it starts at
-    its least vertex and every corner turns by more than COLLINEAR_EPS."""
+    """True if ``poly`` is what ``convex_hull`` makes of its vertices: it starts at its
+    least vertex and every corner turns by more than COLLINEAR_EPS of the squared span."""
     v = poly.vertices
-    n = len(v)
-    return v[0] == min(v) and all(_cross(v[i - 1], v[i], v[(i + 1) % n]) > COLLINEAR_EPS for i in range(n))
+    n, span = len(v), _span(v)
+    tol = COLLINEAR_EPS * span
+    return v[0] == min(v) and all(_cross(v[i - 1], v[i], v[(i + 1) % n]) / span > tol for i in range(n))
 
 
 def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Intersection of two convex polygons by clipping a against each edge of b.
 
     Degenerate inputs yield the empty polygon. An edge that every vertex
-    clears (within CLIP_EPS) clips nothing and is skipped. A clipped vertex
-    set is re-canonicalized through convex_hull, which dedupes coincident
-    corners and drops collinear jitter; when no edge clips and ``a`` is
-    already what convex_hull returns (a hull inside the other polygon),
-    ``a`` itself is the result. The pair is clipped in a fixed order, so
-    ``intersect_convex(a, b) == intersect_convex(b, a)`` exactly.
+    clears (within CLIP_EPS of the polygons' span) clips nothing and is
+    skipped. A clipped vertex set is re-canonicalized through convex_hull,
+    which dedupes coincident corners and drops collinear jitter; when no edge
+    clips and ``a`` is already what convex_hull returns (a hull inside the
+    other polygon), ``a`` itself is the result. The pair is clipped in a
+    fixed order, so ``intersect_convex(a, b) == intersect_convex(b, a)`` exactly.
     """
     if len(a) < 3 or len(b) < 3:
         return EMPTY_POLYGON
@@ -422,6 +433,7 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
         a, b = b, a
 
     output: list[tuple[float, float]] = [(p.x, p.y) for p in a.vertices]
+    tol = CLIP_EPS * _span(a.vertices + b.vertices)
     clipped_any = False
     bv = b.vertices
     for i in range(len(bv)):
@@ -434,7 +446,7 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
         ey = e2.y - e1.y
         # Signed distance of each vertex to the clip line, ccw-inside positive.
         dists = [((ex * (py - e1.y) - ey * (px - e1.x)) * inv_len) for px, py in output]
-        inside = [dist >= -CLIP_EPS for dist in dists]  # a NaN distance is outside
+        inside = [dist >= -tol for dist in dists]  # a NaN distance is outside
         if all(inside):
             continue
         clipped_any = True

@@ -9,11 +9,8 @@ anchored at IoU 0, 0.5, and 1. A sparse, ambiguous label yields a low IoU
 and a large scale; a well-supported label yields a small one. Working in
 the label frame keeps the IoU independent of where the global origin is.
 
-Records are written as CSV by ``records_to_csv`` (header
-``RECORDS_CSV_HEADER``) through ``csv.writer``, since label ids and class
-names are free text, and ``ious_from_csv`` reads their ``iou`` column back
-in the shared CSV input dialect (``_util.csv_table``). ``histogram_to_csv``
-writes its numeric table through ``_util.csv_text``.
+The records CSV goes through ``csv.writer``, since label ids and class
+names are free text; the histogram's numeric table through ``_util.csv_text``.
 """
 
 from __future__ import annotations
@@ -78,10 +75,9 @@ class LabelTrack:
     Coordinates are in a shared global frame. Every sweep with points must
     also carry a pose; sweeps may have a pose but no points. Each sweep's
     points, ``(x, y)`` pairs or a ``(k, 2)`` array, become one new float64
-    ``(k, 2)`` array through the point-set gate ``geometry._xy_array``, which
-    rejects string, bytes, boolean, ``None``, complex, NaN and infinite
-    coordinates, rows that are not pairs and integers beyond the float range.
-    ``tracks_from_json`` gates runs of tracks, so its sweep arrays are slices of a run's array.
+    ``(k, 2)`` array through the point-set gate ``geometry._xy_array``.
+    ``tracks_from_json`` builds each track with no points, attaches their rows and
+    checks the poses again; it gates runs of tracks, so its sweep arrays are slices.
     """
 
     label_id: str
@@ -92,14 +88,6 @@ class LabelTrack:
     def __post_init__(self) -> None:
         self._check_poses()
         self.points = {sweep: _xy_array(pts) for sweep, pts in self.points.items()}
-
-    @classmethod
-    def _pose_checked(cls, *fields) -> LabelTrack:
-        """A track that runs only the pose checks: its caller puts the points through the gate."""
-        track = object.__new__(cls)
-        track.label_id, track.class_name, track.poses, track.points = fields
-        track._check_poses()
-        return track
 
     def _check_poses(self) -> None:
         if not self.poses:
@@ -166,7 +154,7 @@ def _label_frame_points(tracks: Sequence[LabelTrack]) -> tuple[np.ndarray, list[
 
 
 def _track_runs(tracks: Iterable[LabelTrack]) -> Iterator[list[LabelTrack]]:
-    """Runs of consecutive whole tracks of about RUN_ROWS points, each given before the next track is read."""
+    """Runs of consecutive whole tracks of about RUN_ROWS points."""
     run, rows = [], 0
     for track in tracks:
         run.append(track)
@@ -378,7 +366,10 @@ def _track_from_json(raw: dict) -> LabelTrack:
         if not isinstance(xy, list):
             raise ValueError(f"xy must be a list, got {xy!r}")
         points[sweep] = xy
-    return LabelTrack._pose_checked(label_id, class_name, poses, points)
+    track = LabelTrack(label_id, class_name, poses)
+    track.points = points
+    track._check_poses()
+    return track
 
 
 def tracks_from_json(doc: object) -> list[LabelTrack]:
@@ -394,9 +385,11 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
     Label ids and class names must be JSON strings, sweep ids JSON
     integers, and centers, angles, sizes and point coordinates JSON
     numbers: ``1``, ``null``, ``2.9``, ``true`` and ``"1"`` are rejected
-    where they do not fit, not truncated or converted. Points are gated
-    once, in runs of whole tracks of about RUN_ROWS points; a failed run is
-    gated again sweep by sweep, so the first fault in track order is named.
+    where they do not fit, not truncated or converted. A first pass checks
+    each track's fields and poses and stops at the first fault. A second
+    gates the points of the tracks before it in runs of whole tracks of about
+    RUN_ROWS points; a failed run is gated again sweep by sweep to name its
+    first fault, which comes before the first pass's in track order.
     """
     if not isinstance(doc, dict) or "tracks" not in doc:
         raise ValueError("track document must be an object with a 'tracks' list")
@@ -404,22 +397,19 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
     if not isinstance(raw_tracks, list):
         raise ValueError("'tracks' must be a list")
     tracks: list[LabelTrack] = []
-    fault: list = []  # index and error of a track failing a field or pose check
-
-    def parsed() -> Iterator[LabelTrack]:
-        for idx, raw in enumerate(raw_tracks):
-            try:
-                track = _track_from_json(raw)
-            except (KeyError, TypeError, ValueError) as exc:
-                fault[:] = idx, exc
-                return
-            yield track
-
-    for run in _track_runs(parsed()):
+    fault = None  # index and error of the first track failing a field or pose check
+    for idx, raw in enumerate(raw_tracks):
+        try:
+            tracks.append(_track_from_json(raw))
+        except (KeyError, TypeError, ValueError) as exc:
+            fault = idx, exc
+            break
+    done = 0
+    for run in _track_runs(tracks):
         try:
             arr = _xy_array(chain.from_iterable(xy for track in run for xy in track.points.values()))
         except ValueError:  # LabelTrack gates one sweep at a time, naming the first bad one
-            for idx, track in enumerate(run, len(tracks)):
+            for idx, track in enumerate(run, done):
                 try:
                     LabelTrack(track.label_id, track.class_name, track.poses, track.points)
                 except ValueError as exc:
@@ -430,7 +420,7 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
             for sweep, xy in track.points.items():
                 track.points[sweep] = arr[start:start + len(xy)]
                 start += len(xy)
-        tracks += run
+        done += len(run)
     if fault:
         raise ValueError(f"malformed track at tracks[{fault[0]}]: {fault[1]}") from fault[1]
     return tracks

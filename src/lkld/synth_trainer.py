@@ -481,9 +481,7 @@ def train(
     Gram matrix takes 8 * n_train**2 bytes (0.5 MB at n_train 256, 32 MB
     at 2000), and the dot product grows with n_train: at feature_dim 128
     it beats a per-step parameter update only below n_train of about 2000
-    to 3000. Median steady-state time per step against that update, on a
-    2-vCPU Xeon: 2.5 against 5.6 us at n_train 256, 4.2 against 5.2 us at
-    1500, 5.1 against 5.9 us at 2000, 6.3 against 5.8 us at 3000.
+    to 3000 (README gives the timings).
 
     With ``average_tail_epochs > 0`` the returned predictor (and the one
     scored on the test set) is the average of the iterates visited during

@@ -153,8 +153,9 @@ def reference_convex_hull(points) -> ConvexPolygon:
     """``geometry.convex_hull`` on an iterable of points, as it was before the prefilter.
 
     Dedupes with the first point seen kept, sorts, builds both monotone
-    chains on every point and removes near-straight corners from the
-    finished ring; the output starts at its smallest vertex. A point on both
+    chains on every point and removes near-straight corners, those turning by
+    at most COLLINEAR_EPS of the ring's squared span, from the finished ring;
+    the output starts at its smallest vertex. A point on both
     chains, which only rounding puts there, gives the segment between the
     least and the greatest point.
     """
@@ -184,8 +185,9 @@ def reference_convex_hull(points) -> ConvexPolygon:
     if set(lower[1:-1]) & set(upper[1:-1]):
         return ConvexPolygon((Point2(*pts[0]), Point2(*pts[-1])))
     ring, kept = deque(Point2(*p) for p in lower[:-1] + upper[:-1]), 0
+    span = max(max(p.x for p in ring) - min(p.x for p in ring), max(p.y for p in ring) - min(p.y for p in ring))
     while kept < len(ring) and len(ring) >= 3:
-        if cross(ring[-2], ring[-1], ring[0]) <= COLLINEAR_EPS:
+        if cross(ring[-2], ring[-1], ring[0]) / span <= COLLINEAR_EPS * span:
             ring.pop()
             kept = 0
         else:
@@ -220,12 +222,17 @@ def reference_drop_interior(pts: np.ndarray) -> np.ndarray:
 
 
 def reference_intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
-    """Clip a against every edge of b (the smaller vertex tuple clips), then re-hull."""
+    """Clip a against every edge of b (the smaller vertex tuple clips), then re-hull.
+
+    A vertex within CLIP_EPS times the span of both polygons of a clip line is inside.
+    """
     if len(a) < 3 or len(b) < 3:
         return ConvexPolygon(())
     if b.vertices < a.vertices:
         a, b = b, a
     output = [(p.x, p.y) for p in a.vertices]
+    both = a.vertices + b.vertices
+    span = max(max(p.x for p in both) - min(p.x for p in both), max(p.y for p in both) - min(p.y for p in both))
     bv = b.vertices
     for i in range(len(bv)):
         if not output:
@@ -239,7 +246,7 @@ def reference_intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPoly
         for j in range(n):
             p, q = output[j], output[(j + 1) % n]
             dp, dq = dists[j], dists[(j + 1) % n]
-            p_in, q_in = dp >= -CLIP_EPS, dq >= -CLIP_EPS
+            p_in, q_in = dp >= -CLIP_EPS * span, dq >= -CLIP_EPS * span
             if p_in:
                 clipped.append(p)
             if p_in != q_in:

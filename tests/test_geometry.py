@@ -606,6 +606,58 @@ class TestIou:
             assert iou(a2, b2) == pytest.approx(iou(a, b), abs=1e-9)
 
 
+# Box widths from 1e-100 to 1e100, even in their exponent, and box centres in units of the width.
+SCALES = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+CENTRE_UNITS = st.floats(-1e3, 1e3)
+# Rectangle sides with areas from 1e-300 to 1e300 and aspect ratios up to 1e300, either way round.
+SIDES = st.builds(lambda area_exp, aspect_exp: (10.0 ** ((area_exp + aspect_exp) / 2),
+                                                10.0 ** ((area_exp - aspect_exp) / 2)),
+                  st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+
+
+def _box(s, theta, u, v, shift=0.0):
+    # A 2s x s rectangle at heading theta, centred at s * (u, v) and moved shift * s along its length.
+    return rect_to_polygon(OrientedRect(
+        Point2(s * (u + shift * math.cos(theta)), s * (v + shift * math.sin(theta))), theta, 2.0 * s, s))
+
+
+class TestScale:
+    """Tolerances are relative to the span of the points: a box's IoU does not depend on its size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SCALES, st.floats(-math.pi, math.pi), CENTRE_UNITS, CENTRE_UNITS)
+    @example(1e-6, 0.0, 0.0, 0.0)  # the corners of a box this small were collinear
+    @example(1e-100, 0.3, -1e3, 1e3)
+    @example(1e100, -2.0, 1e3, 0.0)
+    def test_box_iou_does_not_depend_on_its_size(self, s, theta, u, v):
+        box = _box(s, theta, u, v)
+        assert iou(box, box) == pytest.approx(1.0, abs=1e-12)
+        assert iou(box, _box(s, theta, u, v, shift=1.0)) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_a_tiny_square_keeps_its_corners(self):
+        corners = (Point2(0.0, 0.0), Point2(1e-6, 0.0), Point2(1e-6, 1e-6), Point2(0.0, 1e-6))
+        assert convex_hull(corners).vertices == corners
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-math.pi, math.pi), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), SIDES)
+    @example(0.3, 0.0, 0.0, (1e-300, 1e-23))  # its rounded corners repeat
+    @example(0.0, 0.0, 0.0, (5e-324, 1.0))  # half its length rounds to 0
+    def test_every_valid_rectangle_has_a_polygon(self, theta, cx, cy, sides):
+        # Corners that rounding makes no strictly convex polygon give their hull,
+        # a degenerate polygon when the short side is lost against the long one.
+        rect = OrientedRect(Point2(cx, cy), theta, *sides)
+        c, s = math.cos(rect.theta), math.sin(rect.theta)
+        hl, hw = 0.5 * rect.length, 0.5 * rect.width
+        corners = tuple(Point2(cx + c * u - s * v, cy + s * u + c * v)
+                        for u, v in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)))
+        poly = rect_to_polygon(rect)
+        assert poly.vertices == corners or poly == convex_hull(corners)
+        # Flat within COLLINEAR_EPS of its span, well above the rounding of its corners: IoU 0,
+        # as for any degenerate pair.
+        if max(sides) > 1e13 * min(sides) and abs(cx) + abs(cy) <= max(sides):
+            assert iou(poly, poly) == 0.0
+
+
 class TestPolygonValidation:
     def test_clockwise_rejected(self):
         with pytest.raises(ValueError):

@@ -348,6 +348,19 @@ class TestPipeline:
         with pytest.raises(ValueError):
             evaluate_tracks(self.make_tracks(), mapping=None, per_class={})
 
+    def test_boxes_at_the_ends_of_the_scale(self):
+        # Half of a 5e-324 length rounds to 0, so t1's box is a segment: IoU 0,
+        # where it raised "polygon has repeated vertices". t2's 1e-6 box has its
+        # corners as points: IoU 1, as for a box of any size, where it gave 0.
+        corners = [(5e-7, 5e-7), (-5e-7, 5e-7), (-5e-7, -5e-7), (5e-7, -5e-7)]
+        tracks = [
+            make_track({0: simple_rect(length=5e-324, width=1.0)}, {0: [(0.0, 0.1), (0.0, -0.1)]}, label_id="t1"),
+            make_track({0: simple_rect(length=1e-6, width=1e-6)}, {0: corners}, label_id="t2"),
+        ]
+        t1, t2 = evaluate_tracks(tracks, fit_mapping(1.0, 0.4, 0.1))
+        assert (t1.iou, t1.scale_b) == (0.0, pytest.approx(1.0, rel=1e-12))
+        assert (t2.iou, t2.scale_b) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.1, rel=1e-9))
+
 
 def _track_from(label_id, rect, sweeps, local):
     """A track whose box moves by ``sweeps`` (offset, turn); points are box-local fractions."""

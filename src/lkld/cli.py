@@ -252,7 +252,8 @@ def cmd_labelunc(args: argparse.Namespace) -> int:
     _note_if_linear(default, "--anchors")
     for cls, mapping in per_class.items():
         _note_if_linear(mapping, f"--class-anchors {cls}")
-    tracks = label_uncertainty.tracks_from_json(_read_json(args.tracks))
+    doc = _read_json(args.tracks)
+    tracks = label_uncertainty.tracks_from_json(doc)
     records = label_uncertainty.evaluate_tracks(tracks, mapping=default, per_class=per_class)
     _emit(label_uncertainty.records_to_csv(records), args.output)
     return 0

@@ -10,9 +10,10 @@ thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
 ``convex_hull`` is the gate, the prefilter and the chain ``_chain_hull``,
 which ``label_uncertainty`` calls alone on the clouds it has gated and
 prefiltered in runs. ``_chain_hull`` and ``rect_to_polygon`` build polygons
-from finite floats, so only the polygon checks run again. The hull's, the
-clip's and the prefilter's tolerances are relative to the span of the points
-at hand, so hulls and IoUs do not depend on scale.
+from finite floats, so only the polygon checks run again. The hull drops a
+corner by the sine of its turn, the clip measures against the breadth of the
+thinner polygon and the prefilter against the span of its cloud, so no
+tolerance depends on the size or the shape of the polygons.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ __all__ = [
 # Largest rectangle area: the shoelace sum is twice an area, and an IoU's
 # union adds two, so either would overflow above half the float range.
 MAX_RECT_AREA = float(np.finfo(np.float64).max) / 2
-# Hull corners whose cross product is at most this times the squared span of their
-# points are collinear and dropped; keeps vertex output strictly convex and deterministic.
+# Hull corners whose turn has a sine of at most this are collinear and dropped;
+# keeps vertex output strictly convex and deterministic.
 COLLINEAR_EPS = 1e-12
-# Points within this times the span of both polygons of a clip line are inside;
-# avoids sliver polygons from floating-point jitter.
+# Points within this times the breadth of the thinner polygon of a clip line are
+# inside; avoids sliver polygons from floating-point jitter.
 CLIP_EPS = 1e-9
 # Hull input arrays longer than this are prefiltered; below it the numpy
 # calls cost more than the monotone chain saves.
@@ -156,10 +157,29 @@ def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _span(points: Iterable[tuple[float, float]]) -> float:
-    """The greater of the x and y extents of points, the scale of the tolerances."""
-    xs, ys = zip(*points)
-    return max(max(xs) - min(xs), max(ys) - min(ys))
+def _direction(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, float]:
+    """The unit vector from p to q. Halved coordinates keep a difference beyond the
+    float range finite, and scaling by the greater component keeps hypot finite."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        dx, dy = 0.5 * q[0] - 0.5 * p[0], 0.5 * q[1] - 0.5 * p[1]
+    m = max(abs(dx), abs(dy))
+    dx, dy = dx / m, dy / m
+    h = math.hypot(dx, dy)
+    return dx / h, dy / h
+
+
+def _straight(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """True if the hull drops the corner at a, between o and b: the sine of its turn is at most
+    COLLINEAR_EPS, or rounding leaves its cross product, as ConvexPolygon checks it, at most 0."""
+    ux, uy, rx, ry = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
+    cross = ux * ry - uy * rx
+    # As |b - a| <= |u| + |r|, a cross product above twice this bound has a sine above it,
+    # rounding and all, unless the bound underflows.
+    if cross > 2.0 * COLLINEAR_EPS * (abs(ux) + abs(uy)) * (abs(ux) + abs(uy) + abs(rx) + abs(ry)) > 1e-290:
+        return False
+    (ux, uy), (wx, wy) = _direction(o, a), _direction(a, b)
+    return cross <= 0.0 or ux * wy - uy * wx <= COLLINEAR_EPS
 
 
 @dataclass(frozen=True)
@@ -185,14 +205,11 @@ class ConvexPolygon:
         if len(verts) != len(set(verts)):
             raise ValueError("polygon has repeated vertices")
         n = len(verts)
-        if n >= 3:
-            for i in range(n):
-                c = _cross(verts[i - 1], verts[i], verts[(i + 1) % n])
-                if c <= 0.0:
-                    raise ValueError(
-                        "vertices must be counter-clockwise and strictly convex "
-                        f"(cross product {c} at vertex {i})"
-                    )
+        for i in range(n if n >= 3 else 0):
+            c = _cross(verts[i - 1], verts[i], verts[(i + 1) % n])
+            if c <= 0.0:
+                raise ValueError("vertices must be counter-clockwise and strictly convex "
+                                 f"(cross product {c} at vertex {i})")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -206,16 +223,10 @@ def rigid_transform(p: Point2, from_pose: Pose, to_pose: Pose) -> Point2:
 
     Returns ``R_z(theta_to - theta_from) @ (p - c_from) + c_to``.
     """
-    (from_center, from_theta) = from_pose
-    (to_center, to_theta) = to_pose
-    cos_t = math.cos(to_theta - from_theta)
-    sin_t = math.sin(to_theta - from_theta)
-    dx = p[0] - from_center[0]
-    dy = p[1] - from_center[1]
-    return Point2(
-        cos_t * dx - sin_t * dy + to_center[0],
-        sin_t * dx + cos_t * dy + to_center[1],
-    )
+    (from_center, from_theta), (to_center, to_theta) = from_pose, to_pose
+    cos_t, sin_t = math.cos(to_theta - from_theta), math.sin(to_theta - from_theta)
+    dx, dy = p[0] - from_center[0], p[1] - from_center[1]
+    return Point2(cos_t * dx - sin_t * dy + to_center[0], sin_t * dx + cos_t * dy + to_center[1])
 
 
 # Extreme-polygon corners in ccw order, as rows of the least x, x + y, y, x - y
@@ -333,13 +344,12 @@ def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
     # rounding, so its hull is the segment between its ends, as for a collinear cloud.
     if len(set(ring)) < len(ring):
         return ConvexPolygon._of_gated((Point2._make(pts[0]), Point2._make(pts[-1])))
-    # Near-straight corners go only from the finished hull, each losing at most COLLINEAR_EPS / 2 of the
-    # squared span, whose overflow the division avoids: in a partial chain two close points can flatten
-    # a far corner. The corner tested is ring[-1]; a lap of corners that all turn more ends the walk.
-    span = _span(ring)
+    # Near-straight corners go only from the finished hull: in a partial chain two close points
+    # can flatten a far corner. The corner tested is ring[-1]; a lap of corners that all turn
+    # more ends the walk.
     ring, kept = deque(ring), 0
     while kept < len(ring) and len(ring) >= 3:
-        if _cross(ring[-2], ring[-1], ring[0]) / span <= COLLINEAR_EPS * span:
+        if _straight(ring[-2], ring[-1], ring[0]):
             ring.pop()  # ring[-2] has a new neighbour: it is tested next
             kept = 0
         else:
@@ -409,18 +419,25 @@ def contains_point(poly: ConvexPolygon, p: Point2, tol: float = 1e-9) -> bool:
 
 def _canonical(poly: ConvexPolygon) -> bool:
     """True if ``poly`` is what ``convex_hull`` makes of its vertices: it starts at its
-    least vertex and every corner turns by more than COLLINEAR_EPS of the squared span."""
+    least vertex and it has no corner the hull would drop as straight."""
     v = poly.vertices
-    n, span = len(v), _span(v)
-    tol = COLLINEAR_EPS * span
-    return v[0] == min(v) and all(_cross(v[i - 1], v[i], v[(i + 1) % n]) / span > tol for i in range(n))
+    n = len(v)
+    return v[0] == min(v) and not any(_straight(v[i - 1], v[i], v[(i + 1) % n]) for i in range(n))
+
+
+def _breadth(poly: ConvexPolygon) -> float:
+    """About the least width of a convex polygon: its area over half its greater
+    extent, capped at that half extent, which halved coordinates keep finite."""
+    xs, ys = zip(*poly.vertices)
+    half = max(0.5 * max(xs) - 0.5 * min(xs), 0.5 * max(ys) - 0.5 * min(ys))
+    return min(half, area(poly) / half)  # an area that overflows leaves the half extent
 
 
 def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Intersection of two convex polygons by clipping a against each edge of b.
 
     Degenerate inputs yield the empty polygon. An edge that every vertex
-    clears (within CLIP_EPS of the polygons' span) clips nothing and is
+    clears (within CLIP_EPS of the thinner polygon's breadth) clips nothing and is
     skipped. A clipped vertex set is re-canonicalized through convex_hull,
     which dedupes coincident corners and drops collinear jitter; when no edge
     clips and ``a`` is already what convex_hull returns (a hull inside the
@@ -433,39 +450,28 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
         a, b = b, a
 
     output: list[tuple[float, float]] = [(p.x, p.y) for p in a.vertices]
-    tol = CLIP_EPS * _span(a.vertices + b.vertices)
+    tol = CLIP_EPS * min(_breadth(a), _breadth(b))
     clipped_any = False
     bv = b.vertices
-    for i in range(len(bv)):
+    for e1, e2 in zip(bv, bv[1:] + bv[:1]):
         if not output:
             return EMPTY_POLYGON
-        e1 = bv[i]
-        e2 = bv[(i + 1) % len(bv)]
-        inv_len = 1.0 / math.hypot(e2.x - e1.x, e2.y - e1.y)
-        ex = e2.x - e1.x
-        ey = e2.y - e1.y
+        ex, ey = e2.x - e1.x, e2.y - e1.y
+        inv_len = 1.0 / math.hypot(ex, ey)
         # Signed distance of each vertex to the clip line, ccw-inside positive.
         dists = [((ex * (py - e1.y) - ey * (px - e1.x)) * inv_len) for px, py in output]
         inside = [dist >= -tol for dist in dists]  # a NaN distance is outside
         if all(inside):
             continue
         clipped_any = True
-        clipped: list[tuple[float, float]] = []
-        n = len(output)
-        for j in range(n):
-            p = output[j]
-            q = output[(j + 1) % n]
-            dp = dists[j]
-            dq = dists[(j + 1) % n]
-            p_in = inside[j]
-            q_in = inside[(j + 1) % n]
+        ring = list(zip(output, dists, inside))
+        output = []
+        for (p, dp, p_in), (q, dq, q_in) in zip(ring, ring[1:] + ring[:1]):
             if p_in:
-                clipped.append(p)
+                output.append(p)
             if p_in != q_in:
-                t = dp / (dp - dq)
-                t = min(1.0, max(0.0, t))
-                clipped.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        output = clipped
+                t = min(1.0, max(0.0, dp / (dp - dq)))
+                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
 
     if not clipped_any and _canonical(a):
         return a

@@ -76,8 +76,9 @@ class LabelTrack:
     also carry a pose; sweeps may have a pose but no points. Each sweep's
     points, ``(x, y)`` pairs or a ``(k, 2)`` array, become one new float64
     ``(k, 2)`` array through the point-set gate ``geometry._xy_array``.
-    ``tracks_from_json`` builds each track with no points, attaches their rows and
-    checks the poses again; it gates runs of tracks, so its sweep arrays are slices.
+    ``tracks_from_json`` builds each track with no points, attaches the rows and
+    runs the pose checks a second time, now over the points' sweeps; the rows stay
+    lists until the track's run is gated, and its sweep arrays are slices of that run.
     """
 
     label_id: str
@@ -294,18 +295,8 @@ def iou_histogram(ious: Sequence[float], n_bins: int) -> list[tuple[float, float
 def _records(
     tracks: Sequence[LabelTrack], mappings: Sequence[UncertaintyMapping]
 ) -> list[LabelUncertaintyRecord]:
-    ious = _hull_ious(tracks)
-    return [
-        LabelUncertaintyRecord(
-            label_id=t.label_id,
-            class_name=t.class_name,
-            iou=v,
-            scale_b=map_iou(m, v),
-            n_points=t.n_points,
-            n_sweeps=t.n_sweeps,
-        )
-        for t, m, v in zip(tracks, mappings, ious)
-    ]
+    return [LabelUncertaintyRecord(t.label_id, t.class_name, v, map_iou(m, v), t.n_points, t.n_sweeps)
+            for t, m, v in zip(tracks, mappings, _hull_ious(tracks))]
 
 
 def evaluate_track(track: LabelTrack, mapping: UncertaintyMapping) -> LabelUncertaintyRecord:

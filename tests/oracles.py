@@ -153,9 +153,10 @@ def reference_convex_hull(points) -> ConvexPolygon:
     """``geometry.convex_hull`` on an iterable of points, as it was before the prefilter.
 
     Dedupes with the first point seen kept, sorts, builds both monotone
-    chains on every point and removes near-straight corners, those turning by
-    at most COLLINEAR_EPS of the ring's squared span, from the finished ring;
-    the output starts at its smallest vertex. A point on both
+    chains on every point and removes near-straight corners, those whose turn
+    has a sine of at most COLLINEAR_EPS or whose cross product rounds to at
+    most 0, from the finished ring; the output starts at its smallest vertex.
+    A point on both
     chains, which only rounding puts there, gives the segment between the
     least and the greatest point.
     """
@@ -177,17 +178,25 @@ def reference_convex_hull(points) -> ConvexPolygon:
             chain.append(p)
         return chain
 
-    def cross(o, a, b):
-        return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    def heading(p, q):
+        # Halved coordinates give the heading of an edge longer than the float range.
+        dx, dy = q.x - p.x, q.y - p.y
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            dx, dy = q.x / 2 - p.x / 2, q.y / 2 - p.y / 2
+        return math.atan2(dy, dx)
+
+    def straight(o, a, b):
+        # The turn at a has a sine of at most COLLINEAR_EPS, or a cross product rounded to at most 0.
+        cross = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+        return math.sin(heading(a, b) - heading(o, a)) <= COLLINEAR_EPS or cross <= 0.0
 
     lower = build(pts)
     upper = build(pts[::-1])
     if set(lower[1:-1]) & set(upper[1:-1]):
         return ConvexPolygon((Point2(*pts[0]), Point2(*pts[-1])))
     ring, kept = deque(Point2(*p) for p in lower[:-1] + upper[:-1]), 0
-    span = max(max(p.x for p in ring) - min(p.x for p in ring), max(p.y for p in ring) - min(p.y for p in ring))
     while kept < len(ring) and len(ring) >= 3:
-        if cross(ring[-2], ring[-1], ring[0]) / span <= COLLINEAR_EPS * span:
+        if straight(ring[-2], ring[-1], ring[0]):
             ring.pop()
             kept = 0
         else:
@@ -224,15 +233,18 @@ def reference_drop_interior(pts: np.ndarray) -> np.ndarray:
 def reference_intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Clip a against every edge of b (the smaller vertex tuple clips), then re-hull.
 
-    A vertex within CLIP_EPS times the span of both polygons of a clip line is inside.
+    A vertex within CLIP_EPS of a clip line, times the breadth of the thinner
+    polygon, is inside; a polygon's breadth is its area over half its greater
+    extent, or that half extent if less.
     """
     if len(a) < 3 or len(b) < 3:
         return ConvexPolygon(())
     if b.vertices < a.vertices:
         a, b = b, a
     output = [(p.x, p.y) for p in a.vertices]
-    both = a.vertices + b.vertices
-    span = max(max(p.x for p in both) - min(p.x for p in both), max(p.y for p in both) - min(p.y for p in both))
+    halves = [max(max(p.x for p in q.vertices) / 2 - min(p.x for p in q.vertices) / 2,
+                  max(p.y for p in q.vertices) / 2 - min(p.y for p in q.vertices) / 2) for q in (a, b)]
+    tol = CLIP_EPS * min(min(half, area(q) / half) for half, q in zip(halves, (a, b)))
     bv = b.vertices
     for i in range(len(bv)):
         if not output:
@@ -246,7 +258,7 @@ def reference_intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPoly
         for j in range(n):
             p, q = output[j], output[(j + 1) % n]
             dp, dq = dists[j], dists[(j + 1) % n]
-            p_in, q_in = dp >= -CLIP_EPS * span, dq >= -CLIP_EPS * span
+            p_in, q_in = dp >= -tol, dq >= -tol
             if p_in:
                 clipped.append(p)
             if p_in != q_in:

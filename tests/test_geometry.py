@@ -493,6 +493,10 @@ class TestIntersectConvex:
         [Point2(0.0, 0.0), Point2(0.0, 0.5), Point2(1.0, 0.0)],
         [Point2(1.0, 0.0), Point2(79.0, 0.0078125), Point2(1e-05, 0.0)],
     )
+    @example(  # a clipped corner 4e-20 from the next turns sharply but has a cross product of 0
+        [Point2(0.0, 0.0), Point2(0.5, 0.0), Point2(-2.0, -2.0)],
+        [Point2(0.0001, 0.0), Point2(-1.0, -1.0), Point2(-2.0, -1.0)],
+    )
     def test_exactly_symmetric_for_arbitrary_hulls(self, points_a, points_b):
         a, b = convex_hull(points_a), convex_hull(points_b)
         assert intersect_convex(a, b).vertices == intersect_convex(b, a).vertices
@@ -622,7 +626,7 @@ def _box(s, theta, u, v, shift=0.0):
 
 
 class TestScale:
-    """Tolerances are relative to the span of the points: a box's IoU does not depend on its size."""
+    """No tolerance is absolute: a box's IoU depends on neither its size nor its shape."""
 
     @settings(max_examples=300, deadline=None)
     @given(SCALES, st.floats(-math.pi, math.pi), CENTRE_UNITS, CENTRE_UNITS)
@@ -639,6 +643,53 @@ class TestScale:
         assert convex_hull(corners).vertices == corners
 
     @settings(max_examples=300, deadline=None)
+    @given(SCALES, st.floats(0.0, 12.0), st.floats(-math.pi, math.pi), CENTRE_UNITS, CENTRE_UNITS)
+    def test_a_flat_box_keeps_its_corners(self, s, aspect_exp, theta, u, v):
+        # The area about another first vertex rounds by about 1e-16 of the box's
+        # long side and offset over its short side.
+        aspect = 10.0 ** aspect_exp
+        poly = rect_to_polygon(OrientedRect(Point2(s * u, s * v), theta, aspect * s, s))
+        assert len(poly) == 4
+        assert iou(poly, poly) == pytest.approx(1.0, abs=1e-14 * (abs(u) + abs(v) + aspect))
+
+    def test_a_box_flatter_than_collinear_eps_keeps_its_corners(self):
+        poly = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), 0.0, 1e14, 1.0))
+        assert len(poly) == 4
+        assert iou(poly, poly) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        SCALES,
+        st.floats(0.0, 12.0),
+        st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+        st.floats(-1.5, 1.5),
+        st.one_of(st.floats(-3.0, 3.0), st.builds(lambda side, gap: side * (1.0 + gap),
+                                                  st.sampled_from([-1.0, 1.0]), st.floats(-1e-3, 1e-3))),
+    )
+    @example(1.0, 10.0, 0.0, 0.0, 2.0)  # disjoint: a clip tolerance of the span put each inside the other
+    @example(1.0, 8.0, 0.0, 0.0, 0.05)
+    def test_long_boxes_have_their_exact_iou(self, s, aspect_exp, theta, along, across):
+        # Two parallel aspect x 1 boxes, the second moved by along lengths and across
+        # widths: their IoU is the product of the overlaps' shares, whatever the aspect.
+        # A vertex within CLIP_EPS of the breadth of a clip line counts as inside, and
+        # rounding at the corners moves an edge by about 1e-16 of the long side.
+        aspect = 10.0 ** aspect_exp
+        length, c, sn = aspect * s, math.cos(theta), math.sin(theta)
+        a = rect_to_polygon(OrientedRect(Point2(0.0, 0.0), theta, length, s))
+        centre = Point2(c * along * length - sn * across * s, sn * along * length + c * across * s)
+        b = rect_to_polygon(OrientedRect(centre, theta, length, s))
+        shared = max(0.0, 1.0 - abs(along)) * max(0.0, 1.0 - abs(across))
+        assert iou(a, b) == pytest.approx(shared / (2.0 - shared), abs=1e-8 + 1e-14 * aspect)
+
+    def test_corners_beyond_the_float_range_apart_are_kept(self):
+        # The extent of these corners overflows: measured against it, every corner was
+        # straight and every clip distance inside.
+        corners = (Point2(-1e308, 0.0), Point2(1e308, -1.0), Point2(0.0, 1e308))
+        hull = convex_hull(corners)
+        assert hull.vertices == corners
+        assert 0.0 < geometry._breadth(hull) < math.inf
+
+    @settings(max_examples=300, deadline=None)
     @given(st.floats(-math.pi, math.pi), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), SIDES)
     @example(0.3, 0.0, 0.0, (1e-300, 1e-23))  # its rounded corners repeat
     @example(0.0, 0.0, 0.0, (5e-324, 1.0))  # half its length rounds to 0
@@ -652,10 +703,6 @@ class TestScale:
                         for u, v in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)))
         poly = rect_to_polygon(rect)
         assert poly.vertices == corners or poly == convex_hull(corners)
-        # Flat within COLLINEAR_EPS of its span, well above the rounding of its corners: IoU 0,
-        # as for any degenerate pair.
-        if max(sides) > 1e13 * min(sides) and abs(cx) + abs(cy) <= max(sides):
-            assert iou(poly, poly) == 0.0
 
 
 class TestPolygonValidation:

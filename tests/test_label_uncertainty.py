@@ -561,6 +561,49 @@ class TestRunGate:
         assert str(got.value) == str(want.value)
 
 
+@st.composite
+def _mixed_sweeps(draw):
+    """1-6 sweeps of 0-12 points as lists of list, tuple or array rows, or as (k, 2) arrays,
+    with a bad point in some of them."""
+    points = {}
+    for sweep in draw(st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True)):
+        rows = draw(st.lists(st.lists(_JSON_COORD, min_size=2, max_size=2), max_size=12))
+        form = draw(st.sampled_from(["list rows", "tuple rows", "array rows", "array"]))
+        bad = draw(st.booleans()) and draw(st.integers(0, len(rows)))
+        if form == "array":
+            pts = np.array(rows, dtype=float).reshape(-1, 2)
+            if bad is not False:
+                pts = np.insert(pts, bad, [0.5, draw(st.sampled_from([math.nan, math.inf]))], axis=0)
+        else:
+            row = {"list rows": list, "tuple rows": tuple, "array rows": np.array}[form]
+            pts = [row(p) for p in rows]
+            if bad is not False:
+                pts.insert(bad, draw(st.sampled_from(list(POINT_FAULTS.values()))))
+        points[sweep] = pts
+    return points
+
+
+class TestTrackGate:
+    """A track gates its sweeps as one set, exactly as gating one sweep at a time would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_sweeps())
+    def test_the_track_gate_equals_the_per_sweep_gate(self, points):
+        poses = {sweep: simple_rect() for sweep in points}
+        try:
+            want = {sweep: geometry._xy_array(pts) for sweep, pts in points.items()}
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                LabelTrack("t0", "car", poses, points)
+            assert str(got.value) == str(exc)
+            return
+        track = LabelTrack("t0", "car", poses, points)
+        assert list(track.points) == list(want)
+        for sweep, pts in track.points.items():
+            assert (pts.dtype, pts.shape) == (want[sweep].dtype, want[sweep].shape)
+            assert pts.tobytes() == want[sweep].tobytes()
+
+
 class TestJsonAndCsv:
     def sample_doc(self):
         return {

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lkld import geometry
 from lkld.geometry import (
@@ -687,6 +687,33 @@ class TestScale:
         hull = convex_hull(corners)
         assert hull.vertices == corners
         assert 0.0 < geometry._breadth(hull) < math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(100.0, 158.0), st.floats(0.0, 6.0), st.booleans(), st.floats(-math.pi, math.pi),
+           st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    @example(154.4, 6.0, False, -2.408, 369.6, 884.4)
+    def test_a_rectangle_too_long_for_its_products_keeps_its_area_and_iou(
+            self, long_exp, aspect_exp, upright, theta, cx, cy):
+        # Past a long side of about 1.3e154 the products of corner differences overflow.
+        long, short = 10.0 ** long_exp, 10.0 ** (long_exp - aspect_exp)
+        assume(long * short <= geometry.MAX_RECT_AREA)
+        poly = rect_to_polygon(OrientedRect(Point2(cx, cy), theta, *((short, long) if upright else (long, short))))
+        assert len(poly) == 4
+        assert 0.0 < area(poly) < math.inf
+        assert abs(iou(poly, poly) - 1.0) <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(SCALES, st.floats(-math.pi, math.pi), CENTRE_UNITS, CENTRE_UNITS)
+    @example(1e-12, 0.0, 0.0, 0.0)  # a point 1e-10 outside was inside by an absolute 1e-9
+    def test_a_square_holds_its_corners_and_no_point_a_hundredth_of_a_side_outside(self, s, theta, u, v):
+        square = rect_to_polygon(OrientedRect(Point2(s * u, s * v), theta, s, s))
+        corners = square.vertices
+        assert all(contains_point(square, p) for p in corners)
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            # The outward normal of a counter-clockwise edge is its direction turned clockwise.
+            nx, ny = (b.y - a.y) / s, (a.x - b.x) / s
+            assert not contains_point(square, Point2(0.5 * (a.x + b.x) + 0.01 * s * nx,
+                                                     0.5 * (a.y + b.y) + 0.01 * s * ny))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-math.pi, math.pi), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), SIDES)

@@ -60,9 +60,9 @@ MIN_SCALE = 1e-6
 # digits, steps of 1e-6 below 1, so finer bins separate no more records.
 MAX_HISTOGRAM_BINS = 1_000_000
 
-# tracks_from_json and evaluate_tracks take whole tracks in runs of about this
-# many points: enough to spread the gate's and numpy's per-call costs, few enough
-# that the frame change's and the prefilter's temporaries stay near 0.5 MB each.
+# evaluate_tracks takes whole tracks in runs of about this many points: enough to
+# spread numpy's per-call costs, few enough that the frame change's and the
+# prefilter's temporaries stay near 0.5 MB each.
 RUN_ROWS = 4096
 
 RECORDS_CSV_HEADER = ("label_id", "class_name", "iou", "scale_b", "n_points", "n_sweeps")
@@ -74,11 +74,11 @@ class LabelTrack:
 
     Coordinates are in a shared global frame. Every sweep with points must
     also carry a pose; sweeps may have a pose but no points. Each sweep's
-    points, ``(x, y)`` pairs or a ``(k, 2)`` array, become one new float64
-    ``(k, 2)`` array through the point-set gate ``geometry._xy_array``.
-    ``tracks_from_json`` builds each track with no points, attaches the rows and
-    runs the pose checks a second time, now over the points' sweeps; the rows stay
-    lists until the track's run is gated, and its sweep arrays are slices of that run.
+    points, ``(x, y)`` pairs or a ``(k, 2)`` array, become a float64
+    ``(k, 2)`` array through the point-set gate ``geometry._xy_array``. When
+    every sweep is a list, the form JSON gives, the track's sweeps go through
+    the gate in one call and each sweep's array is a slice of its result; if
+    that call fails, the sweeps are gated one at a time to name the first bad one.
     """
 
     label_id: str
@@ -88,6 +88,16 @@ class LabelTrack:
 
     def __post_init__(self) -> None:
         self._check_poses()
+        sweeps = self.points.values()
+        if all(isinstance(pts, list) for pts in sweeps):
+            try:
+                arr = _xy_array(chain.from_iterable(sweeps))
+            except ValueError:  # gated again below, one sweep at a time
+                pass
+            else:
+                ends = np.cumsum([len(pts) for pts in sweeps])
+                self.points = dict(zip(self.points, np.split(arr, ends[:-1])))
+                return
         self.points = {sweep: _xy_array(pts) for sweep, pts in self.points.items()}
 
     def _check_poses(self) -> None:
@@ -333,7 +343,7 @@ def evaluate_tracks(
 
 
 def _track_from_json(raw: dict) -> LabelTrack:
-    """One document track with its fields and poses checked and its points left as rows."""
+    """One document track, its fields, poses and points checked."""
     label_id = json_str(raw["label_id"], "label_id")
     class_name = json_str(raw["class_name"], "class_name")
     poses: dict[int, OrientedRect] = {}
@@ -357,10 +367,7 @@ def _track_from_json(raw: dict) -> LabelTrack:
         if not isinstance(xy, list):
             raise ValueError(f"xy must be a list, got {xy!r}")
         points[sweep] = xy
-    track = LabelTrack(label_id, class_name, poses)
-    track.points = points
-    track._check_poses()
-    return track
+    return LabelTrack(label_id, class_name, poses, points)
 
 
 def tracks_from_json(doc: object) -> list[LabelTrack]:
@@ -376,11 +383,8 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
     Label ids and class names must be JSON strings, sweep ids JSON
     integers, and centers, angles, sizes and point coordinates JSON
     numbers: ``1``, ``null``, ``2.9``, ``true`` and ``"1"`` are rejected
-    where they do not fit, not truncated or converted. A first pass checks
-    each track's fields and poses and stops at the first fault. A second
-    gates the points of the tracks before it in runs of whole tracks of about
-    RUN_ROWS points; a failed run is gated again sweep by sweep to name its
-    first fault, which comes before the first pass's in track order.
+    where they do not fit, not truncated or converted. Tracks are built in
+    document order, and the first fault is raised naming its track.
     """
     if not isinstance(doc, dict) or "tracks" not in doc:
         raise ValueError("track document must be an object with a 'tracks' list")
@@ -388,32 +392,11 @@ def tracks_from_json(doc: object) -> list[LabelTrack]:
     if not isinstance(raw_tracks, list):
         raise ValueError("'tracks' must be a list")
     tracks: list[LabelTrack] = []
-    fault = None  # index and error of the first track failing a field or pose check
     for idx, raw in enumerate(raw_tracks):
         try:
             tracks.append(_track_from_json(raw))
         except (KeyError, TypeError, ValueError) as exc:
-            fault = idx, exc
-            break
-    done = 0
-    for run in _track_runs(tracks):
-        try:
-            arr = _xy_array(chain.from_iterable(xy for track in run for xy in track.points.values()))
-        except ValueError:  # LabelTrack gates one sweep at a time, naming the first bad one
-            for idx, track in enumerate(run, done):
-                try:
-                    LabelTrack(track.label_id, track.class_name, track.poses, track.points)
-                except ValueError as exc:
-                    raise ValueError(f"malformed track at tracks[{idx}]: {exc}") from exc
-            raise
-        start = 0
-        for track in run:
-            for sweep, xy in track.points.items():
-                track.points[sweep] = arr[start:start + len(xy)]
-                start += len(xy)
-        done += len(run)
-    if fault:
-        raise ValueError(f"malformed track at tracks[{fault[0]}]: {fault[1]}") from fault[1]
+            raise ValueError(f"malformed track at tracks[{idx}]: {exc}") from exc
     return tracks
 
 

@@ -530,7 +530,8 @@ def _faulty_track_docs(draw):
 
 
 class TestRunGate:
-    """tracks_from_json gates runs of whole tracks at once, exactly as gating one sweep at a time would."""
+    """tracks_from_json gates each track's sweeps at once, exactly as gating one sweep at a time would,
+    whatever the run size evaluate_tracks uses."""
 
     @staticmethod
     def parse(doc, run_rows):

@@ -48,6 +48,11 @@ COLLINEAR_EPS = 1e-12
 # Points within this times the breadth of the thinner polygon of a clip line are
 # inside; avoids sliver polygons from floating-point jitter.
 CLIP_EPS = 1e-9
+# Polygons more than twice this across are intersected on coordinates scaled by
+# _SHRINK, an exact power of two, so that no product of two coordinate differences
+# overflows; coordinates up to the float limit stay above the normal range.
+_HUGE_HALF_EXTENT = 2.0**499
+_SHRINK = 2.0**-600
 # Hull input arrays longer than this are prefiltered; below it the numpy
 # calls cost more than the monotone chain saves.
 PREFILTER_MIN_POINTS = 40
@@ -380,34 +385,49 @@ def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
     return convex_hull(vertices)
 
 
+def _twice_area(vertices: Sequence[tuple[float, float]]) -> float:
+    """The shoelace sum about the first vertex: twice the area of three or more vertices."""
+    ox, oy = vertices[0]
+    ax, ay = vertices[1][0] - ox, vertices[1][1] - oy
+    total = 0.0
+    for bx, by in vertices[2:]:
+        bx -= ox
+        by -= oy
+        total += ax * by - ay * bx
+        ax, ay = bx, by
+    return total
+
+
 def area(poly: ConvexPolygon) -> float:
     """Shoelace area about the first vertex; 0 for degenerate polygons.
 
     Taking coordinates relative to a vertex keeps the products as small as
     the polygon: about the global origin, a unit square at 1e8 would sum
-    terms of 1e16 and lose every digit of its area.
+    terms of 1e16 and lose every digit of its area. A sum that overflows is
+    taken again over coordinates scaled by _SHRINK, and scaled back.
     """
     v = poly.vertices
     if len(v) < 3:
         return 0.0
-    ox, oy = v[0]
-    ax, ay = v[1].x - ox, v[1].y - oy
-    total = 0.0
-    for bx, by in v[2:]:
-        bx -= ox
-        by -= oy
-        total += ax * by - ay * bx
-        ax, ay = bx, by
-    return 0.5 * total
+    twice = _twice_area(v)
+    if not math.isfinite(twice):
+        twice = _twice_area([(x * _SHRINK, y * _SHRINK) for x, y in v]) / _SHRINK / _SHRINK
+    return 0.5 * twice
 
 
-def contains_point(poly: ConvexPolygon, p: Point2, tol: float = 1e-9) -> bool:
-    """True if p lies inside or within tol (distance) of the polygon boundary."""
+def contains_point(poly: ConvexPolygon, p: Point2, tol: float | None = None) -> bool:
+    """True if p lies inside or within tol (a distance) of the polygon boundary.
+
+    ``tol`` defaults to CLIP_EPS times the polygon's breadth, the tolerance
+    ``intersect_convex`` clips with, so it scales with the polygon.
+    """
     v = poly.vertices
     n = len(v)
     if n < 3:
         return False
     ((px, py),) = _xy_array((p,)).tolist()
+    if tol is None:
+        tol = CLIP_EPS * _breadth(poly, _half_extent(poly))
     for i in range(n):
         a = v[i]
         b = v[(i + 1) % n]
@@ -425,11 +445,15 @@ def _canonical(poly: ConvexPolygon) -> bool:
     return v[0] == min(v) and not any(_straight(v[i - 1], v[i], v[(i + 1) % n]) for i in range(n))
 
 
-def _breadth(poly: ConvexPolygon) -> float:
-    """About the least width of a convex polygon: its area over half its greater
-    extent, capped at that half extent, which halved coordinates keep finite."""
+def _half_extent(poly: ConvexPolygon) -> float:
+    """Half the greater of a polygon's x and y extents, which halved coordinates keep finite."""
     xs, ys = zip(*poly.vertices)
-    half = max(0.5 * max(xs) - 0.5 * min(xs), 0.5 * max(ys) - 0.5 * min(ys))
+    return max(0.5 * max(xs) - 0.5 * min(xs), 0.5 * max(ys) - 0.5 * min(ys))
+
+
+def _breadth(poly: ConvexPolygon, half: float) -> float:
+    """About the least width of a convex polygon of half extent ``half``: its area
+    over that half extent, capped at it."""
     return min(half, area(poly) / half)  # an area that overflows leaves the half extent
 
 
@@ -443,14 +467,21 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     clips and ``a`` is already what convex_hull returns (a hull inside the
     other polygon), ``a`` itself is the result. The pair is clipped in a
     fixed order, so ``intersect_convex(a, b) == intersect_convex(b, a)`` exactly.
+    Polygons more than 2**500 across are intersected as the hulls of their
+    vertices scaled by _SHRINK, and the result scaled back.
     """
     if len(a) < 3 or len(b) < 3:
         return EMPTY_POLYGON
     if b.vertices < a.vertices:  # the CLIP_EPS sliver a clip keeps depends on the order
         a, b = b, a
+    half_a, half_b = _half_extent(a), _half_extent(b)
+    if max(half_a, half_b) > _HUGE_HALF_EXTENT:
+        shrunk = intersect_convex(*(convex_hull([(x * _SHRINK, y * _SHRINK) for x, y in poly.vertices])
+                                    for poly in (a, b)))
+        return ConvexPolygon._of_gated(tuple(Point2(x / _SHRINK, y / _SHRINK) for x, y in shrunk.vertices))
 
     output: list[tuple[float, float]] = [(p.x, p.y) for p in a.vertices]
-    tol = CLIP_EPS * min(_breadth(a), _breadth(b))
+    tol = CLIP_EPS * min(_breadth(a, half_a), _breadth(b, half_b))
     clipped_any = False
     bv = b.vertices
     for e1, e2 in zip(bv, bv[1:] + bv[:1]):

@@ -686,7 +686,7 @@ class TestScale:
         corners = (Point2(-1e308, 0.0), Point2(1e308, -1.0), Point2(0.0, 1e308))
         hull = convex_hull(corners)
         assert hull.vertices == corners
-        assert 0.0 < geometry._breadth(hull) < math.inf
+        assert 0.0 < geometry._breadth(hull, geometry._half_extent(hull)) < math.inf
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(100.0, 158.0), st.floats(0.0, 6.0), st.booleans(), st.floats(-math.pi, math.pi),

@@ -46,11 +46,6 @@ def _grid_array(grid: Sequence[float]) -> np.ndarray:
     return grid_arr
 
 
-# DEFAULT_GRID checked once; calibration_report uses this when given DEFAULT_GRID.
-_DEFAULT_GRID_ARRAY = _grid_array(DEFAULT_GRID)
-_DEFAULT_GRID_ARRAY.flags.writeable = False
-
-
 def laplace_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """CDF of the standard Laplace distribution.
 
@@ -98,8 +93,8 @@ def calibration_report(
     parallel 1-d arrays of residuals (label minus predicted location) and
     predicted scales. Residuals must be finite and scales positive and
     finite; a standard score that overflows is rejected. The grid must be
-    non-empty, inside (0, 1) and strictly increasing; ``DEFAULT_GRID`` was
-    checked at import, any other grid is checked on every call.
+    non-empty, inside (0, 1) and strictly increasing; it is checked on
+    every call.
     """
     residuals = np.asarray(residuals, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -111,7 +106,7 @@ def calibration_report(
         raise ValueError("residuals must be finite")
     if not ((scales > 0.0).all() and np.isfinite(scales).all()):
         raise ValueError("scales must be positive and finite")
-    grid_arr = _DEFAULT_GRID_ARRAY if grid is DEFAULT_GRID else _grid_array(grid)
+    grid_arr = _grid_array(grid)
     with np.errstate(over="ignore"):
         z = residuals / scales
     scores = laplace_cdf(z)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lkld import calibration
 from lkld.calibration import (
     DEFAULT_GRID,
     CalibrationReport,
@@ -156,13 +155,6 @@ class TestCalibrationReport:
         assert default.curve == given.curve
         assert default.ece == given.ece
         assert default.n == given.n
-
-    def test_cached_default_grid_is_read_only(self):
-        cached = calibration._DEFAULT_GRID_ARRAY
-        assert cached.tolist() == list(DEFAULT_GRID)
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0] = 0.5
 
     @pytest.mark.parametrize(
         "grid, message",

@@ -315,10 +315,11 @@ class Predictor:
         return self.theta.ravel().tolist()
 
     def predict_batch(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(locations, scales) over a feature matrix."""
-        locs = features @ self.theta[0, :-1] + self.theta[0, -1]
-        log_scales = features @ self.theta[1, :-1] + self.theta[1, -1]
-        return locs, np.exp(log_scales)
+        """(locations, scales) over a feature matrix; a value that overflows reads inf."""
+        with np.errstate(over="ignore"):
+            locs = features @ self.theta[0, :-1] + self.theta[0, -1]
+            log_scales = features @ self.theta[1, :-1] + self.theta[1, -1]
+            return locs, np.exp(log_scales)
 
 
 def resolve_label_scales(config: SynthConfig, data: Dataset) -> np.ndarray | None:

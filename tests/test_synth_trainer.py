@@ -365,6 +365,11 @@ class TestEvaluate:
         got = _evaluate(np.column_stack((locs, log_scales)), data)
         assert math.isinf(got[0]) and math.isnan(got[1])
 
+    def test_predict_batch_reads_an_overflowing_scale_as_inf(self):
+        # Tier-1 turns a RuntimeWarning into an error, so an unguarded exp fails here.
+        locs, scales = Predictor([0.0], 0.0, [0.0], 800.0).predict_batch(np.zeros((1, 1)))
+        assert (locs.tolist(), scales.tolist()) == ([0.0], [math.inf])
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):

@@ -19,7 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -95,8 +95,9 @@ class LabelTrack:
             except ValueError:  # gated again below, one sweep at a time
                 pass
             else:
-                ends = np.cumsum([len(pts) for pts in sweeps])
-                self.points = dict(zip(self.points, np.split(arr, ends[:-1])))
+                ends = accumulate(map(len, sweeps))
+                self.points = {sweep: arr[end - len(pts):end]
+                               for (sweep, pts), end in zip(self.points.items(), ends)}
                 return
         self.points = {sweep: _xy_array(pts) for sweep, pts in self.points.items()}
 

@@ -742,6 +742,38 @@ class TestTrainAndCompareCommands:
         assert main(["compare", "--config", str(cfg), "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DEFAULT_COMPARE_SHA256
 
+    # Runs ``lkld.cli.main(argv)`` with a two-CPU mask, so compare forks, and a
+    # train() that ends the child training the oracle run with exit status 3.
+    DYING_CHILD_PROBE = """
+import os, sys
+from lkld import cli, synth_trainer
+
+parent, real_train = os.getpid(), synth_trainer.train
+
+def train(cfg, *args, **kwargs):
+    if os.getpid() != parent and cfg.label_scale.TAG == "oracle":
+        os._exit(3)
+    return real_train(cfg, *args, **kwargs)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+synth_trainer.train = train
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    def test_compare_fails_cleanly_when_a_child_dies(self, tmp_path):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"config": TRAIN_CONFIG, "modes": [{"mode": "zero"}, {"mode": "oracle"}]}))
+        out = tmp_path / "table.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", self.DYING_CHILD_PROBE, "compare", "--config", str(cfg), "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 1
+        assert child.stderr == "error: the worker process training mode oracle exited with status 3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "entry, message",
         [

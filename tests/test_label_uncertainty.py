@@ -530,19 +530,12 @@ def _faulty_track_docs(draw):
 
 
 class TestRunGate:
-    """tracks_from_json gates each track's sweeps at once, exactly as gating one sweep at a time would,
-    whatever the run size evaluate_tracks uses."""
-
-    @staticmethod
-    def parse(doc, run_rows):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(label_uncertainty, "RUN_ROWS", run_rows)
-            return tracks_from_json(doc)
+    """tracks_from_json gates each track's sweeps at once, exactly as gating one sweep at a time would."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_track_docs(), st.sampled_from([1, 7, 64, 4096]))
-    def test_tracks_equal_the_per_sweep_parse(self, doc, run_rows):
-        got, want = self.parse(doc, run_rows), reference_tracks_from_json(doc)
+    @given(_track_docs())
+    def test_tracks_equal_the_per_sweep_parse(self, doc):
+        got, want = tracks_from_json(doc), reference_tracks_from_json(doc)
         assert len(got) == len(want)
         for track, expected in zip(got, want):
             assert (track.label_id, track.class_name, track.poses, track.n_points) == (
@@ -553,12 +546,12 @@ class TestRunGate:
                 assert pts.tobytes() == expected.points[sweep].tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(_faulty_track_docs(), st.sampled_from([1, 7, 64, 4096]))
-    def test_the_first_fault_is_the_per_sweep_parse_fault(self, doc, run_rows):
+    @given(_faulty_track_docs())
+    def test_the_first_fault_is_the_per_sweep_parse_fault(self, doc):
         with pytest.raises(ValueError) as want:
             reference_tracks_from_json(doc)
         with pytest.raises(ValueError) as got:
-            self.parse(doc, run_rows)
+            tracks_from_json(doc)
         assert str(got.value) == str(want.value)
 
 

@@ -4,7 +4,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -604,30 +608,39 @@ class TestEpochScoring:
     """Only train() scores each epoch on the train set; compare() asks it not to."""
 
     @pytest.fixture
-    def scored_sizes(self, monkeypatch):
-        """The record count of each call made through synth_trainer.calibration_report."""
-        sizes = []
+    def scored_sizes(self, monkeypatch, tmp_path):
+        """Reads the record count of each call made through synth_trainer.calibration_report.
+
+        Each call appends its count to a file in one O_APPEND write, so the
+        calls that compare() makes in its forked children count too.
+        """
+        path = tmp_path / "scored_sizes"
+        path.touch()
         report = synth_trainer.calibration_report
 
         def counting(residuals, scales, *args, **kwargs):
-            sizes.append(len(residuals))
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                os.write(fd, f"{len(residuals)}\n".encode())
+            finally:
+                os.close(fd)
             return report(residuals, scales, *args, **kwargs)
 
         monkeypatch.setattr(synth_trainer, "calibration_report", counting)
-        return sizes
+        return lambda: [int(line) for line in path.read_text().split()]
 
     def test_train_scores_every_epoch_then_the_test_set(self, scored_sizes):
         cfg = small_config(epochs=5, average_tail_epochs=2)
         _, report = train(cfg)
         assert not report.diverged
-        assert scored_sizes == [cfg.n_train] * cfg.epochs + [cfg.n_test]
+        assert scored_sizes() == [cfg.n_train] * cfg.epochs + [cfg.n_test]
 
     def test_compare_scores_only_the_test_set(self, scored_sizes):
         cfg = small_config(epochs=5)
         modes = [ZeroLabelScale(), OracleLabelScale(), ConstantLabelScale(0.3)]
         rows = compare([dataclasses.replace(cfg, label_scale=m) for m in modes])
         assert [r.diverged for r in rows] == [False] * 3
-        assert scored_sizes == [cfg.n_test] * 3
+        assert scored_sizes() == [cfg.n_test] * 3
 
     def test_unscored_report_csv_leaves_ece_empty(self):
         cfg = small_config(epochs=2)
@@ -669,6 +682,150 @@ class TestEpochScoring:
                 [(s.mean_loss, s.mean_abs_error) for s in scored.epoch_stats]
             )
             assert all(s.ece is None for s in unscored.epoch_stats)
+
+
+def assert_all_children_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def cpus(n):
+    """A stand-in for os.sched_getaffinity: a mask of n CPUs."""
+    return lambda pid: set(range(n))
+
+
+def refuse_fork():
+    raise OSError("fork refused")
+
+
+class TestForkedCompare:
+    """compare() trains the shares after the first in forked children; rows and errors
+    are those of the serial loop, and no child outlives the call."""
+
+    @staticmethod
+    def configs(n, **fields):
+        base = small_config(n_train=40, n_test=50, epochs=2, **fields)
+        return [dataclasses.replace(base, label_scale=ConstantLabelScale(0.1 * (i + 1))) for i in range(n)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        modes=st.lists(LABEL_SCALE_MODES, min_size=1, max_size=5),
+        # 1000 without clipping diverges the NLL and the small label scales.
+        learning_rate=st.sampled_from([0.05, 1000.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(modes=[ZeroLabelScale(), OracleLabelScale(), ZeroLabelScale()], learning_rate=1000.0, seed=2)
+    def test_rows_equal_the_serial_rows(self, modes, learning_rate, seed):
+        base = SynthConfig(n_train=24, n_test=30, feature_dim=3, noise=FeatureDependentNoise(0.1, 0.5),
+                           epochs=4, learning_rate=learning_rate, grad_clip=1e12, seed=seed)
+        configs = [dataclasses.replace(base, label_scale=m) for m in modes]
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return real_fork()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "fork", counted_fork)
+            patch.setattr(os, "sched_getaffinity", cpus(3))
+            forked = repr(compare(configs))
+            assert len(forks) == min(len(modes), 3) - 1
+            patch.setattr(os, "sched_getaffinity", cpus(1))
+            serial = repr(compare(configs))
+            patch.setattr(os, "sched_getaffinity", cpus(3))
+            patch.setattr(os, "fork", refuse_fork)
+            unforked = repr(compare(configs))
+        assert forked == serial == unforked
+        assert_all_children_reaped()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_child_raises_the_serial_error(self, monkeypatch, n_cpus):
+        # Zero noise has no oracle scale: the oracle run fails, in the child with two CPUs.
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(n_cpus))
+        base = small_config(noise=ConstantNoise(0.0))
+        with pytest.raises(ValueError, match="^oracle label scales require strictly positive noise scales$"):
+            compare([dataclasses.replace(base, label_scale=ZeroLabelScale()), base])
+        assert_all_children_reaped()
+
+    # Three CPUs deal five configs into shares (0, 3), (1, 4) and (2,): the
+    # first share is trained here, the others in two children.
+    @pytest.mark.parametrize("failing", [{1}, {3}, {1, 3}, {2, 4}, {0, 4}, {3, 4}])
+    def test_the_first_failing_config_wins(self, monkeypatch, failing):
+        configs = self.configs(5)
+        real_train = synth_trainer.train
+
+        def failing_train(cfg, *args, **kwargs):
+            if configs.index(cfg) in failing:
+                raise ValueError(f"cannot train {cfg.label_scale.label()}")
+            return real_train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(synth_trainer, "train", failing_train)
+        first = configs[min(failing)].label_scale.label()
+        for n_cpus in (3, 1):
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(n_cpus))
+            with pytest.raises(ValueError, match=rf"^cannot train {re.escape(first)}$"):
+                compare(configs)
+        assert_all_children_reaped()
+
+    @pytest.mark.parametrize("death, ended", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+    ])
+    def test_a_child_that_dies_is_an_error(self, monkeypatch, death, ended):
+        configs = self.configs(5)
+        parent = os.getpid()
+        real_train = synth_trainer.train
+
+        def dying_train(cfg, *args, **kwargs):
+            # Config 4, the second of its share: the child reports config 1 first.
+            if os.getpid() != parent and configs.index(cfg) == 4:
+                death()
+            return real_train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(synth_trainer, "train", dying_train)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        mode = configs[4].label_scale.label()
+        with pytest.raises(ChildProcessError, match=rf"^the worker process training mode {re.escape(mode)} {ended}$"):
+            compare(configs)
+        assert_all_children_reaped()
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, monkeypatch):
+        configs = self.configs(2)
+        parent = os.getpid()
+
+        def stuck_train(cfg, *args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(synth_trainer, "train", stuck_train)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            compare(configs)
+        assert time.monotonic() - started < 20
+        assert_all_children_reaped()
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        configs = self.configs(3)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        serial = repr(compare(configs))
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or refuse_fork())
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            rows = repr(compare(configs))
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+        assert rows == serial
+        assert_all_children_reaped()
 
 
 class TestConfigSerialization:

@@ -11,10 +11,12 @@ artifact-defined convenience, not a standard metric.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,14 +147,36 @@ class PredictionColumns:
         return len(self.codes)
 
 
-def records_from_csv(lines: Iterable[str]) -> PredictionColumns:
+def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
     """Parse ``residual,scale,class_name`` rows (header required).
 
     ``lines`` is an iterable of text lines, such as a file opened with
-    ``newline=""``, read once in the ``_util.csv_table`` dialect; only the
+    ``newline=""``, read once in the ``_util.csv_table`` dialect, or the path
+    of a file, which is opened that way (UTF-8, ``newline=""``); only the
     columns are kept. Each row is checked once: three columns, a finite
     residual and a positive finite scale. Errors name the row's file line.
+
+    A path of at least ``2 * _SHARE_BYTES`` bytes is parsed in byte-range
+    shares, one per CPU in the affinity mask (Linux only, and only while no
+    other Python thread runs): each cut falls just after a newline, this
+    process parses the first share and a forked child each other one, or
+    this process where the fork fails (see ``_fork``), and the shares'
+    columns are joined in file order with the classes in first-seen order.
+    If any share fails, because it holds a ``"`` (a quoted cell may run
+    across a cut), cannot be read or decoded, holds a bad row, or its child
+    dies or cannot be reaped, the whole file is parsed again in one stream.
+    The columns and every error are thus those of the one-stream parse of
+    the open file.
     """
+    if not isinstance(lines, os.PathLike):
+        return _parse(lines)
+    with open(lines, "r", encoding="utf-8", newline="") as handle:
+        split = _parse_shares(handle.fileno())
+        return _parse(handle) if split is None else split
+
+
+def _parse(lines: Iterable[str]) -> PredictionColumns:
+    """``records_from_csv`` of an iterable of lines: one stream, one pass."""
     residuals = array("d")
     scales = array("d")
     codes = array("q")
@@ -180,3 +204,94 @@ def records_from_csv(lines: Iterable[str]) -> PredictionColumns:
         tuple(index),
         np.frombuffer(codes, dtype=np.int64),
     )
+
+
+# The smallest share worth a child: forking, piping and reaping one costs
+# about as much as parsing 300 kB, so a share is never under 1 MiB.
+_SHARE_BYTES = 1 << 20
+# Bytes read at a time within a share; each chunk is cut after its last newline.
+_CHUNK_BYTES = 1 << 16
+
+
+def _parse_shares(fd: int) -> PredictionColumns | None:
+    """The open file's columns parsed in forked byte-range shares, or ``None``
+    if it is too small to split, there is one CPU, or any share fails."""
+    size = os.fstat(fd).st_size
+    if size < 2 * _SHARE_BYTES:
+        return None
+    from . import _fork
+
+    n = _fork.workers(size // _SHARE_BYTES)
+    if n < 2:
+        return None
+    cuts = [0]
+    for k in range(1, n):
+        cuts.append(_line_end(fd, max(cuts[-1], k * size // n), size))
+    cuts.append(size)
+
+    def run(share: range) -> Iterator[tuple[int, PredictionColumns | Exception]]:
+        k = share.start
+        try:
+            parsed = _parse(_share_lines(fd, cuts[k], cuts[k + 1], header=k > 0))
+        except Exception as exc:
+            parsed = exc
+        yield k, parsed
+
+    tasks = [f"parsing bytes {cuts[k]} to {cuts[k + 1]}" for k in range(n)]
+    try:
+        parts = dict(_fork.run_shares(run, [range(k, k + 1) for k in range(n)], tasks))
+    except OSError:  # no pipe to be had, or no child to reap where SIGCHLD is ignored
+        return None
+    if any(isinstance(part, Exception) for part in parts.values()):
+        return None
+    return _joined([parts.pop(k) for k in range(n)])
+
+
+def _line_end(fd: int, pos: int, size: int) -> int:
+    """The offset just past the first newline at or after ``pos``, or ``size``."""
+    while pos < size:
+        data = os.pread(fd, _CHUNK_BYTES, pos)
+        if not data:
+            break
+        found = data.find(b"\n")
+        if found >= 0:
+            return pos + found + 1
+        pos += len(data)
+    return size
+
+
+def _share_lines(fd: int, start: int, stop: int, header: bool) -> Iterator[str]:
+    """The text lines of bytes ``[start, stop)``, after the header line if ``header``.
+
+    The bytes come from ``os.pread``, so no file offset moves, in chunks cut
+    after their last newline, so no character or line is cut. A chunk with
+    a ``"`` or without a newline raises ``ValueError``.
+    """
+    if header:
+        yield "residual,scale,class_name\n"
+    while start < stop:
+        data = os.pread(fd, min(_CHUNK_BYTES, stop - start), start)
+        end = len(data) if start + len(data) == stop else data.rfind(b"\n") + 1
+        if not end or b'"' in data:
+            raise ValueError(f"cannot split the file at byte {start}")
+        start += end
+        yield from io.StringIO(data[:end].decode("utf-8"), newline="")
+
+
+def _joined(parts: list[PredictionColumns]) -> PredictionColumns:
+    """The shares' columns end to end, each share's codes mapped into the
+    first-seen order of all classes. Empties ``parts``, so that each column
+    of the shares is freed as soon as it is copied."""
+    index: dict[str, int] = {}
+    remaps = [np.array([index.setdefault(name, len(index)) for name in part.classes], dtype=np.int64)
+              for part in parts]
+    residuals, scales, codes = ([getattr(part, name) for part in parts] for name in ("residuals", "scales", "codes"))
+    parts.clear()
+    residuals = np.concatenate(residuals)
+    scales = np.concatenate(scales)
+    joined = np.empty(len(residuals), dtype=np.int64)
+    start = 0
+    for remap, piece in zip(remaps, codes):
+        np.take(remap, piece, out=joined[start:start + len(piece)])
+        start += len(piece)
+    return PredictionColumns(residuals, scales, tuple(index), joined)

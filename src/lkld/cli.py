@@ -27,11 +27,13 @@ as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file.
 and ``lkld._util``, and none of the domain modules. Each command imports the
 one it runs when it runs, so start-up pays only for what the command uses:
 
-- ``calib``: ``calibration``;
+- ``calib``: ``calibration``, and ``_fork`` when the file is large enough
+  to parse in forked shares;
 - ``labelunc``, ``fit-map``, ``iou-hist``: ``label_uncertainty``, which
   loads ``geometry``;
 - ``loss-eval``, ``grad-check``, ``surface``: ``distributions``;
-- ``train``, ``compare``: ``synth_trainer``, which loads the other four.
+- ``train``, ``compare``: ``synth_trainer``, which loads the other four;
+  ``compare`` also loads ``_fork``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import gc
 import json
 import math
 import os
+import pathlib
 import string
 import sys
 from collections.abc import Sequence
@@ -100,11 +103,15 @@ def parse_anchors(raw: str) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _open_input(path: str, newline: str | None = None):
+def _check_input(path: str) -> None:
     if not os.path.isfile(path):
         raise ValueError(f"input file not found: {path}")
     if not os.access(path, os.R_OK):
         raise ValueError(f"input file not readable: {path}")
+
+
+def _open_input(path: str, newline: str | None = None):
+    _check_input(path)
     return open(path, "r", encoding="utf-8", newline=newline)
 
 
@@ -310,8 +317,9 @@ def class_file_part(name: str) -> str:
 def cmd_calib(args: argparse.Namespace) -> int:
     from . import calibration
 
-    with _open_input(args.records, newline="") as handle:
-        preds = calibration.records_from_csv(handle)
+    _check_input(args.records)
+    # A path, not an open file: a large one is parsed in forked shares.
+    preds = calibration.records_from_csv(pathlib.Path(args.records))
     grid = parse_range(args.grid) if args.grid else calibration.DEFAULT_GRID
     classes = preds.classes if args.per_class else ()
     stem, ext = os.path.splitext(args.output)

@@ -17,15 +17,10 @@ configs give bit-identical datasets and reports.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Callable, Iterator, NoReturn, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -661,8 +656,9 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
     fork fails is trained here. The rows, their order and any error are
     those of training the configs one after another: the error raised is
     that of the first config that failed. A child that ends without
-    reporting a config raises ``ChildProcessError`` naming the mode and the
-    child's exit status or signal. Every child is reaped before the call
+    reporting a config, or partway through reporting it, raises
+    ``ChildProcessError`` naming the mode and the child's exit status or
+    signal (``_fork.run_shares``). Every child is reaped before the call
     returns or raises, and killed first if this process is interrupted.
     Everything is trained here, in order, with one config or one CPU,
     without ``os.sched_getaffinity`` (outside Linux) or while another
@@ -690,83 +686,17 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
                 return
             yield i, CompareRow(modes[i], report.test_mae, report.test_ece, report.diverged)
 
-    workers = 1
-    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = min(len(configs), len(os.sched_getaffinity(0)))
+    from . import _fork
+
+    workers = _fork.workers(len(configs))
     shares = [range(first, len(configs), workers) for first in range(workers)]
-    results = dict(_run_shares(run, shares, modes))
+    results = dict(_fork.run_shares(run, shares, [f"training mode {mode}" for mode in modes]))
     # A share stops at its first error, so every config missing here comes
     # after an error in its own share: the first error comes first.
     for i in sorted(results):
         if isinstance(results[i], Exception):
             raise results[i]
     return [results[i] for i in range(len(configs))]
-
-
-def _run_shares(
-    run: Callable[[range], Iterator[tuple[int, object]]], shares: list[range], modes: list[str]
-) -> list[tuple[int, object]]:
-    """The records ``run`` gives for every share: the first share's from this
-    process, each other's from a forked child, or from here if the fork fails.
-
-    A child that ends before its share is done, without an error to report,
-    gives ``(i, ChildProcessError)`` for the first config ``i`` it did not
-    report. No child outlives the call.
-    """
-    children = []
-    here = shares[:1]
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                here.append(share)
-                continue
-            if pid == 0:
-                _send_records(run(share), write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), share))
-        records = [record for share in here for record in run(share)]
-        while children:
-            pid, pipe, share = children[0]
-            got = []
-            with pipe, contextlib.suppress(EOFError):
-                while True:
-                    got.append(pickle.load(pipe))
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            records += got
-            if len(got) < len(share) and not (got and isinstance(got[-1][1], Exception)):
-                code = os.waitstatus_to_exitcode(status)
-                ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                i = share[len(got)]
-                records.append((i, ChildProcessError(f"the worker process training mode {modes[i]} {ended}")))
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-    return records
-
-
-def _send_records(records: Iterator[tuple[int, object]], write_fd: int) -> NoReturn:
-    """In a forked child: pickle each record down the pipe as it comes, then
-    leave through ``os._exit`` (status 0 once all are sent), never returning."""
-    status = 1
-    try:
-        with open(write_fd, "wb") as pipe:
-            for record in records:
-                # Pickled whole first, so a record that cannot be pickled sends no bytes.
-                pipe.write(pickle.dumps(record))
-                pipe.flush()
-        status = 0
-    finally:
-        os._exit(status)
 
 
 # Each union of config choices: the key that holds a document's tag, and the class of each tag.

@@ -3,13 +3,21 @@
 import csv
 import io
 import math
+import os
+import pickle
 import re
+import signal
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from lkld import calibration
 from lkld.calibration import (
     DEFAULT_GRID,
     CalibrationReport,
@@ -262,3 +270,215 @@ class TestCsv:
             records_from_csv(io.StringIO("residual,scale,class_name\n1.0,-1.0,x\n"))
         with pytest.raises(ValueError):
             records_from_csv(io.StringIO("residual,scale,class_name\nabc,1.0,x\n"))
+
+
+def cpus(n):
+    """A stand-in for os.sched_getaffinity: a mask of n CPUs."""
+    return lambda pid: set(range(n))
+
+
+def assert_all_children_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def parsed(source):
+    """records_from_csv of a path, or of the open file at a ``str`` path: the
+    columns as bytes and names, or the type and message of the error."""
+    try:
+        if isinstance(source, Path):
+            preds = records_from_csv(source)
+        else:
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                preds = records_from_csv(handle)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return preds.residuals.tobytes(), preds.scales.tobytes(), preds.classes, preds.codes.tobytes()
+
+
+def write_records(path, n, names=("car", "pedestrian", "cyclist", "truck", "")):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("residual,scale,class_name\n")
+        for i in range(n):
+            handle.write(f"{math.sin(i)!r},{1.0 + (i % 97) / 7.0!r},{names[i % len(names)]}\n")
+
+
+ENDINGS = st.sampled_from([b"\n"] * 6 + [b"\r\n", b"\r"])
+RESIDUAL_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(x).encode()),
+    st.sampled_from([b"1_0", b" 2 ", b"-0.0", b"0"]),
+)
+SCALE_CELLS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300).map(lambda x: repr(x).encode()),
+    st.sampled_from([b"1_0", b" 2 ", b"1e-320"]),
+)
+CLASS_CELLS = st.one_of(
+    st.sampled_from(["", "car", "\u00e9", "\u8f66", "a\x00", "\x00"]),
+    st.text(st.characters(blacklist_characters='",\r\n'), max_size=3),
+).map(lambda name: name.encode("utf-8"))
+ROWS = st.one_of(
+    st.tuples(RESIDUAL_CELLS, SCALE_CELLS, CLASS_CELLS).map(b",".join),
+    st.just(b""),
+)
+# At most one line that the one-stream parse rejects, or that stops a share.
+ODD_LINES = st.sampled_from([
+    *[None] * 7,
+    b"1.0,2.0",  # two columns
+    b"inf,1,x",  # a residual that is not finite
+    b"0.5,-0.0,x",  # a scale that is not positive
+    b"abc,1,x",  # a residual that is not a number
+    b'0.5,1,"a\nb"',  # a quoted cell over two lines
+    b'0.5,1,"a\n1,1,b"',
+    b'0.5,1,"a,b"',
+    b"0.5,1,\xff",  # invalid UTF-8
+])
+
+
+class TestSplitParse:
+    """A path of a large file is parsed in forked byte-range shares: the columns
+    and errors are those of the one-stream parse, and no child outlives the call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        header=st.sampled_from([b"residual,scale,class_name", b"residual, scale , class_name"]),
+        blanks=st.lists(ENDINGS, max_size=2),
+        lines=st.lists(st.tuples(ROWS, ENDINGS), max_size=40),
+        odd=ODD_LINES,
+        odd_at=st.integers(0, 40),
+        last_ending=st.booleans(),
+        n_cpus=st.integers(2, 4),
+        share_bytes=st.integers(1, 64),
+        chunk_bytes=st.sampled_from([64, 1 << 16]),
+    )
+    # The cut falls inside the quoted cell, whose second line reads as a row.
+    @example(header=b"residual,scale,class_name", blanks=[], lines=[(b"1,1,c", b"\n")] * 2,
+             odd=b'0.5,1,"a\n1,1,b"', odd_at=0, last_ending=True, n_cpus=2, share_bytes=8, chunk_bytes=1 << 16)
+    def test_split_equals_the_one_stream_parse(
+        self, header, blanks, lines, odd, odd_at, last_ending, n_cpus, share_bytes, chunk_bytes
+    ):
+        lines = [row + ending for row, ending in lines]
+        if odd is not None:
+            lines.insert(min(odd_at, len(lines)), odd + b"\n")
+        data = b"".join([*blanks, header + b"\n", *lines])
+        if not last_ending:
+            data = data.rstrip(b"\r\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_bytes(data)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", cpus(n_cpus))
+                patch.setattr(calibration, "_SHARE_BYTES", share_bytes)
+                patch.setattr(calibration, "_CHUNK_BYTES", chunk_bytes)
+                split = parsed(path)
+            assert split == parsed(str(path))
+        assert_all_children_reaped()
+
+    def test_shares_join_in_file_order(self, tmp_path, monkeypatch):
+        # Classes first seen in the second and third shares, in another order there.
+        path = tmp_path / "records.csv"
+        names = ["a"] * 30 + ["c", "b", "a"] * 10 + ["", "d", "b"] * 10
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("residual,scale,class_name\n")
+            handle.writelines(f"{i / 7!r},{1 + i / 3!r},{name}\n" for i, name in enumerate(names))
+        forks, calls = [], []
+        real_fork, real_parse = os.fork, calibration._parse
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        monkeypatch.setattr(calibration, "_parse", lambda lines: calls.append(None) or real_parse(lines))
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 256)
+        preds = records_from_csv(path)
+        # Two children, and this process parsed only the first share.
+        assert len(forks) == 2 and len(calls) == 1
+        assert preds.classes == ("a", "c", "b", "", "d")
+        assert [preds.classes[k] for k in preds.codes] == names
+        assert preds.residuals.tolist() == [i / 7 for i in range(len(names))]
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        assert parsed(path) == parsed(str(path))
+        assert_all_children_reaped()
+
+    @pytest.mark.parametrize("case", ["small", "one-cpu", "thread"])
+    def test_no_fork_for_a_small_file_one_cpu_or_another_thread(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "records.csv"
+        write_records(path, 200)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
+        size = path.stat().st_size
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", size if case == "small" else 64)
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or pytest.fail("forked"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if case == "thread":
+            thread.start()
+        try:
+            got = parsed(path)
+        finally:
+            stop.set()
+            if case == "thread":
+                thread.join(timeout=60)
+        assert forks == []
+        assert got == parsed(str(path))
+
+    @pytest.mark.parametrize("failure", ["exit", "kill", "raise", "truncated", "refused fork", "SIGCHLD ignored"])
+    def test_a_failing_share_gives_the_one_stream_columns(self, tmp_path, monkeypatch, failure):
+        # 20k rows: the second share's record is some 240 kB, far above PIPE_BUF.
+        path = tmp_path / "records.csv"
+        write_records(path, 20_000)
+        parent, calls = os.getpid(), []
+        real_parse, real_dumps = calibration._parse, pickle.dumps
+
+        def parse(lines):
+            if os.getpid() == parent:
+                calls.append(None)
+            elif failure == "exit":
+                os._exit(3)
+            elif failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif failure == "raise":
+                raise OSError("share failed")
+            return real_parse(lines)
+
+        def dumps(obj, *args, **kwargs):
+            # In the child, half a record: as if it died partway through the write.
+            data = real_dumps(obj, *args, **kwargs)
+            return data[: len(data) // 2] if os.getpid() != parent and failure == "truncated" else data
+
+        monkeypatch.setattr(calibration, "_parse", parse)
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
+        if failure == "refused fork":
+            monkeypatch.setattr(os, "fork", lambda: (_ for _ in ()).throw(OSError("fork refused")))
+        if failure == "SIGCHLD ignored":
+            # The child reaps itself, so waiting for it fails with ECHILD.
+            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = parsed(path)
+        finally:
+            if failure == "SIGCHLD ignored":
+                signal.signal(signal.SIGCHLD, previous)
+        # A refused fork parses both shares here; a failed share parses the whole file again.
+        assert len(calls) == 2
+        monkeypatch.setattr(calibration, "_parse", real_parse)
+        assert got == parsed(str(path))
+        assert_all_children_reaped()
+
+    def test_split_parse_memory_per_row_is_bounded(self, tmp_path, monkeypatch):
+        """The split parse keeps the columns only, and copies each share's once."""
+        n = 50_000
+        path = tmp_path / "records.csv"
+        write_records(path, n)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            preds = records_from_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == 1
+        assert len(preds) == n
+        assert peak / n < 60.0  # bytes per row; the columns alone take 24
+        assert_all_children_reaped()

@@ -663,6 +663,56 @@ class TestCalibCommand:
         assert "file name is longer than" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
 
+    # Runs ``lkld.cli.main(argv)`` with a two-CPU mask, so a large records file
+    # is parsed in two shares, and ends the child parsing the second share with
+    # exit status 3. Prints how many children it forked.
+    DYING_SHARE_PROBE = """
+import os, sys
+from lkld import calibration, cli
+
+parent, real_parse, real_fork, forks = os.getpid(), calibration._parse, os.fork, []
+
+def parse(lines):
+    if os.getpid() != parent:
+        os._exit(3)
+    return real_parse(lines)
+
+def fork():
+    forks.append(None)
+    return real_fork()
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.fork = fork
+calibration._parse = parse
+code = cli.main(sys.argv[1:])
+print(f"forks={len(forks)}")
+sys.exit(code)
+"""
+
+    def test_a_dying_share_does_not_fail_calib(self, tmp_path, monkeypatch):
+        from lkld import calibration
+
+        names = ("car", "pedestrian", "a/b", "", "\u00e9")
+        csv_in = tmp_path / "preds.csv"
+        with open(csv_in, "w", encoding="utf-8", newline="") as handle:
+            handle.write("residual,scale,class_name\n")
+            handle.writelines(f"{math.sin(i)!r},{1.0 + (i % 97) / 7.0!r},{names[i % 5]}\n" for i in range(60_000))
+        assert csv_in.stat().st_size >= 2 * calibration._SHARE_BYTES
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", self.DYING_SHARE_PROBE, "calib", "--records", str(csv_in), "--per-class",
+             "-o", str(tmp_path / "split.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1\n", "")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / "serial.csv")]) == 0
+        split = {p.name.removeprefix("split"): p.read_bytes() for p in tmp_path.glob("split*.csv")}
+        serial = {p.name.removeprefix("serial"): p.read_bytes() for p in tmp_path.glob("serial*.csv")}
+        assert len(split) == 1 + len(names)
+        assert split == serial
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
@@ -960,7 +1010,7 @@ class TestImportFootprint:
         "grad-check": ["distributions"],
         "surface": ["distributions"],
         "train": ["calibration", "distributions", "geometry", "label_uncertainty", "synth_trainer"],
-        "compare": ["calibration", "distributions", "geometry", "label_uncertainty", "synth_trainer"],
+        "compare": ["_fork", "calibration", "distributions", "geometry", "label_uncertainty", "synth_trainer"],
     }
 
     @staticmethod

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import threading
@@ -787,6 +788,30 @@ class TestForkedCompare:
         monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
         mode = configs[4].label_scale.label()
         with pytest.raises(ChildProcessError, match=rf"^the worker process training mode {re.escape(mode)} {ended}$"):
+            compare(configs)
+        assert_all_children_reaped()
+
+    def test_a_truncated_record_is_a_missing_one(self, monkeypatch):
+        # Each child writes half of its first row's record; the one training
+        # configs 1 and 4 then dies on config 4, so config 1 was never reported.
+        configs = self.configs(5)
+        parent = os.getpid()
+        real_train, real_dumps = synth_trainer.train, pickle.dumps
+
+        def dying_train(cfg, *args, **kwargs):
+            if os.getpid() != parent and configs.index(cfg) == 4:
+                os._exit(3)
+            return real_train(cfg, *args, **kwargs)
+
+        def half_dumps(obj, *args, **kwargs):
+            data = real_dumps(obj, *args, **kwargs)
+            return data[: len(data) // 2] if os.getpid() != parent else data
+
+        monkeypatch.setattr(synth_trainer, "train", dying_train)
+        monkeypatch.setattr(pickle, "dumps", half_dumps)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        mode = configs[1].label_scale.label()
+        with pytest.raises(ChildProcessError, match=rf"^the worker process training mode {re.escape(mode)} exited with status 3$"):
             compare(configs)
         assert_all_children_reaped()
 

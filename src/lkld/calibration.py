@@ -285,7 +285,9 @@ def _joined(parts: list[PredictionColumns]) -> PredictionColumns:
     index: dict[str, int] = {}
     remaps = [np.array([index.setdefault(name, len(index)) for name in part.classes], dtype=np.int64)
               for part in parts]
-    residuals, scales, codes = ([getattr(part, name) for part in parts] for name in ("residuals", "scales", "codes"))
+    residuals = [part.residuals for part in parts]
+    scales = [part.scales for part in parts]
+    codes = [part.codes for part in parts]
     parts.clear()
     residuals = np.concatenate(residuals)
     scales = np.concatenate(scales)

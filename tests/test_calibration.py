@@ -282,6 +282,10 @@ def assert_all_children_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
+def refuse_fork():
+    raise OSError("fork refused")
+
+
 def parsed(source):
     """records_from_csv of a path, or of the open file at a ``str`` path: the
     columns as bytes and names, or the type and message of the error."""
@@ -447,7 +451,7 @@ class TestSplitParse:
         monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
         monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
         if failure == "refused fork":
-            monkeypatch.setattr(os, "fork", lambda: (_ for _ in ()).throw(OSError("fork refused")))
+            monkeypatch.setattr(os, "fork", refuse_fork)
         if failure == "SIGCHLD ignored":
             # The child reaps itself, so waiting for it fails with ECHILD.
             previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)

@@ -1,7 +1,9 @@
 """Forked shares of one job: the worker-count rule and a pipe per child.
 
-``synth_trainer.compare`` trains its modes and ``calibration.records_from_csv``
-parses a large file this way. The first share runs in the calling process and
+``synth_trainer.compare`` trains its modes this way,
+``calibration.records_from_csv`` parses a large records file and
+``label_uncertainty.evaluate_tracks`` decodes, gates and evaluates a large
+tracks document. The first share runs in the calling process and
 each other share in a child forked from it, which sees the caller's data as it
 was at the fork, pickles its records down a private pipe and leaves through
 ``os._exit``. No child outlives ``run_shares``.
@@ -37,9 +39,10 @@ def run_shares(
     order; a share that fails gives its error as the value and stops. A child
     that ends before its share is done, without an error to report, gives
     ``(i, ChildProcessError)`` for the first task ``i`` it did not report,
-    naming ``tasks[i]`` and the child's exit status or signal; a record cut
-    short by the child's death counts as not reported. Every child is reaped
-    before the call returns or raises, and killed first if it raises.
+    naming ``tasks[i]`` and the child's exit status or signal, or saying that
+    its status is unknown where the child reaped itself (SIGCHLD ignored); a
+    record cut short by the child's death counts as not reported. Every child
+    is reaped before the call returns or raises, and killed first if it raises.
     """
     children = []
     here = shares[:1]
@@ -65,12 +68,17 @@ def run_shares(
             with pipe, contextlib.suppress(EOFError, pickle.UnpicklingError):
                 while True:
                     got.append(pickle.load(pipe))
-            status = os.waitpid(pid, 0)[1]
+            try:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            except ChildProcessError:  # already reaped: this process ignores SIGCHLD
+                code = None
             children.pop(0)
             records += got
             if len(got) < len(share) and not (got and isinstance(got[-1][1], Exception)):
-                code = os.waitstatus_to_exitcode(status)
-                ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                if code is None:
+                    ended = "ended with an unknown status"
+                else:
+                    ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 i = share[len(got)]
                 records.append((i, ChildProcessError(f"the worker process {tasks[i]} {ended}")))
     finally:

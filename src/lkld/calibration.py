@@ -164,7 +164,7 @@ def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
     columns are joined in file order with the classes in first-seen order.
     If any share fails, because it holds a ``"`` (a quoted cell may run
     across a cut), cannot be read or decoded, holds a bad row, or its child
-    dies or cannot be reaped, the whole file is parsed again in one stream.
+    dies, the whole file is parsed again in one stream.
     The columns and every error are thus those of the one-stream parse of
     the open file.
     """
@@ -240,7 +240,7 @@ def _parse_shares(fd: int) -> PredictionColumns | None:
     tasks = [f"parsing bytes {cuts[k]} to {cuts[k + 1]}" for k in range(n)]
     try:
         parts = dict(_fork.run_shares(run, [range(k, k + 1) for k in range(n)], tasks))
-    except OSError:  # no pipe to be had, or no child to reap where SIGCHLD is ignored
+    except OSError:  # no pipe to be had
         return None
     if any(isinstance(part, Exception) for part in parts.values()):
         return None

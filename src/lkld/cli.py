@@ -30,7 +30,8 @@ one it runs when it runs, so start-up pays only for what the command uses:
 - ``calib``: ``calibration``, and ``_fork`` when the file is large enough
   to parse in forked shares;
 - ``labelunc``, ``fit-map``, ``iou-hist``: ``label_uncertainty``, which
-  loads ``geometry``;
+  loads ``geometry``; ``labelunc`` also loads ``_fork`` when the tracks
+  file is large enough to evaluate in forked shares;
 - ``loss-eval``, ``grad-check``, ``surface``: ``distributions``;
 - ``train``, ``compare``: ``synth_trainer``, which loads the other four;
   ``compare`` also loads ``_fork``.
@@ -259,8 +260,9 @@ def cmd_labelunc(args: argparse.Namespace) -> int:
     _note_if_linear(default, "--anchors")
     for cls, mapping in per_class.items():
         _note_if_linear(mapping, f"--class-anchors {cls}")
-    doc = _read_json(args.tracks)
-    tracks = label_uncertainty.tracks_from_json(doc)
+    _check_input(args.tracks)
+    # A path, not a decoded document: a large one is evaluated in forked shares.
+    tracks = pathlib.Path(args.tracks)
     records = label_uncertainty.evaluate_tracks(tracks, mapping=default, per_class=per_class)
     _emit(label_uncertainty.records_to_csv(records), args.output)
     return 0

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
+import os
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -319,7 +322,7 @@ def evaluate_track(track: LabelTrack, mapping: UncertaintyMapping) -> LabelUncer
 
 
 def evaluate_tracks(
-    tracks: Sequence[LabelTrack],
+    tracks: Sequence[LabelTrack] | os.PathLike,
     mapping: UncertaintyMapping | None = None,
     per_class: Mapping[str, UncertaintyMapping] | None = None,
 ) -> list[LabelUncertaintyRecord]:
@@ -331,7 +334,33 @@ def evaluate_tracks(
     are reported in track order: the tracks before one whose class has no
     mapping are evaluated before that is raised. Records come back in
     label-id order.
+
+    ``tracks`` may also be the path of a tracks document, read once as UTF-8
+    with universal newlines and built by ``tracks_from_json(json.loads(text))``.
+    A text of at least ``2 * _SHARE_CHARS`` characters that is exactly
+    ``{"tracks": [...]}``, give or take whitespace, is split into one share of
+    the array per CPU in the affinity mask (Linux only, and only while no
+    other Python thread runs). A share starts at the first ``{`` at or after
+    its nominal point that follows a ``,`` and decodes to an object holding
+    ``"poses"``, decodes its elements up to the first one starting at or
+    after the next share's nominal point, and builds and evaluates them as
+    above; this process runs the first share and a forked child each other
+    one, or this process where the fork fails (see ``_fork``). The split is
+    kept only if each share stopped where the next one started and the last
+    at the array's end, so that the shares cover the array exactly, once;
+    its records are then sorted stably by label id. If that check fails, or
+    any share fails (a decode error, a bad track, a class with no mapping),
+    or its child dies, the whole text is built and evaluated in this
+    process. The records and every error are thus those of the whole text
+    built and evaluated in one pass.
     """
+    if isinstance(tracks, os.PathLike):
+        with open(tracks, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        split = _evaluate_shares(text, mapping, per_class)
+        if split is not None:
+            return split
+        tracks = tracks_from_json(json.loads(text))
     per_class = dict(per_class or {})
     chosen = [per_class.get(t.class_name, mapping) for t in tracks]
     missing = next((k for k, m in enumerate(chosen) if m is None), len(tracks))
@@ -341,6 +370,102 @@ def evaluate_tracks(
             f"no uncertainty mapping for class {tracks[missing].class_name!r} and no default given"
         )
     return sorted(records, key=lambda r: r.label_id)
+
+
+# The smallest share worth a child: two shares break even with one pass at
+# about 350 kB of document (forking, piping and reaping a child take about
+# 4 ms), so a share is never under 1 Mi characters.
+_SHARE_CHARS = 1 << 20
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_TRACKS_OPEN = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"tracks"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
+_TRACKS_CLOSE = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*\Z")
+
+
+def _evaluate_shares(
+    text: str, mapping: UncertaintyMapping | None, per_class: Mapping[str, UncertaintyMapping] | None
+) -> list[LabelUncertaintyRecord] | None:
+    """``evaluate_tracks`` of a tracks document's text in forked shares, or
+    ``None`` if it is too small or not shaped to split, there is one CPU, or
+    any share fails or the shares do not cover the array exactly."""
+    if len(text) < 2 * _SHARE_CHARS:
+        return None
+    opened = _TRACKS_OPEN.match(text)
+    close = text.rfind("]")  # the array's end, if the text ends "] }"
+    if opened is None or close < opened.end() or not _TRACKS_CLOSE.match(text, close):
+        return None
+    from . import _fork
+
+    n = _fork.workers(len(text) // _SHARE_CHARS)
+    if n < 2:
+        return None
+    first = opened.end()
+    points = [first + k * (close - first) // n for k in range(n)] + [close]
+
+    def run(share: range) -> Iterator[tuple[int, tuple | Exception]]:
+        k = share.start
+        try:
+            decoder = json.JSONDecoder()
+            start = first if k == 0 else _element_start(text, points[k], close, decoder)
+            items, stop = _decode_elements(text, start, points[k + 1], close, decoder)
+            records = evaluate_tracks(tracks_from_json({"tracks": items}), mapping, per_class)
+        except Exception as exc:
+            yield k, exc
+        else:
+            yield k, (start, stop, records)
+
+    tasks = [f"evaluating the tracks from character {points[k]}" for k in range(n)]
+    try:
+        parts = dict(_fork.run_shares(run, [range(k, k + 1) for k in range(n)], tasks))
+    except OSError:  # no pipe to be had
+        return None
+    if any(isinstance(part, Exception) for part in parts.values()):
+        return None
+    # The chain check: share 0 starts at the first element, each share stops
+    # where the next one starts, and the last at the array's end.
+    if [first] + [parts[k][1] for k in range(n)] != [parts[k][0] for k in range(n)] + [close]:
+        return None
+    return sorted((r for k in range(n) for r in parts[k][2]), key=lambda r: r.label_id)
+
+
+def _element_start(text: str, pos: int, close: int, decoder: json.JSONDecoder) -> int:
+    """The first ``{`` at or after ``pos``, before ``close``, that follows a
+    ``,`` and decodes to an object holding ``"poses"``; ``close`` if none does."""
+    while (pos := text.find("{", pos, close)) >= 0:
+        before = pos - 1
+        while text[before] in " \t\n\r":
+            before -= 1
+        if text[before] == ",":
+            try:
+                item = decoder.raw_decode(text, pos)[0]
+            except ValueError:
+                item = None
+            if isinstance(item, dict) and "poses" in item:
+                return pos
+        pos += 1
+    return close
+
+
+def _decode_elements(
+    text: str, start: int, limit: int, close: int, decoder: json.JSONDecoder
+) -> tuple[list, int]:
+    """The array elements from the one at ``start`` up to the first starting
+    at or after ``limit`` (at most ``close``, the array's end), and the
+    offset of that one or of ``close``. Each element must be followed by a
+    ``,`` and another element, or by the array's end; anything else raises
+    ``ValueError``."""
+    items, pos = [], start
+    while pos < limit:
+        item, end = decoder.raw_decode(text, pos)
+        items.append(item)
+        end = _WHITESPACE.match(text, end).end()
+        if end == close:
+            return items, close
+        if text[end] != ",":
+            raise ValueError(f"expected ',' at character {end}")
+        pos = _WHITESPACE.match(text, end + 1).end()
+        if pos == close:
+            raise ValueError(f"trailing ',' at character {end}")
+    return items, pos
 
 
 def _track_from_json(raw: dict) -> LabelTrack:

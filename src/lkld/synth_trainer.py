@@ -658,7 +658,8 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
     that of the first config that failed. A child that ends without
     reporting a config, or partway through reporting it, raises
     ``ChildProcessError`` naming the mode and the child's exit status or
-    signal (``_fork.run_shares``). Every child is reaped before the call
+    signal, or saying it is unknown where SIGCHLD is ignored
+    (``_fork.run_shares``). Every child is reaped before the call
     returns or raises, and killed first if this process is interrupted.
     Everything is trained here, in order, with one config or one CPU,
     without ``os.sched_getaffinity`` (outside Linux) or while another

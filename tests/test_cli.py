@@ -574,6 +574,48 @@ class TestLabelUncCommands:
         assert json.loads(out.read_text())["linear"] is True
 
 
+    # Runs ``lkld.cli.main(argv)`` with a two-CPU mask, so a large tracks file
+    # is evaluated in two shares, and ends the child building the second
+    # share's tracks with exit status 3. Prints how many children it forked.
+    DYING_SHARE_PROBE = """
+import os, sys
+from lkld import cli, label_uncertainty
+
+parent, real_build, real_fork, forks = os.getpid(), label_uncertainty.tracks_from_json, os.fork, []
+
+def build(doc):
+    if os.getpid() != parent:
+        os._exit(3)
+    return real_build(doc)
+
+def fork():
+    forks.append(None)
+    return real_fork()
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.fork = fork
+label_uncertainty.tracks_from_json = build
+code = cli.main(sys.argv[1:])
+print(f"forks={len(forks)}")
+sys.exit(code)
+"""
+
+    def test_a_dying_share_does_not_fail_labelunc(self, tmp_path, monkeypatch):
+        tracks = tmp_path / "tracks.json"
+        tracks.write_text(json.dumps(seeded_tracks(5, 240)), encoding="utf-8")
+        assert tracks.stat().st_size >= 2 * label_uncertainty._SHARE_CHARS
+        argv = ["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
+                "--class-anchors", "pedestrian:0.25,0.05,0.01", "-o"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", self.DYING_SHARE_PROBE, *argv, str(tmp_path / "split.csv")],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1\n", "")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main([*argv, str(tmp_path / "serial.csv")]) == 0
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
 class TestCalibCommand:
     def test_pooled_and_per_class(self, tmp_path):
         csv_in = tmp_path / "preds.csv"

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import signal
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import assert_all_children_reaped, cpus, refuse_fork
 from oracles import reference_evaluate_tracks, reference_label_frame, reference_tracks_from_json
 
 from lkld import geometry, label_uncertainty
@@ -812,3 +818,215 @@ class TestJsonAndCsv:
     def test_histogram_csv(self):
         text = histogram_to_csv([(0.0, 0.5, 3), (0.5, 1.0, 1)])
         assert text == "bin_low,bin_high,count\n0,0.5,3\n0.5,1,1\n"
+
+
+MAPPING = fit_mapping(1.0, 0.4, 0.1)
+PER_CLASS = {"ped": fit_mapping(0.6, 0.3, 0.08)}
+LABEL_IDS = st.one_of(
+    st.sampled_from(["a", "b", "{", ",", "{,", '"poses"', ', {"poses": []}', "\\", '"', "\n", "é", "\U0001f697"]),
+    st.text(max_size=4),
+)
+# Extra track keys, some holding objects with "poses" that are not tracks.
+EXTRA_KEYS = [
+    ("nested", {"poses": []}),
+    ("list", [0, {"poses": {"poses": [1]}}, {"poses": []}]),
+    ("note", "}, {"),
+]
+
+
+@st.composite
+def _split_track(draw, i):
+    """A track object of 1-2 sweeps with 0-5 points each, its keys in any
+    order and maybe extra keys, or (rarely) a fault."""
+    sweeps = draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))
+    poses = [{"sweep_id": sweep, "center": [draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))],
+              "theta": draw(st.floats(-4.0, 4.0)), "length": 4.0, "width": 2.0} for sweep in sweeps]
+    points = [{"sweep_id": sweep, "xy": draw(st.lists(st.lists(_JSON_COORD, min_size=2, max_size=2), max_size=5))}
+              for sweep in sweeps]
+    fields = {"label_id": draw(LABEL_IDS), "class_name": draw(st.sampled_from(["car", "ped", "bike"])),
+              "poses": poses, "points": points}
+    fields.update(draw(st.lists(st.sampled_from(EXTRA_KEYS), max_size=2)))
+    track = {key: fields[key] for key in draw(st.permutations(list(fields)))}
+    fault = draw(st.sampled_from([None] * 30 + [*POSE_FAULTS, "no poses key", "not an object"]))
+    if fault == "no poses key":
+        del track["poses"]
+    elif fault == "not an object":
+        return i
+    elif fault is not None:
+        fault(track)
+    return track
+
+
+@st.composite
+def _tracks_texts(draw):
+    """The text of a tracks document: whitespace, indent and separators vary,
+    and it may hold other keys, a BOM or trailing garbage."""
+    tracks = [draw(_split_track(i)) for i in range(draw(st.integers(0, 10)))]
+    doc = {"tracks": tracks}
+    other = draw(st.sampled_from([None, None, None, "before", "after"]))
+    if other == "before":
+        doc = {"meta": {"tracks": []}, "tracks": tracks}
+    elif other == "after":
+        doc["meta"] = [{"poses": []}]
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 0, 1, "\t", " \r\n"])),
+                      separators=draw(st.sampled_from([None, (",", ":"), (" ,\n ", " : ")])),
+                      ensure_ascii=draw(st.booleans()))
+    lead, trail = draw(st.sampled_from(["", " ", "\n\t", "\r\n"])), draw(st.sampled_from(["", "\n", " \r"]))
+    bom = draw(st.sampled_from([""] * 20 + ["\ufeff"]))
+    garbage = draw(st.sampled_from([""] * 20 + ["x", "]", "}", ",", " 1", "{}"]))
+    return bom + lead + text + trail + garbage
+
+
+def evaluated(source, mapping=MAPPING, per_class=PER_CLASS):
+    """evaluate_tracks of a path, or of the document decoded from the file at a
+    ``str`` path: the records, or the type and message of the error."""
+    try:
+        if isinstance(source, Path):
+            return evaluate_tracks(source, mapping, per_class)
+        with open(source, "r", encoding="utf-8") as handle:
+            return evaluate_tracks(tracks_from_json(json.load(handle)), mapping, per_class)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def track_objects(n, sweeps=3, points=20):
+    """n valid track objects in two classes, their ids in reverse order."""
+    return [{"label_id": f"t{n - i:05d}", "class_name": ("car", "ped")[i % 2],
+             "poses": [{"sweep_id": s, "center": [i + 0.1 * s, -i], "theta": 0.01 * s, "length": 4.0,
+                        "width": 2.0} for s in range(sweeps)],
+             "points": [{"sweep_id": s, "xy": [[i + 0.1 * s + 1.9 * math.sin(i + k), -i + 0.9 * math.cos(k)]
+                                              for k in range(points)]} for s in range(sweeps)]}
+            for i in range(n)]
+
+
+def write_tracks(path, n):
+    path.write_text(json.dumps({"tracks": track_objects(n)}, indent=1), encoding="utf-8")
+    return len(path.read_text(encoding="utf-8"))
+
+
+class TestSplitEvaluate:
+    """A path of a large tracks document is decoded, gated and evaluated in forked
+    shares: the records and errors are those of the whole document decoded and
+    evaluated in one pass, and no child outlives the call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=_tracks_texts(),
+        n_cpus=st.integers(2, 4),
+        share_chars=st.integers(100, 600),
+        default=st.sampled_from([MAPPING] * 6 + [None]),
+    )
+    def test_split_equals_the_one_pass(self, text, n_cpus, share_chars, default):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tracks.json"
+            path.write_bytes(text.encode("utf-8"))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", cpus(n_cpus))
+                patch.setattr(label_uncertainty, "_SHARE_CHARS", share_chars)
+                split = evaluated(path, default)
+            assert split == evaluated(str(path), default)
+        assert_all_children_reaped()
+
+    def test_shares_join_in_label_id_order(self, tmp_path, monkeypatch):
+        path = tmp_path / "tracks.json"
+        size = write_tracks(path, 30)
+        forks, built = [], []
+        real_fork, real_build = os.fork, label_uncertainty.tracks_from_json
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        monkeypatch.setattr(label_uncertainty, "tracks_from_json", lambda doc: built.append(doc) or real_build(doc))
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size // 3)
+        records = evaluated(path)
+        # Two children, and this process built only the first share's tracks.
+        assert len(forks) == 2 and len(built) == 1 and 0 < len(built[0]["tracks"]) < 30
+        assert [r.label_id for r in records] == [f"t{i:05d}" for i in range(1, 31)]
+        monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
+        assert records == evaluated(str(path))
+        assert_all_children_reaped()
+
+    # What goes between elements i - 1 and i of a valid array, or after
+    # element i - 1 where the array then ends.
+    CUT_FAULTS = {
+        "a number": ", 1, ",
+        "a list": ", [], ",
+        "an object without poses": ', {"label_id": "x", "class_name": "car"}, ',
+        "two commas": ", , ",
+        "no comma": " ",
+        "a trailing comma": ", ",
+    }
+
+    @pytest.mark.parametrize("fault", CUT_FAULTS)
+    def test_a_fault_at_a_cut_is_not_missed(self, tmp_path, monkeypatch, fault):
+        # Wherever the fault sits, at the cut too, the one-pass error is raised. A bad
+        # element at the cut is one the second share's search passes over, so only
+        # the chain check sees the gap.
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        elements = [json.dumps(track) for track in track_objects(12, sweeps=1, points=2)]
+        path = tmp_path / "tracks.json"
+        for i in range(1, len(elements)):
+            rest = "]" if fault == "a trailing comma" else ", ".join(elements[i:]) + "]"
+            text = '{"tracks": [' + ", ".join(elements[:i]) + self.CUT_FAULTS[fault] + rest + "}"
+            path.write_text(text, encoding="utf-8")
+            monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", len(text) // 2)
+            want = evaluated(str(path))
+            assert want[0] in (ValueError, json.JSONDecodeError)
+            assert evaluated(path) == want
+        assert_all_children_reaped()
+
+    @pytest.mark.parametrize("case", ["small", "one-cpu", "thread"])
+    def test_no_fork_for_a_small_file_one_cpu_or_another_thread(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "tracks.json"
+        size = write_tracks(path, 20)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
+        monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size if case == "small" else 64)
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or pytest.fail("forked"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if case == "thread":
+            thread.start()
+        try:
+            got = evaluated(path)
+        finally:
+            stop.set()
+            if case == "thread":
+                thread.join(timeout=60)
+        assert forks == []
+        assert got == evaluated(str(path))
+
+    @pytest.mark.parametrize("failure", ["exit", "kill", "raise", "refused fork", "SIGCHLD ignored"])
+    def test_a_failing_share_gives_the_one_pass_records(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "tracks.json"
+        size = write_tracks(path, 40)
+        parent, built = os.getpid(), []
+        real_build = label_uncertainty.tracks_from_json
+
+        def build(doc):
+            if os.getpid() == parent:
+                built.append(None)
+            elif failure == "exit":
+                os._exit(3)
+            elif failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif failure == "raise":
+                raise OSError("share failed")
+            return real_build(doc)
+
+        monkeypatch.setattr(label_uncertainty, "tracks_from_json", build)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size // 2)
+        if failure == "refused fork":
+            monkeypatch.setattr(os, "fork", refuse_fork)
+        if failure == "SIGCHLD ignored":
+            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = evaluated(path)
+        finally:
+            if failure == "SIGCHLD ignored":
+                signal.signal(signal.SIGCHLD, previous)
+        # A refused fork builds both shares here, a failed share the whole document
+        # again; where SIGCHLD is ignored the child's complete records are kept.
+        assert len(built) == (1 if failure == "SIGCHLD ignored" else 2)
+        monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
+        assert got == evaluated(str(path))
+        assert_all_children_reaped()

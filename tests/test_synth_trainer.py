@@ -41,6 +41,7 @@ from lkld.synth_trainer import (
 )
 from lkld.synth_trainer import _evaluate
 
+from conftest import assert_all_children_reaped, cpus, refuse_fork
 from oracles import _reference_evaluate, central_difference, reference_train
 
 
@@ -685,20 +686,6 @@ class TestEpochScoring:
             assert all(s.ece is None for s in unscored.epoch_stats)
 
 
-def assert_all_children_reaped():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def cpus(n):
-    """A stand-in for os.sched_getaffinity: a mask of n CPUs."""
-    return lambda pid: set(range(n))
-
-
-def refuse_fork():
-    raise OSError("fork refused")
-
-
 class TestForkedCompare:
     """compare() trains the shares after the first in forked children; rows and errors
     are those of the serial loop, and no child outlives the call."""
@@ -789,6 +776,37 @@ class TestForkedCompare:
         mode = configs[4].label_scale.label()
         with pytest.raises(ChildProcessError, match=rf"^the worker process training mode {re.escape(mode)} {ended}$"):
             compare(configs)
+        assert_all_children_reaped()
+
+    @pytest.mark.parametrize("dying", [False, True])
+    def test_sigchld_ignored(self, monkeypatch, dying):
+        # The children reap themselves, so waiting for one fails with ECHILD: a
+        # child that sent all its rows is done, one that did not is an error.
+        configs = self.configs(3)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        serial = repr(compare(configs))
+        parent = os.getpid()
+        real_train = synth_trainer.train
+
+        def dying_train(cfg, *args, **kwargs):
+            if dying and os.getpid() != parent and configs.index(cfg) == 2:
+                os._exit(3)
+            return real_train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(synth_trainer, "train", dying_train)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            if dying:
+                mode = re.escape(configs[2].label_scale.label())
+                with pytest.raises(ChildProcessError,
+                                   match=rf"^the worker process training mode {mode} ended with an unknown status$"):
+                    compare(configs)
+            else:
+                assert repr(compare(configs)) == serial
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert signal.getsignal(signal.SIGCHLD) is previous
         assert_all_children_reaped()
 
     def test_a_truncated_record_is_a_missing_one(self, monkeypatch):

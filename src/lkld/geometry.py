@@ -9,11 +9,20 @@ thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
 ``ConvexPolygon``, ``contains_point`` and ``label_uncertainty``.
 ``convex_hull`` is the gate, the prefilter and the chain ``_chain_hull``,
 which ``label_uncertainty`` calls alone on the clouds it has gated and
-prefiltered in runs. ``_chain_hull`` and ``rect_to_polygon`` build polygons
-from finite floats, so only the polygon checks run again. The hull drops a
-corner by the sine of its turn, the clip measures against the breadth of the
-thinner polygon and the prefilter against the span of its cloud, so no
-tolerance depends on the size or the shape of the polygons.
+prefiltered in runs. ``rect_to_polygon`` builds polygons from finite floats,
+so only the polygon checks run again; the chain's hulls pass them by
+construction. The hull drops a corner by the sine of its turn, the clip
+measures against the breadth of the thinner polygon and the prefilter
+against the span of its cloud, so no tolerance depends on the size or the
+shape of the polygons.
+
+Each polygon, and each cloud that enters the prefilter or the chain, has one
+scale: a set whose largest coordinate magnitude is outside [2**-401, 2**400),
+where sums and products of coordinate differences could overflow or
+underflow, is worked on times the power of two that brings it into [0.5, 1),
+and results are scaled back. That is exact, so no result changes unless a
+coordinate or a product is subnormal, or overflows, at one of the two scales.
+A polygon computes its area, breadth and canonical flag once, at its scale.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,11 +58,8 @@ COLLINEAR_EPS = 1e-12
 # Points within this times the breadth of the thinner polygon of a clip line are
 # inside; avoids sliver polygons from floating-point jitter.
 CLIP_EPS = 1e-9
-# Polygons more than twice this across are intersected on coordinates scaled by
-# _SHRINK, an exact power of two, so that no product of two coordinate differences
-# overflows; coordinates up to the float limit stay above the normal range.
-_HUGE_HALF_EXTENT = 2.0**499
-_SHRINK = 2.0**-600
+# Point sets whose largest coordinate magnitude is in [2**-401, 2**400) are worked on as they are.
+_BAND = 400
 # Hull input arrays longer than this are prefiltered; below it the numpy
 # calls cost more than the monotone chain saves.
 PREFILTER_MIN_POINTS = 40
@@ -120,6 +127,18 @@ def _xy_array(points: object) -> np.ndarray:
     raise ValueError(f"point coordinates must be finite, got {arr[k].tolist()} at point {k}")
 
 
+def _exponent(magnitude: float) -> int:
+    """The scale of a point set with this largest coordinate magnitude: the power of two
+    it is divided by, 0 inside the band, else the one that brings it into [0.5, 1)."""
+    e = math.frexp(magnitude)[1]
+    return e if abs(e) > _BAND else 0
+
+
+def _times(points: Sequence[tuple[float, float]], k: int) -> Sequence[tuple[float, float]]:
+    """The points times 2**k; the points themselves for k = 0."""
+    return [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in points] if k else points
+
+
 def _normalize_angle(theta: float) -> float:
     # Wrap into (-pi, pi].
     t = math.remainder(theta, 2.0 * math.pi)
@@ -158,33 +177,18 @@ class OrientedRect:
                              f"got {self.length} * {self.width}")
 
 
-def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _direction(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, float]:
-    """The unit vector from p to q. Halved coordinates keep a difference beyond the
-    float range finite, and scaling by the greater component keeps hypot finite."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        dx, dy = 0.5 * q[0] - 0.5 * p[0], 0.5 * q[1] - 0.5 * p[1]
-    m = max(abs(dx), abs(dy))
-    dx, dy = dx / m, dy / m
-    h = math.hypot(dx, dy)
-    return dx / h, dy / h
-
-
 def _straight(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> bool:
     """True if the hull drops the corner at a, between o and b: the sine of its turn is at most
     COLLINEAR_EPS, or rounding leaves its cross product, as ConvexPolygon checks it, at most 0."""
     ux, uy, rx, ry = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
     cross = ux * ry - uy * rx
     # As |b - a| <= |u| + |r|, a cross product above twice this bound has a sine above it,
-    # rounding and all, unless the bound underflows.
-    if cross > 2.0 * COLLINEAR_EPS * (abs(ux) + abs(uy)) * (abs(ux) + abs(uy) + abs(rx) + abs(ry)) > 1e-290:
+    # rounding and all.
+    if cross > 2.0 * COLLINEAR_EPS * (abs(ux) + abs(uy)) * (abs(ux) + abs(uy) + abs(rx) + abs(ry)):
         return False
-    (ux, uy), (wx, wy) = _direction(o, a), _direction(a, b)
-    return cross <= 0.0 or ux * wy - uy * wx <= COLLINEAR_EPS
+    wx, wy = b[0] - a[0], b[1] - a[1]
+    hu, hw = math.hypot(ux, uy), math.hypot(wx, wy)
+    return cross <= 0.0 or ux / hu * (wy / hw) - uy / hu * (wx / hw) <= COLLINEAR_EPS
 
 
 @dataclass(frozen=True)
@@ -206,18 +210,52 @@ class ConvexPolygon:
         return poly
 
     def _check(self) -> None:
-        verts = self.vertices
-        if len(verts) != len(set(verts)):
+        """Keeps the polygon's scale ``_exponent`` and its vertices at that scale, ``_unit``; checks them."""
+        if len(self.vertices) != len(set(self.vertices)):
             raise ValueError("polygon has repeated vertices")
-        n = len(verts)
+        e = _exponent(max((abs(c) for vertex in self.vertices for c in vertex), default=0.0))
+        v, n = _times(self.vertices, -e), len(self.vertices)
+        self.__dict__.update(_exponent=e, _unit=v)
         for i in range(n if n >= 3 else 0):
-            c = _cross(verts[i - 1], verts[i], verts[(i + 1) % n])
+            (ox, oy), (ax, ay), (bx, by) = v[i - 1], v[i], v[(i + 1) % n]
+            c = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
             if c <= 0.0:
                 raise ValueError("vertices must be counter-clockwise and strictly convex "
                                  f"(cross product {c} at vertex {i})")
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def _twice_area(self) -> float:
+        """The shoelace sum of ``_unit`` about its least vertex, where its hull starts: twice its area.
+        About the global origin, a unit square at 1e8 would sum terms of 1e16 and lose its area."""
+        v = self._unit
+        if len(v) < 3:
+            return 0.0
+        least = v.index(min(v))
+        (ox, oy), (ax, ay), *rest = v[least:] + v[:least]
+        ax, ay, total = ax - ox, ay - oy, 0.0
+        for bx, by in rest:
+            bx -= ox
+            by -= oy
+            total += ax * by - ay * bx
+            ax, ay = bx, by
+        return total
+
+    @cached_property
+    def _breadth(self) -> float:
+        """About the least width of ``_unit``: its area over half its greater extent, at most that."""
+        xs, ys = zip(*self._unit)
+        half = max(0.5 * max(xs) - 0.5 * min(xs), 0.5 * max(ys) - 0.5 * min(ys))
+        return min(half, 0.5 * self._twice_area / half)
+
+    @cached_property
+    def _canonical(self) -> bool:
+        """True if the polygon is what ``convex_hull`` makes of its vertices: it starts at its
+        least vertex and it has no corner the hull would drop as straight."""
+        v, n = self._unit, len(self._unit)
+        return v[0] == min(v) and not any(_straight(v[i - 1], v[i], v[(i + 1) % n]) for i in range(n))
 
 
 EMPTY_POLYGON = ConvexPolygon(())
@@ -239,9 +277,6 @@ def rigid_transform(p: Point2, from_pose: Pose, to_pose: Pose) -> Point2:
 _RING = np.array([[0, 1, 2, 7, 4, 5, 6, 3], [1, 2, 7, 4, 5, 6, 3, 0]])
 
 
-# Near the float limit sums and products overflow: an infinite margin drops nothing,
-# a NaN keeps its point, and an infinite cross product keeps its sign.
-@np.errstate(over="ignore", invalid="ignore")
 def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Rows of an ``(n, 2)`` array not strictly inside their cloud's extreme polygon.
 
@@ -253,7 +288,7 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
     counter-clockwise order, span a polygon inside its hull, and a point
     strictly inside it (by PREFILTER_MARGIN) cannot be a hull vertex. Clouds
     of at most PREFILTER_MIN_POINTS rows, and clouds of one repeated point,
-    come back whole. Rows must be finite.
+    come back whole. Rows must be finite; each cloud is worked on at its scale.
     """
     counts = np.asarray(counts)
     if len(pts) <= PREFILTER_MIN_POINTS:
@@ -261,8 +296,11 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
     full = counts > 0  # reduceat would give an empty cloud its next row
     sizes = counts[full]
     starts = sizes.cumsum() - sizes
-    x, y = pts[:, 0], pts[:, 1]
-    v = pts[:, [0, 0, 1, 0]].T  # x, x + y, y, x - y
+    magnitudes = np.maximum.reduceat(np.abs(pts).ravel(), 2 * starts).tolist()  # of each cloud
+    exponents = np.array([_exponent(m) for m in magnitudes])
+    unit = np.ldexp(pts, np.repeat(-exponents, sizes)[:, None]) if exponents.any() else pts
+    x, y = unit[:, 0], unit[:, 1]
+    v = unit[:, [0, 0, 1, 0]].T  # x, x + y, y, x - y
     v[1] += y
     v[3] -= y
     # In each direction, a cloud's corner is the first row reaching its
@@ -279,13 +317,13 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
     # place of its first edge's start, which tests that edge again; a cloud
     # with no edge (one point, repeated) keeps every row, since all its cross
     # products are 0.
-    c = pts[corners]  # (8, clouds, 2)
+    c = unit[corners]  # (8, clouds, 2)
     span = np.maximum(c[4, :, 0] - c[0, :, 0], c[6, :, 1] - c[2, :, 1])
     ring, after = corners[_RING]
     edge = ring != after
     first = edge.argmax(axis=0), np.arange(len(sizes))
-    a = pts[np.where(edge, ring, ring[first])]
-    e = pts[np.where(edge, after, after[first])] - a
+    a = unit[np.where(edge, ring, ring[first])]
+    e = unit[np.where(edge, after, after[first])] - a
     # An infinite margin keeps every row of a cloud too short to prefilter.
     margin = np.where(sizes > PREFILTER_MIN_POINTS, PREFILTER_MARGIN * span * span, np.inf)
     if len(sizes) > 1:  # one cloud's edges broadcast over its rows, with no (8, rows, 2) copies
@@ -324,35 +362,21 @@ def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
 
     Survivors of ``_drop_interior`` need neither again: the gate would only
     copy them, and a second pass finds the same corners, span and cross
-    products, so it drops nothing.
+    products, so it drops nothing. The chain runs on the cloud at its scale,
+    where points that round to one are one; the hull keeps that scale and is
+    marked canonical.
     """
-    pts = sorted(set(map(tuple, arr.tolist())))
-    if len(pts) <= 2:
-        return ConvexPolygon._of_gated(tuple(map(Point2._make, pts)))
-
-    def build(ordered: list[tuple[float, float]]) -> list[tuple[float, float]]:
-        chain: list[tuple[float, float]] = []
-        for p in ordered:
-            px, py = p
-            while len(chain) >= 2:
-                (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0.0:
-                    break
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    ring = lower[:-1] + upper[:-1]
+    e = _exponent(float(np.abs(arr).max(initial=0.0)))
+    pts = sorted(set(map(tuple, (np.ldexp(arr, -e) if e else arr).tolist())))
+    ring = deque(_chain(pts)[:-1] + _chain(pts[::-1])[:-1] if len(pts) > 2 else pts)
     # Only rounding puts a point on both chains, and only in a cloud that is flat to
     # rounding, so its hull is the segment between its ends, as for a collinear cloud.
     if len(set(ring)) < len(ring):
-        return ConvexPolygon._of_gated((Point2._make(pts[0]), Point2._make(pts[-1])))
+        ring = deque((pts[0], pts[-1]))
     # Near-straight corners go only from the finished hull: in a partial chain two close points
     # can flatten a far corner. The corner tested is ring[-1]; a lap of corners that all turn
     # more ends the walk.
-    ring, kept = deque(ring), 0
+    kept = 0
     while kept < len(ring) and len(ring) >= 3:
         if _straight(ring[-2], ring[-1], ring[0]):
             ring.pop()  # ring[-2] has a new neighbour: it is tested next
@@ -360,8 +384,26 @@ def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
         else:
             ring.rotate(-1)
             kept += 1
-    ring.rotate(-ring.index(min(ring)))
-    return ConvexPolygon._of_gated(tuple(map(Point2._make, ring)))
+    ring.rotate(-ring.index(min(ring)) if ring else 0)
+    # Every corner left has passed _check's cross product at this scale, so the hull is not checked again.
+    hull = object.__new__(ConvexPolygon)
+    object.__setattr__(hull, "vertices", tuple(map(Point2._make, _times(ring, e))))
+    hull.__dict__.update(_exponent=e, _unit=list(ring), _canonical=True)
+    return hull
+
+
+def _chain(ordered: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """One monotone chain: the points in order, less each one that does not turn left."""
+    chain: list[tuple[float, float]] = []
+    for p in ordered:
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0.0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
@@ -385,76 +427,31 @@ def rect_to_polygon(rect: OrientedRect) -> ConvexPolygon:
     return convex_hull(vertices)
 
 
-def _twice_area(vertices: Sequence[tuple[float, float]]) -> float:
-    """The shoelace sum about the first vertex: twice the area of three or more vertices."""
-    ox, oy = vertices[0]
-    ax, ay = vertices[1][0] - ox, vertices[1][1] - oy
-    total = 0.0
-    for bx, by in vertices[2:]:
-        bx -= ox
-        by -= oy
-        total += ax * by - ay * bx
-        ax, ay = bx, by
-    return total
-
-
+@np.errstate(over="ignore")  # an area past the float range is infinite
 def area(poly: ConvexPolygon) -> float:
-    """Shoelace area about the first vertex; 0 for degenerate polygons.
-
-    Taking coordinates relative to a vertex keeps the products as small as
-    the polygon: about the global origin, a unit square at 1e8 would sum
-    terms of 1e16 and lose every digit of its area. A sum that overflows is
-    taken again over coordinates scaled by _SHRINK, and scaled back.
-    """
-    v = poly.vertices
-    if len(v) < 3:
-        return 0.0
-    twice = _twice_area(v)
-    if not math.isfinite(twice):
-        twice = _twice_area([(x * _SHRINK, y * _SHRINK) for x, y in v]) / _SHRINK / _SHRINK
-    return 0.5 * twice
+    """Shoelace area about the least vertex, summed once on the vertices at the polygon's
+    scale and scaled back; 0 for degenerate polygons."""
+    return float(np.ldexp(0.5 * poly._twice_area, 2 * poly._exponent))
 
 
+@np.errstate(over="ignore")  # a tol past the float range at the scale is infinite
 def contains_point(poly: ConvexPolygon, p: Point2, tol: float | None = None) -> bool:
     """True if p lies inside or within tol (a distance) of the polygon boundary.
 
     ``tol`` defaults to CLIP_EPS times the polygon's breadth, the tolerance
-    ``intersect_convex`` clips with, so it scales with the polygon.
+    ``intersect_convex`` clips with, so it scales with the polygon. The edge
+    test runs at the greater of the polygon's scale and p's.
     """
-    v = poly.vertices
-    n = len(v)
-    if n < 3:
+    if len(poly) < 3:
         return False
     ((px, py),) = _xy_array((p,)).tolist()
-    if tol is None:
-        tol = CLIP_EPS * _breadth(poly, _half_extent(poly))
-    for i in range(n):
-        a = v[i]
-        b = v[(i + 1) % n]
-        edge_len = math.hypot(b.x - a.x, b.y - a.y)
-        if (b.x - a.x) * (py - a.y) - (b.y - a.y) * (px - a.x) < -tol * edge_len:
+    e = max(poly._exponent, _exponent(max(abs(px), abs(py))))
+    tol = CLIP_EPS * math.ldexp(poly._breadth, poly._exponent - e) if tol is None else np.ldexp(tol, -e)
+    ((px, py),), v = _times([(px, py)], -e), _times(poly.vertices, -e)
+    for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol * math.hypot(bx - ax, by - ay):
             return False
     return True
-
-
-def _canonical(poly: ConvexPolygon) -> bool:
-    """True if ``poly`` is what ``convex_hull`` makes of its vertices: it starts at its
-    least vertex and it has no corner the hull would drop as straight."""
-    v = poly.vertices
-    n = len(v)
-    return v[0] == min(v) and not any(_straight(v[i - 1], v[i], v[(i + 1) % n]) for i in range(n))
-
-
-def _half_extent(poly: ConvexPolygon) -> float:
-    """Half the greater of a polygon's x and y extents, which halved coordinates keep finite."""
-    xs, ys = zip(*poly.vertices)
-    return max(0.5 * max(xs) - 0.5 * min(xs), 0.5 * max(ys) - 0.5 * min(ys))
-
-
-def _breadth(poly: ConvexPolygon, half: float) -> float:
-    """About the least width of a convex polygon of half extent ``half``: its area
-    over that half extent, capped at it."""
-    return min(half, area(poly) / half)  # an area that overflows leaves the half extent
 
 
 def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
@@ -467,30 +464,27 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     clips and ``a`` is already what convex_hull returns (a hull inside the
     other polygon), ``a`` itself is the result. The pair is clipped in a
     fixed order, so ``intersect_convex(a, b) == intersect_convex(b, a)`` exactly.
-    Polygons more than 2**500 across are intersected as the hulls of their
-    vertices scaled by _SHRINK, and the result scaled back.
+    Both polygons are clipped at the greater of their two scales, and the
+    clipped vertices scaled back.
     """
     if len(a) < 3 or len(b) < 3:
         return EMPTY_POLYGON
     if b.vertices < a.vertices:  # the CLIP_EPS sliver a clip keeps depends on the order
         a, b = b, a
-    half_a, half_b = _half_extent(a), _half_extent(b)
-    if max(half_a, half_b) > _HUGE_HALF_EXTENT:
-        shrunk = intersect_convex(*(convex_hull([(x * _SHRINK, y * _SHRINK) for x, y in poly.vertices])
-                                    for poly in (a, b)))
-        return ConvexPolygon._of_gated(tuple(Point2(x / _SHRINK, y / _SHRINK) for x, y in shrunk.vertices))
-
-    output: list[tuple[float, float]] = [(p.x, p.y) for p in a.vertices]
-    tol = CLIP_EPS * min(_breadth(a, half_a), _breadth(b, half_b))
+    e = max(a._exponent, b._exponent)
+    output: Sequence[tuple[float, float]] = _times(a.vertices, -e)
+    tol = CLIP_EPS * min(math.ldexp(p._breadth, p._exponent - e) for p in (a, b))
     clipped_any = False
-    bv = b.vertices
-    for e1, e2 in zip(bv, bv[1:] + bv[:1]):
+    bv = _times(b.vertices, -e)
+    for (e1x, e1y), (e2x, e2y) in zip(bv, bv[1:] + bv[:1]):
         if not output:
             return EMPTY_POLYGON
-        ex, ey = e2.x - e1.x, e2.y - e1.y
+        ex, ey = e2x - e1x, e2y - e1y
+        if not (ex or ey):  # an edge of b far smaller than a, lost at a's scale
+            return EMPTY_POLYGON
         inv_len = 1.0 / math.hypot(ex, ey)
         # Signed distance of each vertex to the clip line, ccw-inside positive.
-        dists = [((ex * (py - e1.y) - ey * (px - e1.x)) * inv_len) for px, py in output]
+        dists = [((ex * (py - e1y) - ey * (px - e1x)) * inv_len) for px, py in output]
         inside = [dist >= -tol for dist in dists]  # a NaN distance is outside
         if all(inside):
             continue
@@ -504,11 +498,11 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
                 t = min(1.0, max(0.0, dp / (dp - dq)))
                 output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
 
-    if not clipped_any and _canonical(a):
+    if not clipped_any and a._canonical:
         return a
     if len(output) < 3:
         return EMPTY_POLYGON
-    return convex_hull(output)
+    return convex_hull(_times(output, e))
 
 
 def iou(a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -516,10 +510,13 @@ def iou(a: ConvexPolygon, b: ConvexPolygon) -> float:
 
     A degenerate pair maps to 0 rather than NaN: an empty evidence hull
     carries maximal ambiguity, so downstream mappings assign maximal
-    uncertainty. ``iou(a, b) == iou(b, a)`` exactly.
+    uncertainty. ``iou(a, b) == iou(b, a)`` exactly. The three areas are
+    taken at the greater of the two polygons' scales.
     """
-    inter = area(intersect_convex(a, b))
-    union = area(a) + area(b) - inter
+    e = max(a._exponent, b._exponent)
+    inter, twice_a, twice_b = (math.ldexp(p._twice_area, 2 * (p._exponent - e))
+                               for p in (intersect_convex(a, b), a, b))
+    union = twice_a + twice_b - inter
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))

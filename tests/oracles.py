@@ -39,6 +39,7 @@ from lkld.geometry import (
     ConvexPolygon,
     OrientedRect,
     Point2,
+    _exponent,
     area,
     rect_to_polygon,
 )
@@ -158,14 +159,22 @@ def reference_convex_hull(points) -> ConvexPolygon:
     most 0, from the finished ring; the output starts at its smallest vertex.
     A point on both
     chains, which only rounding puts there, gives the segment between the
-    least and the greatest point.
+    least and the greatest point. All of it runs on the points times the
+    power of two ``geometry._exponent`` gives the set, deduped there, and
+    the hull is scaled back.
     """
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    pts = [(float(p[0]), float(p[1])) for p in points]
     for x, y in pts:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"hull input coordinates must be finite, got ({x}, {y})")
+    e = _exponent(max((max(abs(x), abs(y)) for x, y in pts), default=0.0))
+    pts = sorted({(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in pts})
+
+    def scaled_back(ring):
+        return ConvexPolygon(tuple(Point2(math.ldexp(x, e), math.ldexp(y, e)) for x, y in ring))
+
     if len(pts) <= 2:
-        return ConvexPolygon(tuple(Point2(*p) for p in pts))
+        return scaled_back(pts)
 
     def build(ordered):
         chain = []
@@ -193,7 +202,7 @@ def reference_convex_hull(points) -> ConvexPolygon:
     lower = build(pts)
     upper = build(pts[::-1])
     if set(lower[1:-1]) & set(upper[1:-1]):
-        return ConvexPolygon((Point2(*pts[0]), Point2(*pts[-1])))
+        return scaled_back([pts[0], pts[-1]])
     ring, kept = deque(Point2(*p) for p in lower[:-1] + upper[:-1]), 0
     while kept < len(ring) and len(ring) >= 3:
         if straight(ring[-2], ring[-1], ring[0]):
@@ -203,27 +212,29 @@ def reference_convex_hull(points) -> ConvexPolygon:
             ring.rotate(-1)
             kept += 1
     ring.rotate(-ring.index(min(ring)))
-    return ConvexPolygon(tuple(ring))
+    return scaled_back(ring)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def reference_drop_interior(pts: np.ndarray) -> np.ndarray:
     """Rows of one cloud's ``(n, 2)`` array not strictly inside its extreme polygon.
 
     The per-cloud Akl-Toussaint prefilter: the points of least and greatest
     x, x + y, y and x - y, first index on ties, in ccw order; a point goes
     only if every edge's cross product exceeds PREFILTER_MARGIN times the
-    squared span. Short clouds and clouds with no edge come back whole.
+    squared span. Short clouds and clouds with no edge come back whole. The
+    tests run on the cloud times the power of two ``geometry._exponent``
+    gives it.
     """
     if len(pts) <= PREFILTER_MIN_POINTS:
         return pts
-    x, y = pts[:, 0], pts[:, 1]
+    unit = np.ldexp(pts, -_exponent(float(np.abs(pts).max())))
+    x, y = unit[:, 0], unit[:, 1]
     s, d = x + y, x - y
     ring = [x.argmin(), s.argmin(), y.argmin(), d.argmax(), x.argmax(), s.argmax(), y.argmax(), d.argmin()]
     edges = [(i, j) for i, j in zip(ring, ring[1:] + ring[:1]) if i != j]
     if not edges:
         return pts
-    a, b = pts[np.array(edges).T]
+    a, b = unit[np.array(edges).T]
     e = b - a
     span = max(x[ring[4]] - x[ring[0]], y[ring[6]] - y[ring[2]])
     cross = e[:, :1] * (y - a[:, 1:]) - e[:, 1:] * (x - a[:, :1])

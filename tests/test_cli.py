@@ -321,6 +321,21 @@ def seeded_tracks(seed: int, n_tracks: int) -> dict:
     return {"tracks": tracks}
 
 
+def scaled_tracks(doc: dict, k: int = 0, box: float = 1.0) -> dict:
+    """A tracks document with every centre, point, length and width times 2**k, and every
+    length and width then times ``box``."""
+    def scale(v):
+        return math.ldexp(v, k)
+
+    return {"tracks": [
+        {**track,
+         "poses": [{**pose, "center": [scale(c) for c in pose["center"]],
+                    "length": box * scale(pose["length"]), "width": box * scale(pose["width"])}
+                   for pose in track["poses"]],
+         "points": [{**sweep, "xy": [[scale(x), scale(y)] for x, y in sweep["xy"]]} for sweep in track["points"]]}
+        for track in doc["tracks"]]}
+
+
 def _box_track(label_id: str, class_name: str, cx: float, cy: float, pts: list) -> dict:
     """A 4 x 2 box over two sweeps, 0.5 apart: ``pts`` around its centre, then the first two turned."""
     return {"label_id": label_id, "class_name": class_name,
@@ -357,15 +372,46 @@ class TestLabelUncCommands:
     # sha256 of the records CSV for seeded_tracks(11, 24); any change to the
     # parse, the frame change, the hull or the IoU shows here.
     RECORDS_PIN = "51a1ffb9f7c18c167345dd30c458a8352bd8671454b6e4fd2cea6ba887e88484"
+    # The same with every box halved: points fill up to 2.4 times the box, so
+    # every hull is clipped.
+    HALVED_BOXES_RECORDS_PIN = "cf4022a790f9e67db1b5973934d1ada7ff1f341490d24487a8c297df835ed138"
 
-    def test_labelunc_records_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize("box, pin", [(1.0, RECORDS_PIN), (0.5, HALVED_BOXES_RECORDS_PIN)],
+                             ids=["boxes", "halved_boxes"])
+    def test_labelunc_records_are_pinned(self, tmp_path, box, pin):
         tracks = tmp_path / "tracks.json"
-        tracks.write_text(json.dumps(seeded_tracks(11, 24)))
+        tracks.write_text(json.dumps(scaled_tracks(seeded_tracks(11, 24), box=box)))
         records = tmp_path / "records.csv"
         code = main(["labelunc", "--tracks", str(tracks), "--anchors", "2.0,0.05,0.01",
                      "--class-anchors", "pedestrian:0.25,0.05,0.01", "-o", str(records)])
         assert code == 0
-        assert hashlib.sha256(records.read_bytes()).hexdigest() == self.RECORDS_PIN
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == pin
+
+    _SEEDED = seeded_tracks(11, 24)
+    _SEEDED_IOUS = [r.iou for r in label_uncertainty.evaluate_tracks(
+        label_uncertainty.tracks_from_json(_SEEDED), label_uncertainty.fit_mapping(2.0, 0.05, 0.01))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-537, 509))
+    @example(-537)
+    @example(-536)
+    @example(-520)
+    @example(500)
+    @example(508)
+    @example(509)
+    def test_ious_do_not_depend_on_the_unit(self, k):
+        # Every length times 2**k, for every k at which OrientedRect takes all the boxes:
+        # below 2**-537 the area of the smallest underflows to 0, above 2**509 that of the
+        # largest passes MAX_RECT_AREA. Scaling by a power of two is exact, and so must the
+        # IoUs be.
+        tracks = label_uncertainty.tracks_from_json(scaled_tracks(self._SEEDED, k))
+        records = label_uncertainty.evaluate_tracks(tracks, label_uncertainty.fit_mapping(2.0, 0.05, 0.01))
+        assert [r.iou.hex() for r in records] == [v.hex() for v in self._SEEDED_IOUS]
+
+    @pytest.mark.parametrize("k", [-538, 510])
+    def test_the_unit_range_ends_where_oriented_rect_refuses_a_box(self, k):
+        with pytest.raises(ValueError, match=r"length \* width must be > 0 and at most"):
+            label_uncertainty.tracks_from_json(scaled_tracks(self._SEEDED, k))
 
     # sha256 of the records CSV for FREE_TEXT_TRACKS, whose label ids and class
     # names hold ",", '"', "\r" and "\n": rows with a "\r" quote every cell.

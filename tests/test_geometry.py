@@ -343,12 +343,10 @@ class TestConvexHull:
     @example([(0.0, 0.0), (1e300, 0.0), (-1e300, -1e300)])  # cross products overflow
     def test_hull_is_a_fixed_point(self, points):
         # intersect_convex returns an unclipped canonical hull as it is, on the
-        # strength of this. Near 1e300 a corner's cross product can overflow to
-        # NaN, so such a hull is not canonical and gets hulled again.
+        # strength of this; a polygon on the hull's vertices finds itself canonical.
         hull = convex_hull(points)
         assert repr(convex_hull(hull.vertices).vertices) == repr(hull.vertices)
-        if all(abs(c) < 1e150 for p in hull.vertices for c in p):
-            assert len(hull) < 3 or geometry._canonical(hull)
+        assert len(hull) < 3 or ConvexPolygon(hull.vertices)._canonical
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_array_input_with_non_finite_coordinates_rejected(self, bad):
@@ -686,7 +684,7 @@ class TestScale:
         corners = (Point2(-1e308, 0.0), Point2(1e308, -1.0), Point2(0.0, 1e308))
         hull = convex_hull(corners)
         assert hull.vertices == corners
-        assert 0.0 < geometry._breadth(hull, geometry._half_extent(hull)) < math.inf
+        assert 0.0 < hull._breadth < math.inf
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(100.0, 158.0), st.floats(0.0, 6.0), st.booleans(), st.floats(-math.pi, math.pi),
@@ -700,7 +698,47 @@ class TestScale:
         poly = rect_to_polygon(OrientedRect(Point2(cx, cy), theta, *((short, long) if upright else (long, short))))
         assert len(poly) == 4
         assert 0.0 < area(poly) < math.inf
-        assert abs(iou(poly, poly) - 1.0) <= 1e-9
+        assert iou(poly, poly) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-300.0, 150.0), st.floats(-math.pi, math.pi), CENTRE_UNITS, CENTRE_UNITS)
+    @example(-200.0, 0.0, 0.0, 0.0)  # its cross products underflowed: refused
+    @example(-170.0, 0.3, 0.0, 0.0)  # refused, with a cross product of 0.0 at vertex 0
+    @example(-140.0, 0.914, 1.0, 0.0)  # IoU 0.9999999999999998: its hull's area, about another vertex, rounded lower
+    @example(150.0, 0.3, 0.0, 0.0)  # its products of corner differences overflow
+    def test_a_square_of_any_size_is_a_polygon_whose_iou_with_itself_is_1(self, side_exp, theta, u, v):
+        # A square of side 10**side_exp at heading theta, centred at (u, v) sides.
+        side, c, s = 10.0 ** side_exp, math.cos(theta), math.sin(theta)
+        poly = ConvexPolygon([(side * (u + c * a - s * b), side * (v + s * a + c * b))
+                              for a, b in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))])
+        assert iou(poly, poly) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-math.pi, math.pi),
+           st.builds(lambda long_exp, aspect_exp: (10.0 ** long_exp, 10.0 ** (long_exp - aspect_exp)),
+                     st.floats(150.0, 300.0), st.floats(0.0, 6.0)),
+           st.booleans())
+    @example(2.603185307179586, (8.02e154, 2.51e149), False)  # hulled to a 2-vertex segment
+    @example(2.603185307179586, (8.02e154, 2.51e149), True)
+    def test_a_long_rectangle_hulls_to_its_corners(self, theta, sides, with_centre):
+        # A rectangle with a long side from 1e150 to 1e300 and an aspect ratio of at most
+        # 1e6, its corners computed as rect_to_polygon computes them. Past a long side of
+        # about 1.3e157 its area passes MAX_RECT_AREA and OrientedRect refuses it, but the
+        # hull of its corners is still those corners.
+        c, s = math.cos(theta), math.sin(theta)
+        hl, hw = 0.5 * sides[0], 0.5 * sides[1]
+        corners = [(c * u - s * v, s * u + c * v) for u, v in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+        hull = convex_hull(corners + [(0.0, 0.0)] * with_centre)
+        assert len(hull) == 4
+        assert set(hull.vertices) == set(corners)
+
+    def test_a_polygon_lost_at_its_partners_scale_meets_it_in_nothing(self):
+        # At the 1e300 square's scale every corner of the 1e-300 triangle rounds to 0, so
+        # its clip edges vanish; the pair has no measurable intersection.
+        big = square(-1e300, -1e300, 2e300)
+        tiny = ConvexPolygon(((0.0, 0.0), (1e-300, 0.0), (0.0, 1e-300)))
+        assert intersect_convex(big, tiny) == ConvexPolygon(())
+        assert iou(big, tiny) == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(SCALES, st.floats(-math.pi, math.pi), CENTRE_UNITS, CENTRE_UNITS)

@@ -9,25 +9,25 @@ thread-safe. Point input has one gate, ``_xy_array``, used by ``convex_hull``,
 ``ConvexPolygon``, ``contains_point`` and ``label_uncertainty``.
 ``convex_hull`` is the gate, the prefilter and the chain ``_chain_hull``,
 which ``label_uncertainty`` calls alone on the clouds it has gated and
-prefiltered in runs. ``rect_to_polygon`` builds polygons from finite floats,
-so only the polygon checks run again; the chain's hulls pass them by
-construction. The hull drops a corner by the sine of its turn, the clip
-measures against the breadth of the thinner polygon and the prefilter
-against the span of its cloud, so no tolerance depends on the size or the
-shape of the polygons.
+prefiltered in runs. ``_chain_hull`` and ``rect_to_polygon`` build polygons
+from finite floats, so only the polygon checks run again. The hull drops a
+corner by the sine of its turn, the clip measures against the breadth of the
+thinner polygon and the prefilter against the span of its cloud, so no
+tolerance depends on the size or the shape of the polygons.
 
 Each polygon, and each cloud that enters the prefilter or the chain, has one
-scale: a set whose largest coordinate magnitude is outside [2**-401, 2**400),
-where sums and products of coordinate differences could overflow or
-underflow, is worked on times the power of two that brings it into [0.5, 1),
-and results are scaled back. That is exact, so no result changes unless a
-coordinate or a product is subnormal, or overflows, at one of the two scales.
-A polygon computes its area, breadth and canonical flag once, at its scale.
+scale: it is worked on times the power of two that brings its largest
+coordinate magnitude into [0.5, 1), where no sum or product of coordinate
+differences overflows, and results are scaled back. That is exact, so no
+result depends on the unit unless a coordinate or a product is subnormal at
+one of the two scales. A polygon computes its scale, area, breadth and
+canonical flag once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,8 +58,6 @@ COLLINEAR_EPS = 1e-12
 # Points within this times the breadth of the thinner polygon of a clip line are
 # inside; avoids sliver polygons from floating-point jitter.
 CLIP_EPS = 1e-9
-# Point sets whose largest coordinate magnitude is in [2**-401, 2**400) are worked on as they are.
-_BAND = 400
 # Hull input arrays longer than this are prefiltered; below it the numpy
 # calls cost more than the monotone chain saves.
 PREFILTER_MIN_POINTS = 40
@@ -127,16 +125,15 @@ def _xy_array(points: object) -> np.ndarray:
     raise ValueError(f"point coordinates must be finite, got {arr[k].tolist()} at point {k}")
 
 
-def _exponent(magnitude: float) -> int:
-    """The scale of a point set with this largest coordinate magnitude: the power of two
-    it is divided by, 0 inside the band, else the one that brings it into [0.5, 1)."""
-    e = math.frexp(magnitude)[1]
-    return e if abs(e) > _BAND else 0
+def _exponent_of(magnitude: float) -> int:
+    """The power of two that brings a point set with this largest coordinate magnitude into [0.5, 1),
+    one of no normal magnitude (0 among them) at most 2**1021 times up; the greater of two sets' is their union's."""
+    return math.frexp(max(magnitude, sys.float_info.min))[1]
 
 
-def _times(points: Sequence[tuple[float, float]], k: int) -> Sequence[tuple[float, float]]:
-    """The points times 2**k; the points themselves for k = 0."""
-    return [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in points] if k else points
+def _times(points: Sequence[tuple[float, float]], k: int) -> list[tuple[float, float]]:
+    """The points times 2**k."""
+    return [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in points]
 
 
 def _normalize_angle(theta: float) -> float:
@@ -210,12 +207,10 @@ class ConvexPolygon:
         return poly
 
     def _check(self) -> None:
-        """Keeps the polygon's scale ``_exponent`` and its vertices at that scale, ``_unit``; checks them."""
+        """Checks that the vertices are distinct and, at the polygon's scale, strictly convex and ccw."""
         if len(self.vertices) != len(set(self.vertices)):
             raise ValueError("polygon has repeated vertices")
-        e = _exponent(max((abs(c) for vertex in self.vertices for c in vertex), default=0.0))
-        v, n = _times(self.vertices, -e), len(self.vertices)
-        self.__dict__.update(_exponent=e, _unit=v)
+        v, n = self._unit, len(self.vertices)
         for i in range(n if n >= 3 else 0):
             (ox, oy), (ax, ay), (bx, by) = v[i - 1], v[i], v[(i + 1) % n]
             c = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
@@ -225,6 +220,16 @@ class ConvexPolygon:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def _exponent(self) -> int:
+        """The polygon's scale: the power of two that brings its largest coordinate magnitude into [0.5, 1)."""
+        return _exponent_of(max((abs(c) for vertex in self.vertices for c in vertex), default=0.0))
+
+    @cached_property
+    def _unit(self) -> list[tuple[float, float]]:
+        """The vertices at the polygon's scale."""
+        return _times(self.vertices, -self._exponent)
 
     @cached_property
     def _twice_area(self) -> float:
@@ -297,8 +302,8 @@ def _drop_interior(pts: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, 
     sizes = counts[full]
     starts = sizes.cumsum() - sizes
     magnitudes = np.maximum.reduceat(np.abs(pts).ravel(), 2 * starts).tolist()  # of each cloud
-    exponents = np.array([_exponent(m) for m in magnitudes])
-    unit = np.ldexp(pts, np.repeat(-exponents, sizes)[:, None]) if exponents.any() else pts
+    exponents = np.array([_exponent_of(m) for m in magnitudes])
+    unit = pts * np.repeat(np.ldexp(1.0, -exponents), sizes)[:, None]  # exact, as each factor is a power of two
     x, y = unit[:, 0], unit[:, 1]
     v = unit[:, [0, 0, 1, 0]].T  # x, x + y, y, x - y
     v[1] += y
@@ -363,11 +368,10 @@ def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
     Survivors of ``_drop_interior`` need neither again: the gate would only
     copy them, and a second pass finds the same corners, span and cross
     products, so it drops nothing. The chain runs on the cloud at its scale,
-    where points that round to one are one; the hull keeps that scale and is
-    marked canonical.
+    where points that round to one are one; the hull is marked canonical.
     """
-    e = _exponent(float(np.abs(arr).max(initial=0.0)))
-    pts = sorted(set(map(tuple, (np.ldexp(arr, -e) if e else arr).tolist())))
+    e = _exponent_of(float(np.abs(arr).max(initial=0.0)))
+    pts = sorted(set(map(tuple, (arr * math.ldexp(1.0, -e)).tolist())))
     ring = deque(_chain(pts)[:-1] + _chain(pts[::-1])[:-1] if len(pts) > 2 else pts)
     # Only rounding puts a point on both chains, and only in a cloud that is flat to
     # rounding, so its hull is the segment between its ends, as for a collinear cloud.
@@ -385,10 +389,8 @@ def _chain_hull(arr: np.ndarray) -> ConvexPolygon:
             ring.rotate(-1)
             kept += 1
     ring.rotate(-ring.index(min(ring)) if ring else 0)
-    # Every corner left has passed _check's cross product at this scale, so the hull is not checked again.
-    hull = object.__new__(ConvexPolygon)
-    object.__setattr__(hull, "vertices", tuple(map(Point2._make, _times(ring, e))))
-    hull.__dict__.update(_exponent=e, _unit=list(ring), _canonical=True)
+    hull = ConvexPolygon._of_gated(tuple(map(Point2._make, _times(ring, e))))
+    hull.__dict__["_canonical"] = True
     return hull
 
 
@@ -445,7 +447,7 @@ def contains_point(poly: ConvexPolygon, p: Point2, tol: float | None = None) -> 
     if len(poly) < 3:
         return False
     ((px, py),) = _xy_array((p,)).tolist()
-    e = max(poly._exponent, _exponent(max(abs(px), abs(py))))
+    e = max(poly._exponent, _exponent_of(max(abs(px), abs(py))))
     tol = CLIP_EPS * math.ldexp(poly._breadth, poly._exponent - e) if tol is None else np.ldexp(tol, -e)
     ((px, py),), v = _times([(px, py)], -e), _times(poly.vertices, -e)
     for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
@@ -472,7 +474,7 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     if b.vertices < a.vertices:  # the CLIP_EPS sliver a clip keeps depends on the order
         a, b = b, a
     e = max(a._exponent, b._exponent)
-    output: Sequence[tuple[float, float]] = _times(a.vertices, -e)
+    output = _times(a.vertices, -e)
     tol = CLIP_EPS * min(math.ldexp(p._breadth, p._exponent - e) for p in (a, b))
     clipped_any = False
     bv = _times(b.vertices, -e)

@@ -39,7 +39,6 @@ from lkld.geometry import (
     ConvexPolygon,
     OrientedRect,
     Point2,
-    _exponent,
     area,
     rect_to_polygon,
 )
@@ -160,14 +159,14 @@ def reference_convex_hull(points) -> ConvexPolygon:
     A point on both
     chains, which only rounding puts there, gives the segment between the
     least and the greatest point. All of it runs on the points times the
-    power of two ``geometry._exponent`` gives the set, deduped there, and
-    the hull is scaled back.
+    power of two that brings their largest coordinate magnitude into
+    [0.5, 1), deduped there, and the hull is scaled back.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     for x, y in pts:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"hull input coordinates must be finite, got ({x}, {y})")
-    e = _exponent(max((max(abs(x), abs(y)) for x, y in pts), default=0.0))
+    e = math.frexp(max((max(abs(x), abs(y)) for x, y in pts), default=0.0))[1]
     pts = sorted({(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in pts})
 
     def scaled_back(ring):
@@ -222,12 +221,12 @@ def reference_drop_interior(pts: np.ndarray) -> np.ndarray:
     x, x + y, y and x - y, first index on ties, in ccw order; a point goes
     only if every edge's cross product exceeds PREFILTER_MARGIN times the
     squared span. Short clouds and clouds with no edge come back whole. The
-    tests run on the cloud times the power of two ``geometry._exponent``
-    gives it.
+    tests run on the cloud times the power of two that brings its largest
+    coordinate magnitude into [0.5, 1).
     """
     if len(pts) <= PREFILTER_MIN_POINTS:
         return pts
-    unit = np.ldexp(pts, -_exponent(float(np.abs(pts).max())))
+    unit = np.ldexp(pts, -math.frexp(float(np.abs(pts).max()))[1])
     x, y = unit[:, 0], unit[:, 1]
     s, d = x + y, x - y
     ring = [x.argmin(), s.argmin(), y.argmin(), d.argmax(), x.argmax(), s.argmax(), y.argmax(), d.argmin()]

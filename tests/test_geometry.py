@@ -754,6 +754,20 @@ class TestScale:
                                                      0.5 * (a.y + b.y) + 0.01 * s * ny))
 
     @settings(max_examples=300, deadline=None)
+    @given(st.floats(-300.0, 0.0), st.floats(-math.pi, math.pi), CENTRE_UNITS, CENTRE_UNITS)
+    @example(-201.0, 0.0, 10.0, 10.0)  # tested unscaled, every edge's cross product with it underflowed
+    @example(-300.0, 0.3, 0.0, 0.0)
+    def test_a_square_of_any_size_holds_the_origin_only_if_it_covers_it(self, side_exp, theta, u, v):
+        # The origin is a point of no magnitude: the test runs at the square's scale.
+        side, c, s = 10.0 ** side_exp, math.cos(theta), math.sin(theta)
+        poly = ConvexPolygon([(side * (u + c * a - s * b), side * (v + s * a + c * b))
+                              for a, b in ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))])
+        # The origin in the square's own frame, in sides.
+        reach = max(abs(c * u + s * v), abs(s * u - c * v))
+        assume(abs(reach - 0.5) > 1e-6)
+        assert contains_point(poly, Point2(0.0, 0.0)) == (reach < 0.5)
+
+    @settings(max_examples=300, deadline=None)
     @given(st.floats(-math.pi, math.pi), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), SIDES)
     @example(0.3, 0.0, 0.0, (1e-300, 1e-23))  # its rounded corners repeat
     @example(0.0, 0.0, 0.0, (5e-324, 1.0))  # half its length rounds to 0

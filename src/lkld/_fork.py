@@ -3,10 +3,9 @@
 ``synth_trainer.compare`` trains its modes this way,
 ``calibration.records_from_csv`` parses a large records file and
 ``label_uncertainty.evaluate_tracks`` decodes, gates and evaluates a large
-tracks document. The first share runs in the calling process and
-each other share in a child forked from it, which sees the caller's data as it
-was at the fork, pickles its records down a private pipe and leaves through
-``os._exit``. No child outlives ``run_shares``.
+tracks document. Each has one failure policy: ``run_shares`` gives every
+share's value or ``None``, and on ``None`` the caller does the whole job in
+one pass, so its results and errors are those of that pass.
 """
 
 from __future__ import annotations
@@ -16,7 +15,9 @@ import os
 import pickle
 import signal
 import threading
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, NoReturn, TypeVar
+
+T = TypeVar("T")
 
 
 def workers(most: int) -> int:
@@ -29,78 +30,67 @@ def workers(most: int) -> int:
     return 1
 
 
-def run_shares(
-    run: Callable[[range], Iterator[tuple[int, object]]], shares: list[range], tasks: Sequence[str]
-) -> list[tuple[int, object]]:
-    """The records ``run`` gives for every share: the first share's from this
-    process, each other's from a forked child, or from here if the fork fails.
+def run_shares(run: Callable[[int], T], n: int) -> list[T] | None:
+    """``[run(0), ..., run(n - 1)]``, or ``None`` if a pipe or a fork cannot
+    be had, a share raises, or a child ends without sending its value in full.
 
-    A record is ``(i, value)`` for task ``i`` of its share, in the share's
-    order; a share that fails gives its error as the value and stops. A child
-    that ends before its share is done, without an error to report, gives
-    ``(i, ChildProcessError)`` for the first task ``i`` it did not report,
-    naming ``tasks[i]`` and the child's exit status or signal, or saying that
-    its status is unknown where the child reaped itself (SIGCHLD ignored); a
-    record cut short by the child's death counts as not reported. Every child
-    is reaped before the call returns or raises, and killed first if it raises.
+    Share 0 runs in this process once the children are forked. Each other
+    share runs in a child forked from it, which sees the caller's data as it
+    was at the fork, pickles its one value down a private pipe and leaves
+    through ``os._exit``. A child whose pipe has been read to its end is
+    reaped, not killed: it has closed its end and is leaving, and where
+    SIGCHLD is ignored it may have reaped itself and freed its pid for reuse.
+    Any other child is killed and then reaped. No child outlives the call.
     """
-    children = []
-    here = shares[:1]
+    children: list[tuple[int, BinaryIO]] = []
     try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
+        for k in range(1, n):
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                return None
             try:
                 pid = os.fork()
             except OSError:
                 os.close(read_fd)
                 os.close(write_fd)
-                here.append(share)
-                continue
+                return None
             if pid == 0:
-                send_records(run(share), write_fd)
+                _send(run, k, write_fd)
             os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), share))
-        records = [record for share in here for record in run(share)]
+            children.append((pid, open(read_fd, "rb")))
+        try:
+            values = [run(0)]
+        except Exception:  # the caller's one pass raises it again
+            return None
         while children:
-            pid, pipe, share = children[0]
-            got = []
-            # A child that dies partway through a record leaves it truncated.
+            pid, pipe = children[0]
+            # A child that failed sent nothing, or part of a value if it died writing.
             with pipe, contextlib.suppress(EOFError, pickle.UnpicklingError):
-                while True:
-                    got.append(pickle.load(pipe))
-            try:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            except ChildProcessError:  # already reaped: this process ignores SIGCHLD
-                code = None
+                values.append(pickle.load(pipe))
             children.pop(0)
-            records += got
-            if len(got) < len(share) and not (got and isinstance(got[-1][1], Exception)):
-                if code is None:
-                    ended = "ended with an unknown status"
-                else:
-                    ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                i = share[len(got)]
-                records.append((i, ChildProcessError(f"the worker process {tasks[i]} {ended}")))
+            with contextlib.suppress(ChildProcessError):  # already reaped: SIGCHLD is ignored
+                os.waitpid(pid, 0)
+            if len(values) + len(children) < n:  # this child's value is missing
+                return None
+        return values
     finally:
-        for pid, pipe, _ in children:
+        for pid, pipe in children:
             pipe.close()
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    return records
 
 
-def send_records(records: Iterator[tuple[int, object]], write_fd: int) -> NoReturn:
-    """In a forked child: pickle each record down the pipe as it comes, then
-    leave through ``os._exit`` (status 0 once all are sent), never returning."""
+def _send(run: Callable[[int], object], k: int, write_fd: int) -> NoReturn:
+    """In a forked child: pickle ``run(k)`` down the pipe, then leave through
+    ``os._exit`` (status 0 once it is sent), never returning."""
     status = 1
     try:
         with open(write_fd, "wb") as pipe:
-            for record in records:
-                # Pickled whole first, so a record that cannot be pickled sends no bytes.
-                pipe.write(pickle.dumps(record))
-                pipe.flush()
+            # Pickled whole first, so a value that cannot be pickled sends no bytes.
+            pipe.write(pickle.dumps(run(k)))
         status = 0
     finally:
         os._exit(status)

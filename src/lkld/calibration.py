@@ -159,12 +159,12 @@ def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
     A path of at least ``2 * _SHARE_BYTES`` bytes is parsed in byte-range
     shares, one per CPU in the affinity mask (Linux only, and only while no
     other Python thread runs): each cut falls just after a newline, this
-    process parses the first share and a forked child each other one, or
-    this process where the fork fails (see ``_fork``), and the shares'
-    columns are joined in file order with the classes in first-seen order.
-    If any share fails, because it holds a ``"`` (a quoted cell may run
-    across a cut), cannot be read or decoded, holds a bad row, or its child
-    dies, the whole file is parsed again in one stream.
+    process parses the first share and a forked child each other one (see
+    ``_fork``), and the shares' columns are joined in file order with the
+    classes in first-seen order. If a pipe or a fork cannot be had, or any
+    share fails, because it holds a ``"`` (a quoted cell may run across a
+    cut), cannot be read or decoded, holds a bad row, or its child dies,
+    the whole file is parsed in one stream.
     The columns and every error are thus those of the one-stream parse of
     the open file.
     """
@@ -215,7 +215,8 @@ _CHUNK_BYTES = 1 << 16
 
 def _parse_shares(fd: int) -> PredictionColumns | None:
     """The open file's columns parsed in forked byte-range shares, or ``None``
-    if it is too small to split, there is one CPU, or any share fails."""
+    if it is too small to split, there is one CPU, or ``_fork.run_shares``
+    gives ``None``."""
     size = os.fstat(fd).st_size
     if size < 2 * _SHARE_BYTES:
         return None
@@ -228,23 +229,8 @@ def _parse_shares(fd: int) -> PredictionColumns | None:
     for k in range(1, n):
         cuts.append(_line_end(fd, max(cuts[-1], k * size // n), size))
     cuts.append(size)
-
-    def run(share: range) -> Iterator[tuple[int, PredictionColumns | Exception]]:
-        k = share.start
-        try:
-            parsed = _parse(_share_lines(fd, cuts[k], cuts[k + 1], header=k > 0))
-        except Exception as exc:
-            parsed = exc
-        yield k, parsed
-
-    tasks = [f"parsing bytes {cuts[k]} to {cuts[k + 1]}" for k in range(n)]
-    try:
-        parts = dict(_fork.run_shares(run, [range(k, k + 1) for k in range(n)], tasks))
-    except OSError:  # no pipe to be had
-        return None
-    if any(isinstance(part, Exception) for part in parts.values()):
-        return None
-    return _joined([parts.pop(k) for k in range(n)])
+    parts = _fork.run_shares(lambda k: _parse(_share_lines(fd, cuts[k], cuts[k + 1], header=k > 0)), n)
+    return None if parts is None else _joined(parts)
 
 
 def _line_end(fd: int, pos: int, size: int) -> int:

@@ -345,14 +345,14 @@ def evaluate_tracks(
     ``"poses"``, decodes its elements up to the first one starting at or
     after the next share's nominal point, and builds and evaluates them as
     above; this process runs the first share and a forked child each other
-    one, or this process where the fork fails (see ``_fork``). The split is
-    kept only if each share stopped where the next one started and the last
-    at the array's end, so that the shares cover the array exactly, once;
-    its records are then sorted stably by label id. If that check fails, or
-    any share fails (a decode error, a bad track, a class with no mapping),
-    or its child dies, the whole text is built and evaluated in this
-    process. The records and every error are thus those of the whole text
-    built and evaluated in one pass.
+    one (see ``_fork``). The split is kept only if each share stopped where
+    the next one started and the last at the array's end, so that the
+    shares cover the array exactly, once; its records are then sorted
+    stably by label id. If that check fails, a pipe or a fork cannot be
+    had, or any share fails (a decode error, a bad track, a class with no
+    mapping), or its child dies, the whole text is built and evaluated in
+    this process. The records and every error are thus those of the whole
+    text built and evaluated in one pass.
     """
     if isinstance(tracks, os.PathLike):
         with open(tracks, "r", encoding="utf-8") as handle:
@@ -385,8 +385,9 @@ def _evaluate_shares(
     text: str, mapping: UncertaintyMapping | None, per_class: Mapping[str, UncertaintyMapping] | None
 ) -> list[LabelUncertaintyRecord] | None:
     """``evaluate_tracks`` of a tracks document's text in forked shares, or
-    ``None`` if it is too small or not shaped to split, there is one CPU, or
-    any share fails or the shares do not cover the array exactly."""
+    ``None`` if it is too small or not shaped to split, there is one CPU,
+    ``_fork.run_shares`` gives ``None``, or the shares do not cover the
+    array exactly."""
     if len(text) < 2 * _SHARE_CHARS:
         return None
     opened = _TRACKS_OPEN.match(text)
@@ -401,30 +402,18 @@ def _evaluate_shares(
     first = opened.end()
     points = [first + k * (close - first) // n for k in range(n)] + [close]
 
-    def run(share: range) -> Iterator[tuple[int, tuple | Exception]]:
-        k = share.start
-        try:
-            decoder = json.JSONDecoder()
-            start = first if k == 0 else _element_start(text, points[k], close, decoder)
-            items, stop = _decode_elements(text, start, points[k + 1], close, decoder)
-            records = evaluate_tracks(tracks_from_json({"tracks": items}), mapping, per_class)
-        except Exception as exc:
-            yield k, exc
-        else:
-            yield k, (start, stop, records)
+    def run(k: int) -> tuple[int, int, list[LabelUncertaintyRecord]]:
+        decoder = json.JSONDecoder()
+        start = first if k == 0 else _element_start(text, points[k], close, decoder)
+        items, stop = _decode_elements(text, start, points[k + 1], close, decoder)
+        return start, stop, evaluate_tracks(tracks_from_json({"tracks": items}), mapping, per_class)
 
-    tasks = [f"evaluating the tracks from character {points[k]}" for k in range(n)]
-    try:
-        parts = dict(_fork.run_shares(run, [range(k, k + 1) for k in range(n)], tasks))
-    except OSError:  # no pipe to be had
-        return None
-    if any(isinstance(part, Exception) for part in parts.values()):
-        return None
+    parts = _fork.run_shares(run, n)
     # The chain check: share 0 starts at the first element, each share stops
     # where the next one starts, and the last at the array's end.
-    if [first] + [parts[k][1] for k in range(n)] != [parts[k][0] for k in range(n)] + [close]:
+    if parts is None or [first] + [stop for _, stop, _ in parts] != [start for start, _, _ in parts] + [close]:
         return None
-    return sorted((r for k in range(n) for r in parts[k][2]), key=lambda r: r.label_id)
+    return sorted((r for _, _, records in parts for r in records), key=lambda r: r.label_id)
 
 
 def _element_start(text: str, pos: int, close: int, decoder: json.JSONDecoder) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -313,13 +313,6 @@ class Predictor:
     def as_vector(self) -> list[float]:
         """Mean weights, mean bias, log-scale weights, log-scale bias."""
         return self.theta.ravel().tolist()
-
-    def predict_batch(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(locations, scales) over a feature matrix; a value that overflows reads inf."""
-        with np.errstate(over="ignore"):
-            locs = features @ self.theta[0, :-1] + self.theta[0, -1]
-            log_scales = features @ self.theta[1, :-1] + self.theta[1, -1]
-            return locs, np.exp(log_scales)
 
 
 def resolve_label_scales(config: SynthConfig, data: Dataset) -> np.ndarray | None:
@@ -652,18 +645,14 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
     can: the configs are dealt round-robin into one share per CPU in the
     process's affinity mask (at most one per config), this process trains
     the first share, and a child forked after ``generate`` trains each of
-    the others on the same data and pipes its rows back. A share whose
-    fork fails is trained here. The rows, their order and any error are
-    those of training the configs one after another: the error raised is
-    that of the first config that failed. A child that ends without
-    reporting a config, or partway through reporting it, raises
-    ``ChildProcessError`` naming the mode and the child's exit status or
-    signal, or saying it is unknown where SIGCHLD is ignored
-    (``_fork.run_shares``). Every child is reaped before the call
-    returns or raises, and killed first if this process is interrupted.
-    Everything is trained here, in order, with one config or one CPU,
-    without ``os.sched_getaffinity`` (outside Linux) or while another
-    Python thread runs, since a forked child holds only the calling thread.
+    the others on the same data and pipes its rows back
+    (``_fork.run_shares``). If a pipe or a fork cannot be had, a share
+    raises, or a child dies, every config is trained here, in order, as
+    with one config or one CPU, without ``os.sched_getaffinity`` (outside
+    Linux) or while another Python thread runs, since a forked child holds
+    only the calling thread. The rows, their order and the error raised are
+    thus those of training the configs one after another: the error is
+    that of the first config that fails.
     """
     if not configs:
         raise ValueError("compare needs at least one config")
@@ -675,29 +664,18 @@ def compare(configs: Sequence[SynthConfig]) -> list[CompareRow]:
                 f"{cfg.generator_settings()} != {settings}"
             )
     train_set, test_set = generate(configs[0])
-    modes = [cfg.label_scale.label() for cfg in configs]
 
-    def run(share: range) -> Iterator[tuple[int, CompareRow | Exception]]:
-        """Each config of a share in order: its row, or the error it raised, and stop."""
-        for i in share:
-            try:
-                _, report = train(configs[i], train_set, test_set, score_epochs=False)
-            except Exception as exc:
-                yield i, exc
-                return
-            yield i, CompareRow(modes[i], report.test_mae, report.test_ece, report.diverged)
+    def row(cfg: SynthConfig) -> CompareRow:
+        _, report = train(cfg, train_set, test_set, score_epochs=False)
+        return CompareRow(cfg.label_scale.label(), report.test_mae, report.test_ece, report.diverged)
 
     from . import _fork
 
-    workers = _fork.workers(len(configs))
-    shares = [range(first, len(configs), workers) for first in range(workers)]
-    results = dict(_fork.run_shares(run, shares, [f"training mode {mode}" for mode in modes]))
-    # A share stops at its first error, so every config missing here comes
-    # after an error in its own share: the first error comes first.
-    for i in sorted(results):
-        if isinstance(results[i], Exception):
-            raise results[i]
-    return [results[i] for i in range(len(configs))]
+    n = _fork.workers(len(configs))
+    shares = _fork.run_shares(lambda k: [row(cfg) for cfg in configs[k::n]], n) if n > 1 else None
+    if shares is None:
+        return [row(cfg) for cfg in configs]
+    return [shares[i % n][i // n] for i in range(len(configs))]
 
 
 # Each union of config choices: the key that holds a document's tag, and the class of each tag.

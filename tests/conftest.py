@@ -6,10 +6,14 @@ for each failure, so a failure seen in a CI log can be replayed locally with
 the default profile applies.
 
 The tests of ``compare()``, ``records_from_csv`` and ``evaluate_tracks``,
-which fork, import ``cpus``, ``refuse_fork`` and ``assert_all_children_reaped``
-from here.
+which fork, import ``cpus``, ``refuse_fork``, ``refuse_pipe`` and
+``assert_all_children_reaped`` from here. Each suite checks the one failure
+policy of a forked split: whatever fails (a child that exits, is killed,
+raises or sends part of its value, a refused fork or pipe), the result is
+that of the job done in one pass, and no child outlives the call.
 """
 
+import errno
 import os
 
 import pytest
@@ -26,6 +30,10 @@ def cpus(n):
 
 def refuse_fork():
     raise OSError("fork refused")
+
+
+def refuse_pipe():
+    raise OSError(errno.EMFILE, "Too many open files")
 
 
 def assert_all_children_reaped():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from conftest import assert_all_children_reaped, cpus, refuse_fork
+from conftest import assert_all_children_reaped, cpus, refuse_fork, refuse_pipe
 from lkld import calibration
 from lkld.calibration import (
     DEFAULT_GRID,
@@ -410,7 +410,9 @@ class TestSplitParse:
         assert forks == []
         assert got == parsed(str(path))
 
-    @pytest.mark.parametrize("failure", ["exit", "kill", "raise", "truncated", "refused fork", "SIGCHLD ignored"])
+    @pytest.mark.parametrize(
+        "failure", ["exit", "kill", "raise", "truncated", "refused fork", "refused pipe", "SIGCHLD ignored"]
+    )
     def test_a_failing_share_gives_the_one_stream_columns(self, tmp_path, monkeypatch, failure):
         # 20k rows: the second share's record is some 240 kB, far above PIPE_BUF.
         path = tmp_path / "records.csv"
@@ -440,6 +442,8 @@ class TestSplitParse:
         monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
         if failure == "refused fork":
             monkeypatch.setattr(os, "fork", refuse_fork)
+        if failure == "refused pipe":
+            monkeypatch.setattr(os, "pipe", refuse_pipe)
         if failure == "SIGCHLD ignored":
             # The child reaps itself, so waiting for it fails with ECHILD.
             previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -448,10 +452,10 @@ class TestSplitParse:
         finally:
             if failure == "SIGCHLD ignored":
                 signal.signal(signal.SIGCHLD, previous)
-        # A refused fork parses both shares here; a failed share parses the whole
-        # file again. Where SIGCHLD is ignored the child reaps itself, and the
-        # columns it sent in full are kept.
-        assert len(calls) == (1 if failure == "SIGCHLD ignored" else 2)
+        # No child to be had parses the whole file here, once; a failed share
+        # parses it again after the first share. Where SIGCHLD is ignored the
+        # child reaps itself, and the columns it sent in full are kept.
+        assert len(calls) == (2 if failure in ("exit", "kill", "raise", "truncated") else 1)
         monkeypatch.setattr(calibration, "_parse", real_parse)
         assert got == parsed(str(path))
         assert_all_children_reaped()

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import signal
 import tempfile
 import threading
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import assert_all_children_reaped, cpus, refuse_fork
+from conftest import assert_all_children_reaped, cpus, refuse_fork, refuse_pipe
 from oracles import reference_evaluate_tracks, reference_label_frame, reference_tracks_from_json
 
 from lkld import geometry, label_uncertainty
@@ -994,12 +995,14 @@ class TestSplitEvaluate:
         assert forks == []
         assert got == evaluated(str(path))
 
-    @pytest.mark.parametrize("failure", ["exit", "kill", "raise", "refused fork", "SIGCHLD ignored"])
+    @pytest.mark.parametrize(
+        "failure", ["exit", "kill", "raise", "truncated", "refused fork", "refused pipe", "SIGCHLD ignored"]
+    )
     def test_a_failing_share_gives_the_one_pass_records(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "tracks.json"
         size = write_tracks(path, 40)
         parent, built = os.getpid(), []
-        real_build = label_uncertainty.tracks_from_json
+        real_build, real_dumps = label_uncertainty.tracks_from_json, pickle.dumps
 
         def build(doc):
             if os.getpid() == parent:
@@ -1012,11 +1015,19 @@ class TestSplitEvaluate:
                 raise OSError("share failed")
             return real_build(doc)
 
+        def dumps(obj, *args, **kwargs):
+            # In the child, half its value: as if it died partway through the write.
+            data = real_dumps(obj, *args, **kwargs)
+            return data[: len(data) // 2] if os.getpid() != parent and failure == "truncated" else data
+
         monkeypatch.setattr(label_uncertainty, "tracks_from_json", build)
+        monkeypatch.setattr(pickle, "dumps", dumps)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
         monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size // 2)
         if failure == "refused fork":
             monkeypatch.setattr(os, "fork", refuse_fork)
+        if failure == "refused pipe":
+            monkeypatch.setattr(os, "pipe", refuse_pipe)
         if failure == "SIGCHLD ignored":
             previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
@@ -1024,9 +1035,10 @@ class TestSplitEvaluate:
         finally:
             if failure == "SIGCHLD ignored":
                 signal.signal(signal.SIGCHLD, previous)
-        # A refused fork builds both shares here, a failed share the whole document
-        # again; where SIGCHLD is ignored the child's complete records are kept.
-        assert len(built) == (1 if failure == "SIGCHLD ignored" else 2)
+        # No child to be had builds the whole document here, once; a failed share
+        # builds it again after the first share. Where SIGCHLD is ignored the
+        # child's complete records are kept.
+        assert len(built) == (2 if failure in ("exit", "kill", "raise", "truncated") else 1)
         monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
         assert got == evaluated(str(path))
         assert_all_children_reaped()

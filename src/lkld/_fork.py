@@ -3,9 +3,10 @@
 ``synth_trainer.compare`` trains its modes this way,
 ``calibration.records_from_csv`` parses a large records file and
 ``label_uncertainty.evaluate_tracks`` decodes, gates and evaluates a large
-tracks document. Each has one failure policy: ``run_shares`` gives every
-share's value or ``None``, and on ``None`` the caller does the whole job in
-one pass, so its results and errors are those of that pass.
+tracks document. All three keep one failure policy: ``run_shares`` gives
+every share's value or ``None``, and on ``None`` the caller does the whole
+job in one pass in this process, so its results and errors are those of
+that pass.
 """
 
 from __future__ import annotations

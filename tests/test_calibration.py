@@ -452,9 +452,9 @@ class TestSplitParse:
         finally:
             if failure == "SIGCHLD ignored":
                 signal.signal(signal.SIGCHLD, previous)
-        # No child to be had parses the whole file here, once; a failed share
-        # parses it again after the first share. Where SIGCHLD is ignored the
-        # child reaps itself, and the columns it sent in full are kept.
+        # With no pipe or fork to be had, the whole file is parsed here, once; a
+        # failed share has it parsed again after the first share. Where SIGCHLD
+        # is ignored the child reaps itself, and the columns it sent in full are kept.
         assert len(calls) == (2 if failure in ("exit", "kill", "raise", "truncated") else 1)
         monkeypatch.setattr(calibration, "_parse", real_parse)
         assert got == parsed(str(path))

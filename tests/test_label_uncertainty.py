@@ -1035,9 +1035,9 @@ class TestSplitEvaluate:
         finally:
             if failure == "SIGCHLD ignored":
                 signal.signal(signal.SIGCHLD, previous)
-        # No child to be had builds the whole document here, once; a failed share
-        # builds it again after the first share. Where SIGCHLD is ignored the
-        # child's complete records are kept.
+        # With no pipe or fork to be had, the whole document is built here, once;
+        # a failed share has it built again after the first share. Where SIGCHLD
+        # is ignored the child's complete records are kept.
         assert len(built) == (2 if failure in ("exit", "kill", "raise", "truncated") else 1)
         monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
         assert got == evaluated(str(path))

@@ -797,9 +797,9 @@ class TestForkedCompare:
         finally:
             if failure == "SIGCHLD ignored":
                 signal.signal(signal.SIGCHLD, previous)
-        # No child to be had trains all five configs here; a failed share trains
-        # them after the first share's two. Where SIGCHLD is ignored the rows
-        # the children sent in full are kept.
+        # With no pipe or fork to be had, all five configs are trained here, once;
+        # a failed share has them trained after the first share's two. Where
+        # SIGCHLD is ignored the rows the children sent in full are kept.
         assert len(trained) == {"refused fork": 5, "refused pipe": 5, "SIGCHLD ignored": 2}.get(failure, 7)
         assert rows == serial
         assert_all_children_reaped()

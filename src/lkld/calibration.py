@@ -11,12 +11,12 @@ artifact-defined convenience, not a standard metric.
 
 from __future__ import annotations
 
-import io
+import csv
 import math
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -159,14 +159,17 @@ def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
     A path of at least ``2 * _SHARE_BYTES`` bytes is parsed in byte-range
     shares, one per CPU in the affinity mask (Linux only, and only while no
     other Python thread runs): each cut falls just after a newline, this
-    process parses the first share and a forked child each other one (see
+    process converts the first share and a forked child each other one (see
     ``_fork``), and the shares' columns are joined in file order with the
-    classes in first-seen order. If a pipe or a fork cannot be had, or any
-    share fails, because it holds a ``"`` (a quoted cell may run across a
-    cut), cannot be read or decoded, holds a bad row, or its child dies,
-    the whole file is parsed in one stream.
-    The columns and every error are thus those of the one-stream parse of
-    the open file.
+    classes in first-seen order. A share converts its bytes a chunk at a
+    time, without ``csv``, so it fails on any chunk that ``csv`` might read
+    otherwise than as plain lines of comma-separated cells: one with a
+    ``"`` (a quoted cell may also run across a cut), a NUL or a ``\\r``
+    outside ``\\r\\n``. It also fails if it cannot be read or decoded, holds
+    a bad row or no header (the first share), or its child dies. If a pipe
+    or a fork cannot be had, or any share fails, the whole file is parsed
+    in one stream. The columns and every error are thus those of the
+    one-stream parse of the open file.
     """
     if not isinstance(lines, os.PathLike):
         return _parse(lines)
@@ -198,6 +201,11 @@ def _parse(lines: Iterable[str]) -> PredictionColumns:
             residuals.append(residual)
             scales.append(scale)
             codes.append(index.setdefault(row[2], len(index)))
+    return _columns(residuals, scales, index, codes)
+
+
+def _columns(residuals: array, scales: array, index: dict[str, int], codes: array) -> PredictionColumns:
+    """The parsed arrays as ``PredictionColumns``, sharing their buffers."""
     return PredictionColumns(
         np.frombuffer(residuals, dtype=np.float64),
         np.frombuffer(scales, dtype=np.float64),
@@ -229,7 +237,7 @@ def _parse_shares(fd: int) -> PredictionColumns | None:
     for k in range(1, n):
         cuts.append(_line_end(fd, max(cuts[-1], k * size // n), size))
     cuts.append(size)
-    parts = _fork.run_shares(lambda k: _parse(_share_lines(fd, cuts[k], cuts[k + 1], header=k > 0)), n)
+    parts = _fork.run_shares(lambda k: _share_columns(fd, cuts[k], cuts[k + 1], header=k == 0), n)
     return None if parts is None else _joined(parts)
 
 
@@ -246,22 +254,60 @@ def _line_end(fd: int, pos: int, size: int) -> int:
     return size
 
 
-def _share_lines(fd: int, start: int, stop: int, header: bool) -> Iterator[str]:
-    """The text lines of bytes ``[start, stop)``, after the header line if ``header``.
+def _share_columns(fd: int, start: int, stop: int, header: bool) -> PredictionColumns:
+    """The columns of bytes ``[start, stop)``, after the header line if ``header``.
 
     The bytes come from ``os.pread``, so no file offset moves, in chunks cut
-    after their last newline, so no character or line is cut. A chunk with
-    a ``"`` or without a newline raises ``ValueError``.
+    after their last newline, and each chunk is converted whole. A chunk
+    that ``csv.reader`` might read otherwise than as plain comma-separated
+    lines (one with a ``"``, a NUL or a ``\\r`` outside ``\\r\\n``, or
+    longer than ``csv.field_size_limit()``) raises ``ValueError``, naming
+    no line, as does any fault of the rows.
     """
-    if header:
-        yield "residual,scale,class_name\n"
+    others = bytes(c for c in range(256) if c not in b",\n")  # every byte but the separators
+    residuals, scales, codes = array("d"), array("d"), array("q")
+    index: dict[str, int] = {}
     while start < stop:
         data = os.pread(fd, min(_CHUNK_BYTES, stop - start), start)
         end = len(data) if start + len(data) == stop else data.rfind(b"\n") + 1
-        if not end or b'"' in data:
-            raise ValueError(f"cannot split the file at byte {start}")
+        chunk = data[:end]
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n")
+        if not end or end > csv.field_size_limit() or any(c in chunk for c in (b'"', b"\0", b"\r")):
+            raise ValueError(f"cannot convert the chunk at byte {start}")
         start += end
-        yield from io.StringIO(data[:end].decode("utf-8"), newline="")
+        # Three cells a line shows as ",,\n" a line among the separators. A
+        # chunk with blank lines, or whose last line has no newline, is
+        # rewritten first with each non-blank line ended by a newline.
+        seps = chunk.translate(None, others)
+        if seps != b",,\n" * (len(seps) // 3) or not chunk.endswith(b"\n"):
+            chunk = b"".join(line + b"\n" for line in chunk.split(b"\n") if line)
+            seps = chunk.translate(None, others)
+            if seps != b",,\n" * (len(seps) // 3):
+                raise ValueError(f"a line before byte {start} does not have 3 columns")
+        if header and chunk:
+            line, _, chunk = chunk.partition(b"\n")
+            if [cell.strip() for cell in line.decode("utf-8").split(",")] != ["residual", "scale", "class_name"]:
+                raise ValueError(f"prediction CSV header must be 'residual,scale,class_name', got {line!r}")
+            header = False
+        if not chunk:
+            continue
+        cells = chunk.decode("utf-8").replace("\n", ",").split(",")
+        del cells[-1]  # the empty cell after the last newline
+        chunk_residuals = array("d", map(float, cells[0::3]))
+        chunk_scales = array("d", map(float, cells[1::3]))
+        residual, scale = np.frombuffer(chunk_residuals), np.frombuffer(chunk_scales)
+        if not (np.isfinite(residual).all() and (scale > 0.0).all() and np.isfinite(scale).all()):
+            raise ValueError(f"a residual before byte {start} is not finite or a scale not positive and finite")
+        names = cells[2::3]
+        for name in dict.fromkeys(names):
+            index.setdefault(name, len(index))
+        residuals += chunk_residuals
+        scales += chunk_scales
+        codes += array("q", map(index.__getitem__, names))
+    if header:
+        raise ValueError("prediction CSV is empty")
+    return _columns(residuals, scales, index, codes)
 
 
 def _joined(parts: list[PredictionColumns]) -> PredictionColumns:

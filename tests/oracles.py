@@ -23,6 +23,7 @@ the float loss kernels with the sign taken by an explicit helper.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -245,24 +246,32 @@ def reference_intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPoly
 
     A vertex within CLIP_EPS of a clip line, times the breadth of the thinner
     polygon, is inside; a polygon's breadth is its area over half its greater
-    extent, or that half extent if less.
+    extent, or that half extent if less. The clip runs on both polygons times
+    the power of two that brings the pair's largest coordinate magnitude into
+    [0.5, 1) (at most 2**1021 times up). If no vertex falls outside an edge,
+    a's own vertices are re-hulled; otherwise the clipped ones, scaled back.
     """
     if len(a) < 3 or len(b) < 3:
         return ConvexPolygon(())
     if b.vertices < a.vertices:
         a, b = b, a
-    output = [(p.x, p.y) for p in a.vertices]
+    e = math.frexp(max(max(abs(p.x), abs(p.y), sys.float_info.min) for p in a.vertices + b.vertices))[1]
+    output = [(math.ldexp(p.x, -e), math.ldexp(p.y, -e)) for p in a.vertices]
     halves = [max(max(p.x for p in q.vertices) / 2 - min(p.x for p in q.vertices) / 2,
                   max(p.y for p in q.vertices) / 2 - min(p.y for p in q.vertices) / 2) for q in (a, b)]
-    tol = CLIP_EPS * min(min(half, area(q) / half) for half, q in zip(halves, (a, b)))
-    bv = b.vertices
+    tol = math.ldexp(CLIP_EPS * min(min(half, area(q) / half) for half, q in zip(halves, (a, b))), -e)
+    bv = [Point2(math.ldexp(p.x, -e), math.ldexp(p.y, -e)) for p in b.vertices]
+    moved = False
     for i in range(len(bv)):
         if not output:
             return ConvexPolygon(())
         e1, e2 = bv[i], bv[(i + 1) % len(bv)]
-        inv_len = 1.0 / math.hypot(e2.x - e1.x, e2.y - e1.y)
         ex, ey = e2.x - e1.x, e2.y - e1.y
+        if not (ex or ey):  # an edge of b lost at the pair's scale
+            return ConvexPolygon(())
+        inv_len = 1.0 / math.hypot(ex, ey)
         dists = [((ex * (py - e1.y) - ey * (px - e1.x)) * inv_len) for px, py in output]
+        moved = moved or not all(d >= -tol for d in dists)
         clipped = []
         n = len(output)
         for j in range(n):
@@ -275,9 +284,11 @@ def reference_intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPoly
                 t = min(1.0, max(0.0, dp / (dp - dq)))
                 clipped.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
         output = clipped
+    if not moved:
+        return reference_convex_hull(a.vertices)
     if len(output) < 3:
         return ConvexPolygon(())
-    return reference_convex_hull(output)
+    return reference_convex_hull([(math.ldexp(x, e), math.ldexp(y, e)) for x, y in output])
 
 
 @np.errstate(over="ignore", invalid="ignore")

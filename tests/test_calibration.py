@@ -345,6 +345,35 @@ class TestSplitParse:
     # The cut falls inside the quoted cell, whose second line reads as a row.
     @example(header=b"residual,scale,class_name", blanks=[], lines=[(b"1,1,c", b"\n")] * 2,
              odd=b'0.5,1,"a\n1,1,b"', odd_at=0, last_ending=True, n_cpus=2, share_bytes=8, chunk_bytes=1 << 16)
+    # The last row has no newline, and its class name is empty.
+    @example(header=b"residual,scale,class_name", blanks=[], lines=[(b"0.0,1.0,", b"\n")],
+             odd=None, odd_at=0, last_ending=False, n_cpus=2, share_bytes=1, chunk_bytes=64)
+    # "\r\n" endings, a blank "\r\n" line among them, and no final ending.
+    @example(header=b"residual,scale,class_name", blanks=[b"\r\n"],
+             lines=[(b"1,1,c", b"\r\n"), (b"", b"\r\n"), (b"2,3,d", b"\r\n"), (b"-1,2,c", b"\r\n")],
+             odd=None, odd_at=0, last_ending=False, n_cpus=2, share_bytes=8, chunk_bytes=64)
+    # A last line of one cell and no newline, after a row that has three.
+    @example(header=b"residual,scale,class_name", blanks=[], lines=[(b"1,1,c", b"\n")] * 3,
+             odd=b"7", odd_at=3, last_ending=False, n_cpus=2, share_bytes=8, chunk_bytes=64)
+    # A bare "\r" ends a row in the one-stream parse.
+    @example(header=b"residual,scale,class_name", blanks=[], lines=[(b"1,1,c", b"\r"), (b"2,3,d", b"\n")] * 3,
+             odd=None, odd_at=0, last_ending=True, n_cpus=2, share_bytes=8, chunk_bytes=64)
+    # A class name that is a NUL, in every share.
+    @example(header=b"residual,scale,class_name", blanks=[], lines=[(b"1,1,\x00", b"\n"), (b"2,3,a\x00", b"\n")] * 4,
+             odd=None, odd_at=0, last_ending=True, n_cpus=2, share_bytes=8, chunk_bytes=64)
+    # The first share holds only blank lines, so the header falls in the second
+    # (more blank lines than the strategy draws).
+    @example(header=b"residual,scale,class_name", blanks=[b"\n"] * 40, lines=[(b"1,1,c", b"\n")],
+             odd=None, odd_at=0, last_ending=True, n_cpus=2, share_bytes=1, chunk_bytes=64)
+    # Blank lines only: no share holds a header.
+    @example(header=b"", blanks=[b"\n"] * 40, lines=[],
+             odd=None, odd_at=0, last_ending=True, n_cpus=2, share_bytes=1, chunk_bytes=64)
+    # The header's cells are stripped.
+    @example(header=b"residual, scale , class_name", blanks=[], lines=[(b"1,1,c", b"\n")] * 4,
+             odd=None, odd_at=0, last_ending=True, n_cpus=2, share_bytes=8, chunk_bytes=64)
+    # Cells that float() reads and a stricter number parser would not.
+    @example(header=b"residual,scale,class_name", blanks=[], lines=[(b"1_0, 2 ,c", b"\n"), (b" 2 ,1_0,d", b"\n")] * 3,
+             odd=None, odd_at=0, last_ending=True, n_cpus=2, share_bytes=8, chunk_bytes=64)
     def test_split_equals_the_one_stream_parse(
         self, header, blanks, lines, odd, odd_at, last_ending, n_cpus, share_bytes, chunk_bytes
     ):
@@ -372,15 +401,17 @@ class TestSplitParse:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("residual,scale,class_name\n")
             handle.writelines(f"{i / 7!r},{1 + i / 3!r},{name}\n" for i, name in enumerate(names))
-        forks, calls = [], []
-        real_fork, real_parse = os.fork, calibration._parse
+        forks, shares, parses = [], [], []
+        real_fork, real_share, real_parse = os.fork, calibration._share_columns, calibration._parse
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
-        monkeypatch.setattr(calibration, "_parse", lambda lines: calls.append(None) or real_parse(lines))
+        monkeypatch.setattr(calibration, "_share_columns", lambda fd, start, *rest, **kwargs: shares.append(start)
+                            or real_share(fd, start, *rest, **kwargs))
+        monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
         monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
         monkeypatch.setattr(calibration, "_SHARE_BYTES", 256)
         preds = records_from_csv(path)
-        # Two children, and this process parsed only the first share.
-        assert len(forks) == 2 and len(calls) == 1
+        # Two children, this process converted only the first share, and the one-stream parse never ran.
+        assert len(forks) == 2 and shares == [0] and parses == []
         assert preds.classes == ("a", "c", "b", "", "d")
         assert [preds.classes[k] for k in preds.codes] == names
         assert preds.residuals.tolist() == [i / 7 for i in range(len(names))]
@@ -417,18 +448,23 @@ class TestSplitParse:
         # 20k rows: the second share's record is some 240 kB, far above PIPE_BUF.
         path = tmp_path / "records.csv"
         write_records(path, 20_000)
-        parent, calls = os.getpid(), []
-        real_parse, real_dumps = calibration._parse, pickle.dumps
+        parent, shares, parses, waits = os.getpid(), [], [], []
+        real_share, real_parse, real_dumps, real_waitpid = (
+            calibration._share_columns, calibration._parse, pickle.dumps, os.waitpid)
 
-        def parse(lines):
+        def share(*args, **kwargs):
             if os.getpid() == parent:
-                calls.append(None)
+                shares.append(None)
             elif failure == "exit":
                 os._exit(3)
             elif failure == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             elif failure == "raise":
                 raise OSError("share failed")
+            return real_share(*args, **kwargs)
+
+        def parse(lines):
+            parses.append(lines.tell())
             return real_parse(lines)
 
         def dumps(obj, *args, **kwargs):
@@ -436,8 +472,17 @@ class TestSplitParse:
             data = real_dumps(obj, *args, **kwargs)
             return data[: len(data) // 2] if os.getpid() != parent and failure == "truncated" else data
 
+        def waitpid(pid, options):
+            try:
+                return real_waitpid(pid, options)
+            except ChildProcessError:
+                waits.append(pid)
+                raise
+
+        monkeypatch.setattr(calibration, "_share_columns", share)
         monkeypatch.setattr(calibration, "_parse", parse)
         monkeypatch.setattr(pickle, "dumps", dumps)
+        monkeypatch.setattr(os, "waitpid", waitpid)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
         monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
         if failure == "refused fork":
@@ -452,11 +497,15 @@ class TestSplitParse:
         finally:
             if failure == "SIGCHLD ignored":
                 signal.signal(signal.SIGCHLD, previous)
-        # With no pipe or fork to be had, the whole file is parsed here, once; a
-        # failed share has it parsed again after the first share. Where SIGCHLD
-        # is ignored the child reaps itself, and the columns it sent in full are kept.
-        assert len(calls) == (2 if failure in ("exit", "kill", "raise", "truncated") else 1)
-        monkeypatch.setattr(calibration, "_parse", real_parse)
+        monkeypatch.undo()
+        # A failed share has the whole file parsed here in one stream, from its
+        # start, after this process converted the first share; with no pipe or
+        # fork to be had, before any share runs. Where SIGCHLD is ignored the
+        # child reaps itself, and the columns it sent in full are kept.
+        if failure == "SIGCHLD ignored":
+            assert (len(shares), parses, len(waits)) == (1, [], 1)
+        else:
+            assert (len(shares), parses, waits) == (0 if failure.startswith("refused") else 1, [0], [])
         assert got == parsed(str(path))
         assert_all_children_reaped()
 

@@ -752,17 +752,23 @@ class TestCalibCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
 
     # Runs ``lkld.cli.main(argv)`` with a two-CPU mask, so a large records file
-    # is parsed in two shares, and ends the child parsing the second share with
-    # exit status 3. Prints how many children it forked.
+    # is parsed in two shares, and ends the child converting the second share
+    # with exit status 3. Prints how many children it forked and how many
+    # times this process ran the one-stream parse.
     DYING_SHARE_PROBE = """
 import os, sys
 from lkld import calibration, cli
 
-parent, real_parse, real_fork, forks = os.getpid(), calibration._parse, os.fork, []
+parent, real_share, real_parse, real_fork = os.getpid(), calibration._share_columns, calibration._parse, os.fork
+forks, parses = [], []
 
-def parse(lines):
+def share(*args, **kwargs):
     if os.getpid() != parent:
         os._exit(3)
+    return real_share(*args, **kwargs)
+
+def parse(lines):
+    parses.append(None)
     return real_parse(lines)
 
 def fork():
@@ -771,9 +777,10 @@ def fork():
 
 os.sched_getaffinity = lambda pid: {0, 1}
 os.fork = fork
+calibration._share_columns = share
 calibration._parse = parse
 code = cli.main(sys.argv[1:])
-print(f"forks={len(forks)}")
+print(f"forks={len(forks)} parses={len(parses)}")
 sys.exit(code)
 """
 
@@ -793,13 +800,37 @@ sys.exit(code)
              "-o", str(tmp_path / "split.csv")],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1\n", "")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1 parses=1\n", "")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert main(["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / "serial.csv")]) == 0
         split = {p.name.removeprefix("split"): p.read_bytes() for p in tmp_path.glob("split*.csv")}
         serial = {p.name.removeprefix("serial"): p.read_bytes() for p in tmp_path.glob("serial*.csv")}
         assert len(split) == 1 + len(names)
         assert split == serial
+
+    @pytest.mark.parametrize("ending, last", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")],
+                             ids=["lf", "crlf", "no-final-newline"])
+    def test_forked_and_one_cpu_runs_write_the_same_bytes(self, tmp_path, monkeypatch, ending, last):
+        from lkld import calibration
+
+        names = ("car", "pedestrian", "a/b", "", "\u00e9")
+        rows = [f"{math.sin(i)!r},{1.0 + (i % 97) / 7.0!r},{names[i % 5]}" for i in range(60_000)]
+        csv_in = tmp_path / "preds.csv"
+        csv_in.write_bytes((ending.join(["residual,scale,class_name", *rows]) + last).encode("utf-8"))
+        assert csv_in.stat().st_size >= 2 * calibration._SHARE_BYTES
+        forks, parses = [], []
+        real_fork, real_parse = os.fork, calibration._parse
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
+        outputs = {}
+        for run, mask in (("split", {0, 1}), ("serial", {0})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
+            assert main(["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / f"{run}.csv")]) == 0
+            outputs[run] = {p.name.removeprefix(run): p.read_bytes() for p in tmp_path.glob(f"{run}*.csv")}
+        # The two-CPU run forked one child and kept both shares; the one-CPU run parsed in one stream.
+        assert (len(forks), len(parses)) == (1, 1)
+        assert len(outputs["split"]) == 1 + len(names)
+        assert outputs["split"] == outputs["serial"]
 
     @settings(max_examples=40, deadline=None)
     @given(

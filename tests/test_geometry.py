@@ -504,6 +504,10 @@ class TestIntersectConvex:
     @example(square(), square(x0=0.5))
     @example(square(), square(x0=5.0))
     @example(square(x0=0.25, side=0.5), square())
+    @example(  # a subnormal x, halved at the pair's scale, loses its last bit
+        rect_to_polygon(OrientedRect(Point2(0, 0), 0, 1, 1)),
+        convex_hull([(0, 0), (1, 0), (2.225073858507e-311, 1)]),
+    )
     def test_equals_the_clip_that_always_re_hulls(self, a, b):
         for p, q in ((a, b), (b, a)):
             assert repr(intersect_convex(p, q).vertices) == repr(reference_intersect_convex(p, q).vertices)

@@ -1,9 +1,11 @@
 """Forked shares of one job: the worker-count rule and a pipe per child.
 
 ``synth_trainer.compare`` trains its modes this way,
-``calibration.records_from_csv`` parses a large records file and
-``label_uncertainty.evaluate_tracks`` decodes, gates and evaluates a large
-tracks document. All three keep one failure policy: ``run_shares`` gives
+``calibration.records_from_csv`` parses a records file and
+``label_uncertainty.evaluate_tracks`` decodes, gates and evaluates a tracks
+document. The last two run every file through ``run_shares``, with one
+share (run here, with no pipe and no fork) where the file is small or
+there is one CPU. All three keep one failure policy: ``run_shares`` gives
 every share's value or ``None``, and on ``None`` the caller does the whole
 job in one pass in this process, so its results and errors are those of
 that pass.
@@ -23,11 +25,11 @@ T = TypeVar("T")
 
 def workers(most: int) -> int:
     """How many shares to run at once: one per CPU in the process's affinity
-    mask, at most ``most``; 1 outside Linux (no ``os.sched_getaffinity``) or
-    while another Python thread runs, since a forked child holds only the
-    calling thread."""
+    mask, at most ``most`` and at least 1; 1 outside Linux (no
+    ``os.sched_getaffinity``) or while another Python thread runs, since a
+    forked child holds only the calling thread."""
     if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        return min(most, len(os.sched_getaffinity(0)))
+        return max(1, min(most, len(os.sched_getaffinity(0))))
     return 1
 
 
@@ -35,13 +37,14 @@ def run_shares(run: Callable[[int], T], n: int) -> list[T] | None:
     """``[run(0), ..., run(n - 1)]``, or ``None`` if a pipe or a fork cannot
     be had, a share raises, or a child ends without sending its value in full.
 
-    Share 0 runs in this process once the children are forked. Each other
-    share runs in a child forked from it, which sees the caller's data as it
-    was at the fork, pickles its one value down a private pipe and leaves
-    through ``os._exit``. A child whose pipe has been read to its end is
-    reaped, not killed: it has closed its end and is leaving, and where
-    SIGCHLD is ignored it may have reaped itself and freed its pid for reuse.
-    Any other child is killed and then reaped. No child outlives the call.
+    Share 0 runs in this process once the children are forked, so with
+    ``n == 1`` no pipe is opened and nothing is forked. Each other share runs
+    in a child forked from it, which sees the caller's data as it was at the
+    fork, pickles its one value down a private pipe and leaves through
+    ``os._exit``. A child whose pipe has been read to its end is reaped, not
+    killed: it has closed its end and is leaving, and where SIGCHLD is
+    ignored it may have reaped itself and freed its pid for reuse. Any
+    other child is killed and then reaped. No child outlives the call.
     """
     children: list[tuple[int, BinaryIO]] = []
     try:

@@ -156,11 +156,12 @@ def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
     columns are kept. Each row is checked once: three columns, a finite
     residual and a positive finite scale. Errors name the row's file line.
 
-    A path of at least ``2 * _SHARE_BYTES`` bytes is parsed in byte-range
-    shares, one per CPU in the affinity mask (Linux only, and only while no
-    other Python thread runs): each cut falls just after a newline, this
-    process converts the first share and a forked child each other one (see
-    ``_fork``), and the shares' columns are joined in file order with the
+    A path is converted in byte-range shares: one per whole ``_SHARE_BYTES``
+    of the file and per CPU in the affinity mask (Linux only, and only while
+    no other Python thread runs), and at least one. Each cut falls just
+    after a newline. This process converts the first share, with no pipe and
+    no fork when it is the only one, and a forked child each other one (see
+    ``_fork``); the shares' columns are joined in file order with the
     classes in first-seen order. A share converts its bytes a chunk at a
     time, without ``csv``, so it fails on any chunk that ``csv`` might read
     otherwise than as plain lines of comma-separated cells: one with a
@@ -168,8 +169,8 @@ def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
     outside ``\\r\\n``. It also fails if it cannot be read or decoded, holds
     a bad row or no header (the first share), or its child dies. If a pipe
     or a fork cannot be had, or any share fails, the whole file is parsed
-    in one stream. The columns and every error are thus those of the
-    one-stream parse of the open file.
+    in one stream, as an iterable is. The columns and every error are thus
+    those of the one-stream parse of the open file.
     """
     if not isinstance(lines, os.PathLike):
         return _parse(lines)
@@ -215,24 +216,20 @@ def _columns(residuals: array, scales: array, index: dict[str, int], codes: arra
 
 
 # The smallest share worth a child: forking, piping and reaping one costs
-# about as much as parsing 300 kB, so a share is never under 1 MiB.
+# about as much as parsing 300 kB, so a file is split only into shares of 1 MiB or more.
 _SHARE_BYTES = 1 << 20
 # Bytes read at a time within a share; each chunk is cut after its last newline.
 _CHUNK_BYTES = 1 << 16
 
 
 def _parse_shares(fd: int) -> PredictionColumns | None:
-    """The open file's columns parsed in forked byte-range shares, or ``None``
-    if it is too small to split, there is one CPU, or ``_fork.run_shares``
-    gives ``None``."""
-    size = os.fstat(fd).st_size
-    if size < 2 * _SHARE_BYTES:
-        return None
+    """The open file's columns converted in byte-range shares, one per
+    ``_SHARE_BYTES`` and CPU and at least one, or ``None`` if
+    ``_fork.run_shares`` gives ``None``."""
     from . import _fork
 
+    size = os.fstat(fd).st_size
     n = _fork.workers(size // _SHARE_BYTES)
-    if n < 2:
-        return None
     cuts = [0]
     for k in range(1, n):
         cuts.append(_line_end(fd, max(cuts[-1], k * size // n), size))

@@ -27,11 +27,9 @@ as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file.
 and ``lkld._util``, and none of the domain modules. Each command imports the
 one it runs when it runs, so start-up pays only for what the command uses:
 
-- ``calib``: ``calibration``, and ``_fork`` when the file is large enough
-  to parse in forked shares;
+- ``calib``: ``calibration`` and ``_fork``, which runs its shares;
 - ``labelunc``, ``fit-map``, ``iou-hist``: ``label_uncertainty``, which
-  loads ``geometry``; ``labelunc`` also loads ``_fork`` when the tracks
-  file is large enough to evaluate in forked shares;
+  loads ``geometry``; ``labelunc`` also loads ``_fork``;
 - ``loss-eval``, ``grad-check``, ``surface``: ``distributions``;
 - ``train``, ``compare``: ``synth_trainer``, which loads the other four;
   ``compare`` also loads ``_fork``.

@@ -336,23 +336,25 @@ def evaluate_tracks(
     label-id order.
 
     ``tracks`` may also be the path of a tracks document, read once as UTF-8
-    with universal newlines and built by ``tracks_from_json(json.loads(text))``.
-    A text of at least ``2 * _SHARE_CHARS`` characters that is exactly
-    ``{"tracks": [...]}``, give or take whitespace, is split into one share of
-    the array per CPU in the affinity mask (Linux only, and only while no
-    other Python thread runs). A share starts at the first ``{`` at or after
-    its nominal point that follows a ``,`` and decodes to an object holding
-    ``"poses"``, decodes its elements up to the first one starting at or
-    after the next share's nominal point, and builds and evaluates them as
-    above; this process runs the first share and a forked child each other
-    one (see ``_fork``). The split is kept only if each share stopped where
-    the next one started and the last at the array's end, so that the
-    shares cover the array exactly, once; its records are then sorted
-    stably by label id. If that check fails, a pipe or a fork cannot be
-    had, or any share fails (a decode error, a bad track, a class with no
-    mapping), or its child dies, the whole text is built and evaluated in
-    this process. The records and every error are thus those of the whole
-    text built and evaluated in one pass.
+    with universal newlines. A text that is exactly ``{"tracks": [...]}``,
+    give or take whitespace, is split into shares of the array: one per
+    whole ``_SHARE_CHARS`` characters and per CPU in the affinity mask (Linux
+    only, and only while no other Python thread runs), and at least one. A
+    share starts at the first ``{`` at or after its nominal point that
+    follows a ``,`` and decodes to an object holding ``"poses"``, decodes
+    its elements up to the first one starting at or after the next share's
+    nominal point, and builds and evaluates them as above. This process
+    runs the first share, with no pipe and no fork when it is the only one,
+    and a forked child each other one (see ``_fork``). The split is kept
+    only if each share stopped where the next one started and the last at
+    the array's end, so that the shares cover the array exactly, once; its
+    records are then sorted stably by label id. If that check fails, a pipe
+    or a fork cannot be had, or any share fails (a decode error, a bad
+    track, a class with no mapping), or its child dies, and for any text of
+    another shape, the whole text is built by
+    ``tracks_from_json(json.loads(text))`` and evaluated in this process.
+    The records and every error are thus those of the whole text built and
+    evaluated in one pass.
     """
     if isinstance(tracks, os.PathLike):
         with open(tracks, "r", encoding="utf-8") as handle:
@@ -374,7 +376,7 @@ def evaluate_tracks(
 
 # The smallest share worth a child: two shares break even with one pass at
 # about 350 kB of document (forking, piping and reaping a child take about
-# 4 ms), so a share is never under 1 Mi characters.
+# 4 ms), so a document is split only into shares of 1 Mi characters or more.
 _SHARE_CHARS = 1 << 20
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 _TRACKS_OPEN = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"tracks"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
@@ -384,12 +386,10 @@ _TRACKS_CLOSE = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*\Z")
 def _evaluate_shares(
     text: str, mapping: UncertaintyMapping | None, per_class: Mapping[str, UncertaintyMapping] | None
 ) -> list[LabelUncertaintyRecord] | None:
-    """``evaluate_tracks`` of a tracks document's text in forked shares, or
-    ``None`` if it is too small or not shaped to split, there is one CPU,
-    ``_fork.run_shares`` gives ``None``, or the shares do not cover the
-    array exactly."""
-    if len(text) < 2 * _SHARE_CHARS:
-        return None
+    """``evaluate_tracks`` of a tracks document's text in shares of its array,
+    one per ``_SHARE_CHARS`` and CPU and at least one, or ``None`` if it is
+    not shaped ``{"tracks": [...]}``, ``_fork.run_shares`` gives ``None``,
+    or the shares do not cover the array exactly."""
     opened = _TRACKS_OPEN.match(text)
     close = text.rfind("]")  # the array's end, if the text ends "] }"
     if opened is None or close < opened.end() or not _TRACKS_CLOSE.match(text, close):
@@ -397,8 +397,6 @@ def _evaluate_shares(
     from . import _fork
 
     n = _fork.workers(len(text) // _SHARE_CHARS)
-    if n < 2:
-        return None
     first = opened.end()
     points = [first + k * (close - first) // n for k in range(n)] + [close]
 

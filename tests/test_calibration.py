@@ -4,9 +4,7 @@ import csv
 import io
 import math
 import os
-import pickle
 import re
-import signal
 import tempfile
 import threading
 import tracemalloc
@@ -17,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from conftest import assert_all_children_reaped, cpus, refuse_fork, refuse_pipe
+from conftest import SHARE_FAILURES, assert_all_children_reaped, cpus, share_failure
 from lkld import calibration
 from lkld.calibration import (
     DEFAULT_GRID,
@@ -323,6 +321,7 @@ ODD_LINES = st.sampled_from([
     b'0.5,1,"a\n1,1,b"',
     b'0.5,1,"a,b"',
     b"0.5,1,\xff",  # invalid UTF-8
+    b"7",  # one cell and no comma
 ])
 
 
@@ -338,7 +337,7 @@ class TestSplitParse:
         odd=ODD_LINES,
         odd_at=st.integers(0, 40),
         last_ending=st.booleans(),
-        n_cpus=st.integers(2, 4),
+        n_cpus=st.integers(1, 4),
         share_bytes=st.integers(1, 64),
         chunk_bytes=st.sampled_from([64, 1 << 16]),
     )
@@ -426,8 +425,12 @@ class TestSplitParse:
         monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
         size = path.stat().st_size
         monkeypatch.setattr(calibration, "_SHARE_BYTES", size if case == "small" else 64)
-        forks = []
+        forks, shares, parses = [], [], []
+        real_share, real_parse = calibration._share_columns, calibration._parse
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or pytest.fail("forked"))
+        monkeypatch.setattr(calibration, "_share_columns", lambda *args, **kwargs: shares.append(None)
+                            or real_share(*args, **kwargs))
+        monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if case == "thread":
@@ -438,39 +441,22 @@ class TestSplitParse:
             stop.set()
             if case == "thread":
                 thread.join(timeout=60)
-        assert forks == []
+        # One share, converted here; the one-stream parse never ran.
+        assert (forks, len(shares), parses) == ([], 1, [])
+        monkeypatch.setattr(calibration, "_parse", real_parse)
         assert got == parsed(str(path))
 
-    @pytest.mark.parametrize(
-        "failure", ["exit", "kill", "raise", "truncated", "refused fork", "refused pipe", "SIGCHLD ignored"]
-    )
+    @pytest.mark.parametrize("failure", SHARE_FAILURES)
     def test_a_failing_share_gives_the_one_stream_columns(self, tmp_path, monkeypatch, failure):
         # 20k rows: the second share's record is some 240 kB, far above PIPE_BUF.
         path = tmp_path / "records.csv"
         write_records(path, 20_000)
-        parent, shares, parses, waits = os.getpid(), [], [], []
-        real_share, real_parse, real_dumps, real_waitpid = (
-            calibration._share_columns, calibration._parse, pickle.dumps, os.waitpid)
-
-        def share(*args, **kwargs):
-            if os.getpid() == parent:
-                shares.append(None)
-            elif failure == "exit":
-                os._exit(3)
-            elif failure == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif failure == "raise":
-                raise OSError("share failed")
-            return real_share(*args, **kwargs)
+        parses, waits = [], []
+        real_parse, real_waitpid = calibration._parse, os.waitpid
 
         def parse(lines):
             parses.append(lines.tell())
             return real_parse(lines)
-
-        def dumps(obj, *args, **kwargs):
-            # In the child, half a record: as if it died partway through the write.
-            data = real_dumps(obj, *args, **kwargs)
-            return data[: len(data) // 2] if os.getpid() != parent and failure == "truncated" else data
 
         def waitpid(pid, options):
             try:
@@ -479,24 +465,12 @@ class TestSplitParse:
                 waits.append(pid)
                 raise
 
-        monkeypatch.setattr(calibration, "_share_columns", share)
         monkeypatch.setattr(calibration, "_parse", parse)
-        monkeypatch.setattr(pickle, "dumps", dumps)
         monkeypatch.setattr(os, "waitpid", waitpid)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
         monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
-        if failure == "refused fork":
-            monkeypatch.setattr(os, "fork", refuse_fork)
-        if failure == "refused pipe":
-            monkeypatch.setattr(os, "pipe", refuse_pipe)
-        if failure == "SIGCHLD ignored":
-            # The child reaps itself, so waiting for it fails with ECHILD.
-            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
+        with share_failure(failure, calibration, "_share_columns") as shares:
             got = parsed(path)
-        finally:
-            if failure == "SIGCHLD ignored":
-                signal.signal(signal.SIGCHLD, previous)
         monkeypatch.undo()
         # A failed share has the whole file parsed here in one stream, from its
         # start, after this process converted the first share; with no pipe or

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -818,19 +819,30 @@ sys.exit(code)
         csv_in = tmp_path / "preds.csv"
         csv_in.write_bytes((ending.join(["residual,scale,class_name", *rows]) + last).encode("utf-8"))
         assert csv_in.stat().st_size >= 2 * calibration._SHARE_BYTES
-        forks, parses = [], []
-        real_fork, real_parse = os.fork, calibration._parse
+        forks, parses, columns = [], [], []
+        real_fork, real_parse, real_records = os.fork, calibration._parse, calibration.records_from_csv
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
         monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
+        monkeypatch.setattr(calibration, "records_from_csv", lambda lines: columns.append(real_records(lines))
+                            or columns[-1])
         outputs = {}
         for run, mask in (("split", {0, 1}), ("serial", {0})):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
             assert main(["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / f"{run}.csv")]) == 0
             outputs[run] = {p.name.removeprefix(run): p.read_bytes() for p in tmp_path.glob(f"{run}*.csv")}
-        # The two-CPU run forked one child and kept both shares; the one-CPU run parsed in one stream.
-        assert (len(forks), len(parses)) == (1, 1)
+        # The two-CPU run forked one child and the one-CPU run converted its one
+        # share here; neither ran the one-stream parse.
+        assert (len(forks), len(parses)) == (1, 0)
         assert len(outputs["split"]) == 1 + len(names)
         assert outputs["split"] == outputs["serial"]
+        # Both runs' columns are those of the csv one-stream parse of the open file.
+        with open(csv_in, "r", encoding="utf-8", newline="") as handle:
+            streamed = real_records(handle)
+        assert len(columns) == 2
+        for got in columns:
+            assert got.classes == streamed.classes
+            for column in ("residuals", "scales", "codes"):
+                assert getattr(got, column).tobytes() == getattr(streamed, column).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1088,6 +1100,31 @@ class TestModuleEntryPoint:
         assert sorted(tmp_path.iterdir()) == []
 
 
+class TestConsoleScript:
+    """``tests/cli_checks.sh``, the checks of CI's "Console script" step, run
+    here with a ``python -m lkld`` shim as ``lkld``."""
+
+    def test_cli_checks_pass(self, tmp_path):
+        missing = [tool for tool in ("bash", "taskset") if shutil.which(tool) is None]
+        if missing:
+            pytest.skip(f"the script needs {' and '.join(missing)}, which is not on PATH")
+        if not {0, 1} <= getattr(os, "sched_getaffinity", lambda pid: set())(0):
+            pytest.skip("the script runs taskset -c 0,1, and CPUs 0 and 1 are not both in the affinity mask")
+        root = Path(__file__).resolve().parents[1]
+        shims = tmp_path / "bin"
+        shims.mkdir()
+        (shims / "lkld").write_text('#!/bin/sh\nexec python -m lkld "$@"\n')
+        (shims / "lkld").chmod(0o755)
+        scratch = tmp_path / "runner"
+        scratch.mkdir()
+        path = os.pathsep.join([str(shims), os.path.dirname(sys.executable), os.environ.get("PATH", "")])
+        env = {**os.environ, "PATH": path, "RUNNER_TEMP": str(scratch), "PYTHONWARNINGS": "error::RuntimeWarning",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(["bash", "tests/cli_checks.sh"], cwd=root, env=env, capture_output=True, text=True,
+                             timeout=600)
+        assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
+
+
 # Runs ``lkld.cli.main(argv)`` in a fresh interpreter and prints, as its last
 # line, the lkld modules loaded by ``import lkld.cli`` and after the run, and
 # the lkld or numpy objects the run left in cyclic garbage.
@@ -1122,8 +1159,8 @@ class TestImportFootprint:
     """``import lkld.cli`` loads no domain module; each command loads only its own."""
 
     FOOTPRINTS = {
-        "calib": ["calibration"],
-        "labelunc": ["geometry", "label_uncertainty"],
+        "calib": ["_fork", "calibration"],
+        "labelunc": ["_fork", "geometry", "label_uncertainty"],
         "fit-map": ["geometry", "label_uncertainty"],
         "iou-hist": ["geometry", "label_uncertainty"],
         "loss-eval": ["distributions"],
@@ -1457,6 +1494,8 @@ class TestCollectorPause:
         evaluate_tracks = label_uncertainty.evaluate_tracks
 
         def probe(*args, **kwargs):
+            # Only the top-level call: a lone share of the file calls evaluate_tracks again.
+            monkeypatch.setattr(label_uncertainty, "evaluate_tracks", evaluate_tracks)
             seen.append(gc.isenabled())
             return evaluate_tracks(*args, **kwargs)
 

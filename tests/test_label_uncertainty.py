@@ -3,8 +3,6 @@
 import json
 import math
 import os
-import pickle
-import signal
 import tempfile
 import threading
 from pathlib import Path
@@ -13,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import assert_all_children_reaped, cpus, refuse_fork, refuse_pipe
+from conftest import SHARE_FAILURES, assert_all_children_reaped, cpus, share_failure
 from oracles import reference_evaluate_tracks, reference_label_frame, reference_tracks_from_json
 
 from lkld import geometry, label_uncertainty
@@ -913,7 +911,7 @@ class TestSplitEvaluate:
     @settings(max_examples=150, deadline=None)
     @given(
         text=_tracks_texts(),
-        n_cpus=st.integers(2, 4),
+        n_cpus=st.integers(1, 4),
         share_chars=st.integers(100, 600),
         default=st.sampled_from([MAPPING] * 6 + [None]),
     )
@@ -980,8 +978,12 @@ class TestSplitEvaluate:
         size = write_tracks(path, 20)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
         monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size if case == "small" else 64)
-        forks = []
+        forks, shares, built = [], [], []
+        real_decode, real_build = label_uncertainty._decode_elements, label_uncertainty.tracks_from_json
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or pytest.fail("forked"))
+        monkeypatch.setattr(label_uncertainty, "_decode_elements", lambda *args: shares.append(None)
+                            or real_decode(*args))
+        monkeypatch.setattr(label_uncertainty, "tracks_from_json", lambda doc: built.append(None) or real_build(doc))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if case == "thread":
@@ -992,53 +994,22 @@ class TestSplitEvaluate:
             stop.set()
             if case == "thread":
                 thread.join(timeout=60)
-        assert forks == []
+        # One share, decoded and built here; the whole document was never built.
+        assert (forks, len(shares), len(built)) == ([], 1, 1)
+        monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
         assert got == evaluated(str(path))
 
-    @pytest.mark.parametrize(
-        "failure", ["exit", "kill", "raise", "truncated", "refused fork", "refused pipe", "SIGCHLD ignored"]
-    )
+    @pytest.mark.parametrize("failure", SHARE_FAILURES)
     def test_a_failing_share_gives_the_one_pass_records(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "tracks.json"
         size = write_tracks(path, 40)
-        parent, built = os.getpid(), []
-        real_build, real_dumps = label_uncertainty.tracks_from_json, pickle.dumps
-
-        def build(doc):
-            if os.getpid() == parent:
-                built.append(None)
-            elif failure == "exit":
-                os._exit(3)
-            elif failure == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif failure == "raise":
-                raise OSError("share failed")
-            return real_build(doc)
-
-        def dumps(obj, *args, **kwargs):
-            # In the child, half its value: as if it died partway through the write.
-            data = real_dumps(obj, *args, **kwargs)
-            return data[: len(data) // 2] if os.getpid() != parent and failure == "truncated" else data
-
-        monkeypatch.setattr(label_uncertainty, "tracks_from_json", build)
-        monkeypatch.setattr(pickle, "dumps", dumps)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
         monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size // 2)
-        if failure == "refused fork":
-            monkeypatch.setattr(os, "fork", refuse_fork)
-        if failure == "refused pipe":
-            monkeypatch.setattr(os, "pipe", refuse_pipe)
-        if failure == "SIGCHLD ignored":
-            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
+        with share_failure(failure, label_uncertainty, "tracks_from_json") as built:
             got = evaluated(path)
-        finally:
-            if failure == "SIGCHLD ignored":
-                signal.signal(signal.SIGCHLD, previous)
         # With no pipe or fork to be had, the whole document is built here, once;
         # a failed share has it built again after the first share. Where SIGCHLD
         # is ignored the child's complete records are kept.
         assert len(built) == (2 if failure in ("exit", "kill", "raise", "truncated") else 1)
-        monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
         assert got == evaluated(str(path))
         assert_all_children_reaped()

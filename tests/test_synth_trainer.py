@@ -5,9 +5,7 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import re
-import signal
 import threading
 import time
 
@@ -41,7 +39,7 @@ from lkld.synth_trainer import (
 )
 from lkld.synth_trainer import _evaluate
 
-from conftest import assert_all_children_reaped, cpus, refuse_fork, refuse_pipe
+from conftest import SHARE_FAILURES, assert_all_children_reaped, cpus, refuse_fork, share_failure
 from oracles import _reference_evaluate, central_difference, reference_train
 
 
@@ -753,50 +751,17 @@ class TestForkedCompare:
                 compare(configs)
         assert_all_children_reaped()
 
-    @pytest.mark.parametrize(
-        "failure", ["exit", "kill", "raise", "truncated", "refused fork", "refused pipe", "SIGCHLD ignored"]
-    )
+    @pytest.mark.parametrize("failure", SHARE_FAILURES)
     def test_a_failing_share_gives_the_serial_rows(self, monkeypatch, failure):
         # Three CPUs deal five configs into shares (0, 3), (1, 4) and (2,). The
         # child training (1, 4) fails on config 4, after training config 1.
         configs = self.configs(5)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
         serial = repr(compare(configs))
-        parent, trained = os.getpid(), []
-        real_train, real_dumps = synth_trainer.train, pickle.dumps
-
-        def failing_train(cfg, *args, **kwargs):
-            if os.getpid() == parent:
-                trained.append(None)
-            elif configs.index(cfg) == 4:
-                if failure == "exit":
-                    os._exit(3)
-                elif failure == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                elif failure == "raise":
-                    raise OSError("share failed")
-            return real_train(cfg, *args, **kwargs)
-
-        def dumps(obj, *args, **kwargs):
-            # In a child, half its rows: as if it died partway through the write.
-            data = real_dumps(obj, *args, **kwargs)
-            return data[: len(data) // 2] if os.getpid() != parent and failure == "truncated" else data
-
-        monkeypatch.setattr(synth_trainer, "train", failing_train)
-        monkeypatch.setattr(pickle, "dumps", dumps)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
-        if failure == "refused fork":
-            monkeypatch.setattr(os, "fork", refuse_fork)
-        if failure == "refused pipe":
-            monkeypatch.setattr(os, "pipe", refuse_pipe)
-        if failure == "SIGCHLD ignored":
-            # The children reap themselves, so waiting for one fails with ECHILD.
-            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
+        with share_failure(failure, synth_trainer, "train",
+                           lambda cfg, *args, **kwargs: configs.index(cfg) == 4) as trained:
             rows = repr(compare(configs))
-        finally:
-            if failure == "SIGCHLD ignored":
-                signal.signal(signal.SIGCHLD, previous)
         # With no pipe or fork to be had, all five configs are trained here, once;
         # a failed share has them trained after the first share's two. Where
         # SIGCHLD is ignored the rows the children sent in full are kept.

@@ -19,6 +19,7 @@ _EXPORTS = {
         "calibration_report",
         "laplace_cdf",
         "laplace_quantile",
+        "reports_from_csv",
     ),
     "distributions": (
         "GradCheckResult",

@@ -16,7 +16,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "calibration_report",
     "report_to_csv",
     "records_from_csv",
+    "reports_from_csv",
 ]
 
 DEFAULT_GRID: tuple[float, ...] = tuple(i / 100.0 for i in range(1, 100))
@@ -52,14 +53,25 @@ def laplace_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """CDF of the standard Laplace distribution.
 
     Takes a float or an array; a float gives a float, an array an array of
-    the same shape. Non-finite input raises ``ValueError``.
+    the same shape. Non-finite input raises ``ValueError``; for an array it
+    names the first non-finite value and its index.
     """
     arr = np.asarray(z, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"z must be finite, got {z}")
-    tail = 0.5 * np.exp(-np.abs(arr))
-    cdf = np.where(arr < 0.0, tail, 1.0 - tail)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        if arr.ndim == 0:
+            raise ValueError(f"z must be finite, got {z}")
+        index = np.unravel_index(int(finite.argmin()), arr.shape)
+        at = int(index[0]) if arr.ndim == 1 else tuple(map(int, index))
+        raise ValueError(f"z must be finite, got {float(arr[index])} at index {at}")
+    cdf = _cdf(arr)
     return float(cdf) if arr.ndim == 0 else cdf
+
+
+def _cdf(z: np.ndarray) -> np.ndarray:
+    """``laplace_cdf`` of a finite array, unchecked."""
+    tail = 0.5 * np.exp(-np.abs(z))
+    return np.where(z < 0.0, tail, 1.0 - tail)
 
 
 def laplace_quantile(p: float | np.ndarray) -> float | np.ndarray:
@@ -94,9 +106,9 @@ def calibration_report(
     ``observed(p) = |{i : cdf(residuals[i] / scales[i]) <= p}| / n`` over
     parallel 1-d arrays of residuals (label minus predicted location) and
     predicted scales. Residuals must be finite and scales positive and
-    finite; a standard score that overflows is rejected. The grid must be
-    non-empty, inside (0, 1) and strictly increasing; it is checked on
-    every call.
+    finite; a standard score that overflows is rejected, naming the first
+    such record by its 1-based position. The grid must be non-empty, inside
+    (0, 1) and strictly increasing; it is checked on every call.
     """
     residuals = np.asarray(residuals, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -109,15 +121,54 @@ def calibration_report(
     if not ((scales > 0.0).all() and np.isfinite(scales).all()):
         raise ValueError("scales must be positive and finite")
     grid_arr = _grid_array(grid)
+    records = PredictionColumns(residuals, scales, ("",), np.zeros(residuals.size, dtype=np.int64))
+    return _report(_count_table(records, grid_arr)[0], grid_arr)
+
+
+def _count_table(records: PredictionColumns, grid_arr: np.ndarray) -> np.ndarray:
+    """Per-class counts of Laplace-CDF scores at or below each grid point.
+
+    Row k of the int64 ``(classes, grid + 1)`` table counts the scores of
+    class k's records at or below each grid point, then the records. The
+    records are grouped by class with one stable argsort of the codes, and
+    each class's scores are sorted once. Counts add up exactly, so the
+    tables of disjoint record sets can be summed. A standard score that
+    overflows raises ``ValueError``, naming the first such record by its
+    1-based position.
+    """
+    residuals, scales, n_classes = records.residuals, records.scales, len(records.classes)
     with np.errstate(over="ignore"):
         z = residuals / scales
-    scores = laplace_cdf(z)
-    scores.sort()
-    # Inclusive comparison: a score CDF equal to the grid point counts.
-    observed = np.searchsorted(scores, grid_arr, side="right") / float(scores.size)
+    finite = np.isfinite(z)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(
+            f"record {i + 1}: the standard score overflows: residual {float(residuals[i])!r}, "
+            f"scale {float(scales[i])!r}"
+        )
+    scores = _cdf(z)
+    if n_classes > 1:
+        # Codes of 8 or 16 bits take numpy's radix sort.
+        scores = scores[np.argsort(records.codes.astype(np.min_scalar_type(n_classes)), kind="stable")]
+    sizes = np.bincount(records.codes, minlength=n_classes)
+    table = np.empty((n_classes, grid_arr.size + 1), dtype=np.int64)
+    table[:, -1] = sizes
+    start = 0
+    for row, size in zip(table, sizes.tolist()):
+        class_scores = scores[start:start + size]
+        class_scores.sort()
+        # Inclusive comparison: a score CDF equal to the grid point counts.
+        row[:-1] = np.searchsorted(class_scores, grid_arr, side="right")
+        start += size
+    return table
+
+
+def _report(counts: np.ndarray, grid_arr: np.ndarray) -> CalibrationReport:
+    """The report of one row of a ``_count_table``."""
+    observed = counts[:-1] / float(counts[-1])
     curve = tuple(zip(grid_arr.tolist(), observed.tolist()))
     ece = float(abs(observed - grid_arr).sum() / grid_arr.size)
-    return CalibrationReport(curve=curve, ece=ece, n=int(scores.size))
+    return CalibrationReport(curve=curve, ece=ece, n=int(counts[-1]))
 
 
 def report_to_csv(report: CalibrationReport) -> str:
@@ -156,27 +207,69 @@ def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
     columns are kept. Each row is checked once: three columns, a finite
     residual and a positive finite scale. Errors name the row's file line.
 
-    A path is converted in byte-range shares: one per whole ``_SHARE_BYTES``
-    of the file and per CPU in the affinity mask (Linux only, and only while
-    no other Python thread runs), and at least one. Each cut falls just
-    after a newline. This process converts the first share, with no pipe and
-    no fork when it is the only one, and a forked child each other one (see
-    ``_fork``); the shares' columns are joined in file order with the
-    classes in first-seen order. A share converts its bytes a chunk at a
-    time, without ``csv``, so it fails on any chunk that ``csv`` might read
-    otherwise than as plain lines of comma-separated cells: one with a
-    ``"`` (a quoted cell may also run across a cut), a NUL or a ``\\r``
-    outside ``\\r\\n``. It also fails if it cannot be read or decoded, holds
-    a bad row or no header (the first share), or its child dies. If a pipe
-    or a fork cannot be had, or any share fails, the whole file is parsed
-    in one stream, as an iterable is. The columns and every error are thus
-    those of the one-stream parse of the open file.
+    A path is converted in byte-range shares (``_parse_shares``): one per
+    whole ``_SHARE_BYTES`` of the file and per CPU in the affinity mask
+    (Linux only, and only while no other Python thread runs), and at least
+    one. Each cut falls just after a newline. This process converts the
+    first share, with no pipe and no fork when it is the only one, and a
+    forked child each other one (see ``_fork``), which pipes its columns
+    back; they are joined in file order with the classes in first-seen
+    order. A share converts its bytes a chunk at a time, without ``csv``,
+    so it fails on any chunk that ``csv`` might read otherwise than as plain
+    lines of comma-separated cells: one with a ``"`` (a quoted cell may also
+    run across a cut), a NUL or a ``\\r`` outside ``\\r\\n``. It also fails if
+    it cannot be read or decoded, holds a bad row or no header (the first
+    share), or its child dies. If a pipe or a fork cannot be had, or any
+    share fails, the whole file is parsed in one stream, as an iterable is.
+    The columns and every error are thus those of the one-stream parse of
+    the open file. ``reports_from_csv`` runs the same shares.
     """
     if not isinstance(lines, os.PathLike):
         return _parse(lines)
     with open(lines, "r", encoding="utf-8", newline="") as handle:
-        split = _parse_shares(handle.fileno())
-        return _parse(handle) if split is None else split
+        parts = _parse_shares(handle.fileno(), lambda columns: columns)
+        return _parse(handle) if parts is None else _joined(parts)
+
+
+def reports_from_csv(
+    lines: Iterable[str] | os.PathLike, grid: Sequence[float] = DEFAULT_GRID
+) -> tuple[CalibrationReport, dict[str, CalibrationReport]]:
+    """The pooled report of the rows ``records_from_csv`` reads, and one
+    report per class, keyed by class name in first-seen order.
+
+    The grid is checked first. A path is read in the shares of
+    ``records_from_csv``, but each share counts its own rows in
+    ``_count_table``, so a forked child sends its class names and a count
+    table, not its columns; the tables are added with the classes in
+    first-seen order, and the pooled counts are the sum of the class rows.
+    A share whose standard score overflows fails like any other, and then
+    the whole file is parsed in one stream and counted here. The reports
+    are those of ``calibration_report`` on all the records and on each
+    class's, and every error is that of the one-stream parse and count: an
+    overflow names its record's 1-based position in the file, and no rows
+    raise ``ValueError``.
+    """
+    grid_arr = _grid_array(grid)
+
+    def counted(columns: PredictionColumns) -> tuple[tuple[str, ...], np.ndarray]:
+        return columns.classes, _count_table(columns, grid_arr)
+
+    if not isinstance(lines, os.PathLike):
+        parts = [counted(_parse(lines))]
+    else:
+        with open(lines, "r", encoding="utf-8", newline="") as handle:
+            parts = _parse_shares(handle.fileno(), counted)
+            if parts is None:
+                parts = [counted(_parse(handle))]
+    index: dict[str, int] = {}
+    remaps = [[index.setdefault(name, len(index)) for name in classes] for classes, _ in parts]
+    counts = np.zeros((len(index), grid_arr.size + 1), dtype=np.int64)
+    for remap, (_, table) in zip(remaps, parts):
+        counts[remap] += table
+    pooled = counts.sum(axis=0)
+    if not pooled[-1]:
+        raise ValueError("records must be non-empty")
+    return _report(pooled, grid_arr), {name: _report(row, grid_arr) for name, row in zip(index, counts)}
 
 
 def _parse(lines: Iterable[str]) -> PredictionColumns:
@@ -222,10 +315,10 @@ _SHARE_BYTES = 1 << 20
 _CHUNK_BYTES = 1 << 16
 
 
-def _parse_shares(fd: int) -> PredictionColumns | None:
-    """The open file's columns converted in byte-range shares, one per
-    ``_SHARE_BYTES`` and CPU and at least one, or ``None`` if
-    ``_fork.run_shares`` gives ``None``."""
+def _parse_shares(fd: int, reduce: Callable[[PredictionColumns], object]) -> list | None:
+    """``reduce`` of the open file's columns in each byte-range share, one
+    per ``_SHARE_BYTES`` and CPU and at least one, in file order, or
+    ``None`` if ``_fork.run_shares`` gives ``None``."""
     from . import _fork
 
     size = os.fstat(fd).st_size
@@ -234,8 +327,7 @@ def _parse_shares(fd: int) -> PredictionColumns | None:
     for k in range(1, n):
         cuts.append(_line_end(fd, max(cuts[-1], k * size // n), size))
     cuts.append(size)
-    parts = _fork.run_shares(lambda k: _share_columns(fd, cuts[k], cuts[k + 1], header=k == 0), n)
-    return None if parts is None else _joined(parts)
+    return _fork.run_shares(lambda k: reduce(_share_columns(fd, cuts[k], cuts[k + 1], header=k == 0)), n)
 
 
 def _line_end(fd: int, pos: int, size: int) -> int:

@@ -7,8 +7,9 @@ leaves a partial file. All floating output uses 9 significant digits
 except the label-uncertainty records CSV, whose format is pinned at 6.
 
 The two CSV inputs, ``calib``'s predictions and ``iou-hist``'s records, are
-parsed in the library (``calibration.records_from_csv``,
-``label_uncertainty.ious_from_csv``) in one dialect, ``_util.csv_table``.
+parsed in the library (``calibration.reports_from_csv``, which parses and
+counts, and ``label_uncertainty.ious_from_csv``) in one dialect,
+``_util.csv_table``.
 Every numeric CSV output is written by one helper, ``_util.csv_text``; only
 the records CSV, which holds free text, goes through ``csv.writer``.
 Sizes taken from the command line are bounded before anything is made:
@@ -27,7 +28,8 @@ as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file.
 and ``lkld._util``, and none of the domain modules. Each command imports the
 one it runs when it runs, so start-up pays only for what the command uses:
 
-- ``calib``: ``calibration`` and ``_fork``, which runs its shares;
+- ``calib``: ``calibration`` and ``_fork``, which runs its shares; each
+  share converts and counts its rows and sends back a count table;
 - ``labelunc``, ``fit-map``, ``iou-hist``: ``label_uncertainty``, which
   loads ``geometry``; ``labelunc`` also loads ``_fork``;
 - ``loss-eval``, ``grad-check``, ``surface``: ``distributions``;
@@ -49,7 +51,7 @@ import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
+import numpy  # noqa: F401  every command uses it (see the module docstring)
 
 from ._util import csv_text, fmt_sig, write_text_atomic
 
@@ -318,22 +320,16 @@ def cmd_calib(args: argparse.Namespace) -> int:
     from . import calibration
 
     _check_input(args.records)
-    # A path, not an open file: a large one is parsed in forked shares.
-    preds = calibration.records_from_csv(pathlib.Path(args.records))
     grid = parse_range(args.grid) if args.grid else calibration.DEFAULT_GRID
-    classes = preds.classes if args.per_class else ()
+    # A path, not an open file: it is converted and counted in forked shares.
+    pooled, per_class = calibration.reports_from_csv(pathlib.Path(args.records), grid)
     stem, ext = os.path.splitext(args.output)
-    paths = {
-        k: f"{stem}.{class_file_part(classes[k])}{ext}"
-        for k in sorted(range(len(classes)), key=classes.__getitem__)
-    }
+    names = sorted(per_class) if args.per_class else []
+    paths = {name: f"{stem}.{class_file_part(name)}{ext}" for name in names}
     _check_outputs([args.output, *paths.values()], [args.records])
-    pooled = calibration.calibration_report(preds.residuals, preds.scales, grid)
     _emit(calibration.report_to_csv(pooled), args.output)
-    for k, path in paths.items():
-        rows = np.flatnonzero(preds.codes == k)
-        report = calibration.calibration_report(preds.residuals[rows], preds.scales[rows], grid)
-        write_text_atomic(path, calibration.report_to_csv(report))
+    for name, path in paths.items():
+        write_text_atomic(path, calibration.report_to_csv(per_class[name]))
     return 0
 
 

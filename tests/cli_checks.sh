@@ -76,6 +76,31 @@ for big in big big-crlf; do
   done
 done
 diff "$RUNNER_TEMP/big-calib.csv" "$RUNNER_TEMP/big-crlf-calib.csv"
+# Each share counts its rows on the grid it is given: the same diff on a
+# grid of 10 points.
+lkld calib --records "$RUNNER_TEMP/big.csv" --grid 0.05:1:0.1 --per-class -o "$RUNNER_TEMP/big-grid.csv"
+taskset -c 0 lkld calib --records "$RUNNER_TEMP/big.csv" --grid 0.05:1:0.1 --per-class \
+  -o "$RUNNER_TEMP/big-grid.serial.csv"
+for part in "" .car .bike .%; do
+  diff "$RUNNER_TEMP/big-grid$part.csv" "$RUNNER_TEMP/big-grid.serial$part.csv"
+done
+# Record 45000 of big.csv, in the second share, replaced by one whose
+# standard score overflows: both runs exit 1, write nothing and name it by
+# its position in the file.
+sed '45001s/.*/1e300,1e-10,car/' "$RUNNER_TEMP/big.csv" > "$RUNNER_TEMP/big-overflow.csv"
+echo 'error: record 45000: the standard score overflows: residual 1e+300, scale 1e-10' \
+  > "$RUNNER_TEMP/big-overflow.expected"
+status=0
+lkld calib --records "$RUNNER_TEMP/big-overflow.csv" --per-class -o "$RUNNER_TEMP/big-overflow.csv.out" \
+  2> "$RUNNER_TEMP/big-overflow.err" || status=$?
+test "$status" -eq 1
+status=0
+taskset -c 0 lkld calib --records "$RUNNER_TEMP/big-overflow.csv" --per-class \
+  -o "$RUNNER_TEMP/big-overflow.csv.out" 2> "$RUNNER_TEMP/big-overflow.serial.err" || status=$?
+test "$status" -eq 1
+diff "$RUNNER_TEMP/big-overflow.expected" "$RUNNER_TEMP/big-overflow.err"
+diff "$RUNNER_TEMP/big-overflow.expected" "$RUNNER_TEMP/big-overflow.serial.err"
+test ! -e "$RUNNER_TEMP/big-overflow.csv.out"
 # A tracks file above labelunc's share floor (2 MiB): with more than
 # one CPU labelunc decodes and evaluates it in shares, all but the first in
 # forked children; pinned to one CPU, in one share run in process. The two

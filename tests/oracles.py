@@ -18,6 +18,10 @@ another. ``reference_tracks_from_json`` is the tracks-document parse that
 builds each track through ``LabelTrack``, whose point-set gate takes one
 sweep at a time. ``reference_nll_terms`` and ``reference_kld_terms`` are
 the float loss kernels with the sign taken by an explicit helper.
+``reference_calibration_reports`` computes ``lkld calib``'s reports from
+whole columns, where the library counts each share's rows: one sort of all
+the scores for the pooled curve, then a mask, a fancy index and a sort per
+class.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull
 
-from lkld.calibration import calibration_report
+from lkld.calibration import CalibrationReport, calibration_report, laplace_cdf
 from lkld.distributions import LaplaceParams, kld_loss, kld_loss_zero_label_scale
 from lkld.geometry import (
     CLIP_EPS,
@@ -53,6 +57,26 @@ from lkld.synth_trainer import (
     generate,
     resolve_label_scales,
 )
+
+
+def reference_calibration_report(residuals, scales, grid) -> CalibrationReport:
+    """The calibration report of valid records from one sort of all their scores."""
+    grid_arr = np.asarray(grid, dtype=float)
+    scores = np.sort(laplace_cdf(np.asarray(residuals) / np.asarray(scales)))
+    observed = np.searchsorted(scores, grid_arr, side="right") / float(scores.size)
+    curve = tuple(zip(grid_arr.tolist(), observed.tolist()))
+    return CalibrationReport(curve, float(abs(observed - grid_arr).sum() / grid_arr.size), int(scores.size))
+
+
+def reference_calibration_reports(columns, grid) -> tuple[CalibrationReport, dict[str, CalibrationReport]]:
+    """The pooled report of parsed ``PredictionColumns`` and one per class,
+    keyed by class name in first-seen order."""
+    pooled = reference_calibration_report(columns.residuals, columns.scales, grid)
+    per_class = {}
+    for k, name in enumerate(columns.classes):
+        rows = np.flatnonzero(columns.codes == k)
+        per_class[name] = reference_calibration_report(columns.residuals[rows], columns.scales[rows], grid)
+    return pooled, per_class
 
 
 def kl_divergence_quadrature(

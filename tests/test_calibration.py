@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import pickle
 import re
 import tempfile
 import threading
@@ -25,7 +26,9 @@ from lkld.calibration import (
     laplace_quantile,
     records_from_csv,
     report_to_csv,
+    reports_from_csv,
 )
+from oracles import reference_calibration_reports
 
 
 def perfect_records(n=10_000, scale=1.0):
@@ -70,6 +73,19 @@ class TestLaplaceCdf:
                 laplace_cdf(z)
         with pytest.raises(ValueError):
             laplace_cdf(np.array([0.0, -math.inf]))
+
+    def test_non_finite_errors_name_the_first_value_and_its_index(self):
+        with pytest.raises(ValueError, match=r"^z must be finite, got inf$"):
+            laplace_cdf(math.inf)
+        with pytest.raises(ValueError, match=r"^z must be finite, got -inf at index 2$"):
+            laplace_cdf(np.array([0.0, 1.0, -math.inf, math.nan]))
+        # A long array is not printed: only its first bad value is named.
+        z = np.zeros(200_000)
+        z[123_456:] = math.inf
+        with pytest.raises(ValueError, match=r"^z must be finite, got inf at index 123456$"):
+            laplace_cdf(z)
+        with pytest.raises(ValueError, match=re.escape("z must be finite, got nan at index (1, 0)")):
+            laplace_cdf(np.array([[0.0, 1.0], [math.nan, 2.0]]))
 
 
 class TestCalibrationReport:
@@ -140,6 +156,13 @@ class TestCalibrationReport:
     def test_array_core_rejects_what_records_reject(self, residual, scale):
         with pytest.raises(ValueError):
             calibration_report(np.array([0.1, residual, -0.2]), np.array([1.0, scale, 0.5]))
+
+    def test_an_overflowing_standard_score_names_its_record(self):
+        residuals = np.array([0.1, -0.2, 1e300, -1e300])
+        scales = np.array([1.0, 0.5, 1e-10, 1e-10])
+        message = "record 3: the standard score overflows: residual 1e+300, scale 1e-10"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibration_report(residuals, scales)
 
     def test_array_core_validation(self):
         with pytest.raises(ValueError):
@@ -290,6 +313,46 @@ def write_records(path, n, names=("car", "pedestrian", "cyclist", "truck", "")):
         handle.write("residual,scale,class_name\n")
         for i in range(n):
             handle.write(f"{math.sin(i)!r},{1.0 + (i % 97) / 7.0!r},{names[i % len(names)]}\n")
+
+
+def check_a_failing_share(tmp_path, monkeypatch, failure, result):
+    """Inject ``failure`` into the second of two shares of a 20k-row file:
+    ``result`` of its path must equal ``result`` of the open file."""
+    # 20k rows: the second share's columns are some 240 kB, far above PIPE_BUF
+    # (its count table is far below).
+    path = tmp_path / "records.csv"
+    write_records(path, 20_000)
+    parses, waits = [], []
+    real_parse, real_waitpid = calibration._parse, os.waitpid
+
+    def parse(lines):
+        parses.append(lines.tell())
+        return real_parse(lines)
+
+    def waitpid(pid, options):
+        try:
+            return real_waitpid(pid, options)
+        except ChildProcessError:
+            waits.append(pid)
+            raise
+
+    monkeypatch.setattr(calibration, "_parse", parse)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+    monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
+    with share_failure(failure, calibration, "_share_columns") as shares:
+        got = result(path)
+    monkeypatch.undo()
+    # A failed share has the whole file parsed here in one stream, from its
+    # start, after this process converted the first share; with no pipe or
+    # fork to be had, before any share runs. Where SIGCHLD is ignored the
+    # child reaps itself, and the value it sent in full is kept.
+    if failure == "SIGCHLD ignored":
+        assert (len(shares), parses, len(waits)) == (1, [], 1)
+    else:
+        assert (len(shares), parses, waits) == (0 if failure.startswith("refused") else 1, [0], [])
+    assert got == result(str(path))
+    assert_all_children_reaped()
 
 
 ENDINGS = st.sampled_from([b"\n"] * 6 + [b"\r\n", b"\r"])
@@ -448,40 +511,7 @@ class TestSplitParse:
 
     @pytest.mark.parametrize("failure", SHARE_FAILURES)
     def test_a_failing_share_gives_the_one_stream_columns(self, tmp_path, monkeypatch, failure):
-        # 20k rows: the second share's record is some 240 kB, far above PIPE_BUF.
-        path = tmp_path / "records.csv"
-        write_records(path, 20_000)
-        parses, waits = [], []
-        real_parse, real_waitpid = calibration._parse, os.waitpid
-
-        def parse(lines):
-            parses.append(lines.tell())
-            return real_parse(lines)
-
-        def waitpid(pid, options):
-            try:
-                return real_waitpid(pid, options)
-            except ChildProcessError:
-                waits.append(pid)
-                raise
-
-        monkeypatch.setattr(calibration, "_parse", parse)
-        monkeypatch.setattr(os, "waitpid", waitpid)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
-        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
-        with share_failure(failure, calibration, "_share_columns") as shares:
-            got = parsed(path)
-        monkeypatch.undo()
-        # A failed share has the whole file parsed here in one stream, from its
-        # start, after this process converted the first share; with no pipe or
-        # fork to be had, before any share runs. Where SIGCHLD is ignored the
-        # child reaps itself, and the columns it sent in full are kept.
-        if failure == "SIGCHLD ignored":
-            assert (len(shares), parses, len(waits)) == (1, [], 1)
-        else:
-            assert (len(shares), parses, waits) == (0 if failure.startswith("refused") else 1, [0], [])
-        assert got == parsed(str(path))
-        assert_all_children_reaped()
+        check_a_failing_share(tmp_path, monkeypatch, failure, parsed)
 
     def test_split_parse_memory_per_row_is_bounded(self, tmp_path, monkeypatch):
         """The split parse keeps the columns only, and copies each share's once."""
@@ -503,3 +533,132 @@ class TestSplitParse:
         assert len(preds) == n
         assert peak / n < 60.0  # bytes per row; the columns alone take 24
         assert_all_children_reaped()
+
+
+def counted(source, grid=DEFAULT_GRID):
+    """reports_from_csv of a path, or of the open file at a ``str`` path: the
+    reports' repr, or the type and message of the error."""
+    try:
+        if isinstance(source, Path):
+            reports = reports_from_csv(source, grid)
+        else:
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                reports = reports_from_csv(handle, grid)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(reports)
+
+
+def oracle_reports(path, grid=DEFAULT_GRID):
+    """The sort-based oracle's reports of the one-stream parse of the file at ``path``."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        return repr(reference_calibration_reports(records_from_csv(handle), grid))
+
+
+RESIDUALS = st.one_of(
+    st.floats(-40.0, 40.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.log(2.0), -math.log(2.0)]),  # scores 0.5, 0.75 and 0.25
+)
+
+
+class TestReportsFromCsv:
+    """``reports_from_csv`` counts each share's rows where it is converted;
+    its reports are those of the sort-based oracle on the one-stream parse."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(RESIDUALS, st.floats(1e-2, 1e2), st.sampled_from(["", "\x00", "a", "a\x00", "car", "é"])),
+            min_size=1,
+            max_size=60,
+        ),
+        on_grid=st.lists(st.integers(0, 59), max_size=6),
+        extra=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6),
+        user_grid=st.booleans(),
+        n_cpus=st.integers(1, 4),
+        share_bytes=st.integers(1, 64),
+        chunk_bytes=st.sampled_from([64, 1 << 16]),
+    )
+    # Scores exactly on grid points, in shares that start with a class's first row.
+    @example(records=[(0.0, 1.0, "car"), (math.log(2.0), 1.0, ""), (0.0, 2.0, "\x00"), (-0.0, 1.0, "car")] * 4,
+             on_grid=[0, 1], extra=[], user_grid=True, n_cpus=4, share_bytes=8, chunk_bytes=64)
+    @example(records=[(0.0, 1.0, "car"), (-math.log(2.0), 0.5, "a")] * 8,
+             on_grid=[], extra=[], user_grid=False, n_cpus=2, share_bytes=8, chunk_bytes=1 << 16)
+    def test_reports_equal_the_sort_based_oracle(
+        self, records, on_grid, extra, user_grid, n_cpus, share_bytes, chunk_bytes
+    ):
+        grid = DEFAULT_GRID
+        if user_grid:
+            # Grid points drawn from the records' own scores, so that some scores lie on them.
+            scores = laplace_cdf(np.array([r for r, _, _ in records]) / np.array([s for _, s, _ in records]))
+            points = {float(scores[i % len(records)]) for i in on_grid} | set(extra)
+            grid = sorted(p for p in points if 0.0 < p < 1.0) or [0.5]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write("residual,scale,class_name\n")
+                handle.writelines(f"{r!r},{s!r},{name}\n" for r, s, name in records)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", cpus(n_cpus))
+                patch.setattr(calibration, "_SHARE_BYTES", share_bytes)
+                patch.setattr(calibration, "_CHUNK_BYTES", chunk_bytes)
+                split = counted(path, grid)
+            assert split == oracle_reports(path, grid) == counted(str(path), grid)
+        assert_all_children_reaped()
+
+    @pytest.mark.parametrize("failure", SHARE_FAILURES)
+    def test_a_failing_share_gives_the_one_stream_reports(self, tmp_path, monkeypatch, failure):
+        check_a_failing_share(tmp_path, monkeypatch, failure, counted)
+
+    def test_what_a_child_sends_does_not_grow_with_the_rows(self, tmp_path, monkeypatch):
+        sent = {"reports": [], "records": []}
+        entry = "reports"
+
+        def load(pipe):
+            data = pipe.read()
+            sent[entry].append(len(data))
+            return pickle.loads(data)
+
+        monkeypatch.setattr(pickle, "load", load)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 10)
+        for n in (2_000, 40_000):
+            path = tmp_path / f"{n}.csv"
+            write_records(path, n)
+            entry = "reports"
+            assert counted(path) == oracle_reports(path)
+            entry = "records"
+            records_from_csv(path)
+        # Five class names and a (5, 100) table of counts, whatever the rows;
+        # the columns records_from_csv sends grow with them.
+        small, large = sent["reports"]
+        assert small == large < 5 * 100 * 8 + 500
+        small, large = sent["records"]
+        assert large > 15 * small
+        assert_all_children_reaped()
+
+    def test_an_overflow_in_a_share_names_its_record_in_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        write_records(path, 20_000)
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = handle.readlines()
+        lines[15_001] = "1e300,1e-10,car\n"  # record 15,001, in the second of two shares
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
+        want = (ValueError, "record 15001: the standard score overflows: residual 1e+300, scale 1e-10")
+        for n_cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(n_cpus))
+            assert counted(path) == want
+        assert counted(str(path)) == want
+        assert_all_children_reaped()
+
+    def test_the_grid_is_checked_before_the_rows(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("residual,scale,class_name\nabc,1,x\n", encoding="utf-8")
+        assert counted(path, (0.5, 0.5)) == (ValueError, "grid must be strictly increasing")
+        assert counted(path) == (ValueError, "line 2: could not convert string to float: 'abc'")
+
+    def test_no_rows_is_an_error(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("\nresidual,scale,class_name\n\n", encoding="utf-8")
+        assert counted(path) == counted(str(path)) == (ValueError, "records must be non-empty")

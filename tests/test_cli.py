@@ -29,6 +29,7 @@ from lkld.label_uncertainty import (
     iou_histogram,
     records_to_csv,
 )
+from oracles import reference_calibration_reports
 
 
 SAMPLE_TRACKS = {
@@ -753,15 +754,26 @@ class TestCalibCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
 
     # Runs ``lkld.cli.main(argv)`` with a two-CPU mask, so a large records file
-    # is parsed in two shares, and ends the child converting the second share
-    # with exit status 3. Prints how many children it forked and how many
-    # times this process ran the one-stream parse.
+    # is converted and counted in two shares by ``reports_from_csv``, and ends
+    # the child converting the second share with exit status 3. Prints how
+    # many children it forked, how many times this process ran the one-stream
+    # parse, and how many times ``reports_from_csv`` and ``records_from_csv``
+    # were called.
     DYING_SHARE_PROBE = """
 import os, sys
 from lkld import calibration, cli
 
 parent, real_share, real_parse, real_fork = os.getpid(), calibration._share_columns, calibration._parse, os.fork
-forks, parses = [], []
+real_reports, real_records = calibration.reports_from_csv, calibration.records_from_csv
+forks, parses, calls = [], [], {"reports": 0, "records": 0}
+
+def reports(*args, **kwargs):
+    calls["reports"] += 1
+    return real_reports(*args, **kwargs)
+
+def records(*args, **kwargs):
+    calls["records"] += 1
+    return real_records(*args, **kwargs)
 
 def share(*args, **kwargs):
     if os.getpid() != parent:
@@ -780,8 +792,10 @@ os.sched_getaffinity = lambda pid: {0, 1}
 os.fork = fork
 calibration._share_columns = share
 calibration._parse = parse
+calibration.reports_from_csv = reports
+calibration.records_from_csv = records
 code = cli.main(sys.argv[1:])
-print(f"forks={len(forks)} parses={len(parses)}")
+print(f"forks={len(forks)} parses={len(parses)} reports={calls['reports']} records={calls['records']}")
 sys.exit(code)
 """
 
@@ -801,7 +815,7 @@ sys.exit(code)
              "-o", str(tmp_path / "split.csv")],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1 parses=1\n", "")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1 parses=1 reports=1 records=0\n", "")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert main(["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / "serial.csv")]) == 0
         split = {p.name.removeprefix("split"): p.read_bytes() for p in tmp_path.glob("split*.csv")}
@@ -819,12 +833,12 @@ sys.exit(code)
         csv_in = tmp_path / "preds.csv"
         csv_in.write_bytes((ending.join(["residual,scale,class_name", *rows]) + last).encode("utf-8"))
         assert csv_in.stat().st_size >= 2 * calibration._SHARE_BYTES
-        forks, parses, columns = [], [], []
-        real_fork, real_parse, real_records = os.fork, calibration._parse, calibration.records_from_csv
+        forks, parses, reports = [], [], []
+        real_fork, real_parse, real_reports = os.fork, calibration._parse, calibration.reports_from_csv
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
         monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
-        monkeypatch.setattr(calibration, "records_from_csv", lambda lines: columns.append(real_records(lines))
-                            or columns[-1])
+        monkeypatch.setattr(calibration, "reports_from_csv", lambda lines, grid: reports.append(
+                            real_reports(lines, grid)) or reports[-1])
         outputs = {}
         for run, mask in (("split", {0, 1}), ("serial", {0})):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
@@ -835,14 +849,77 @@ sys.exit(code)
         assert (len(forks), len(parses)) == (1, 0)
         assert len(outputs["split"]) == 1 + len(names)
         assert outputs["split"] == outputs["serial"]
-        # Both runs' columns are those of the csv one-stream parse of the open file.
+        # Both runs' reports are those of the csv one-stream parse of the open
+        # file, computed from its whole columns.
         with open(csv_in, "r", encoding="utf-8", newline="") as handle:
-            streamed = real_records(handle)
-        assert len(columns) == 2
-        for got in columns:
-            assert got.classes == streamed.classes
-            for column in ("residuals", "scales", "codes"):
-                assert getattr(got, column).tobytes() == getattr(streamed, column).tobytes()
+            streamed = reference_calibration_reports(calibration.records_from_csv(handle), calibration.DEFAULT_GRID)
+        assert [repr(got) for got in reports] == [repr(streamed)] * 2
+
+    def test_two_thousand_classes_in_shares_write_the_oracle_bytes(self, tmp_path, monkeypatch):
+        from lkld import calibration
+
+        names = [f"c{k}" for k in range(2_000)]
+        rows = [f"{math.sin(i)!r},{1.0 + (i % 97) / 7.0!r},{names[i * 7 % 2_000]}" for i in range(20_000)]
+        csv_in = tmp_path / "preds.csv"
+        csv_in.write_text("\n".join(["residual,scale,class_name", *rows]) + "\n", encoding="utf-8")
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["calib", "--records", str(csv_in), "--grid", "0.05:1:0.05", "--per-class",
+                     "-o", str(out_dir / "calib.csv")]) == 0
+        assert len(forks) == 2
+        with open(csv_in, "r", encoding="utf-8", newline="") as handle:
+            columns = calibration.records_from_csv(handle)
+        pooled, per_class = reference_calibration_reports(columns, parse_range("0.05:1:0.05"))
+        want = {"calib.csv": report_to_csv(pooled)}
+        want.update((f"calib.{name}.csv", report_to_csv(report)) for name, report in per_class.items())
+        assert len(want) == 2_001
+        assert {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()} == want
+
+    @pytest.mark.parametrize("mask", [{0, 1}, {0}], ids=["forked", "one-cpu"])
+    def test_an_overflowing_score_names_its_record(self, tmp_path, monkeypatch, capsys, mask):
+        from lkld import calibration
+
+        rows = [f"{math.sin(i)!r},{1.0 + (i % 97) / 7.0!r},car" for i in range(20_000)]
+        rows[14_999] = "1e300,1e-10,bike"
+        csv_in = tmp_path / "preds.csv"
+        csv_in.write_text("\n".join(["residual,scale,class_name", *rows]) + "\n", encoding="utf-8")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
+        code = main(["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / "calib.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: record 15000: the standard score overflows: residual 1e+300, scale 1e-10\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
+    # The grid is checked before the rows are read, and the rows are counted
+    # before the outputs are checked. Each case holds two faults; the error
+    # named is the first of them in that order.
+    @pytest.mark.parametrize(
+        "rows, grid, output, message",
+        [
+            (["abc,0.5,car"], "0.1:1", "calib.csv", "range must be start:stop:step, got '0.1:1'"),
+            (["abc,0.5,car"], "0:1:0.5", "calib.csv", "grid points must lie strictly inside (0, 1)"),
+            (["0.1,0.5,car"], "0:1:0.5", "missing/calib.csv", "grid points must lie strictly inside (0, 1)"),
+            (["0.1,0.5,car", "1e300,1e-10,car"], None, "missing/calib.csv",
+             "record 2: the standard score overflows: residual 1e+300, scale 1e-10"),
+            ([], None, "missing/calib.csv", "records must be non-empty"),
+            ([], "0:1:0.5", "calib.csv", "grid points must lie strictly inside (0, 1)"),
+        ],
+        ids=["grid-syntax-before-row", "grid-before-row", "grid-before-output", "overflow-before-output",
+             "no-rows-before-output", "grid-before-no-rows"],
+    )
+    def test_which_of_two_faults_is_named(self, tmp_path, capsys, rows, grid, output, message):
+        csv_in = tmp_path / "preds.csv"
+        csv_in.write_text("\n".join(["residual,scale,class_name", *rows]) + "\n", encoding="utf-8")
+        argv = ["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / output)]
+        assert main(argv + (["--grid", grid] if grid else [])) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -9,7 +9,7 @@ import lkld
 # What ``lkld`` exports: each defining module and the names taken from it.
 EXPORTS = {
     "calibration": ["CalibrationReport", "PredictionColumns", "calibration_report", "laplace_cdf",
-                    "laplace_quantile"],
+                    "laplace_quantile", "reports_from_csv"],
     "distributions": ["GradCheckResult", "LaplaceParams", "LossGrad", "SurfaceGrid", "gradient_check",
                       "kld_loss", "kld_loss_zero_label_scale", "nll_loss", "surface_grid"],
     "geometry": ["ConvexPolygon", "OrientedRect", "Point2", "area", "contains_point", "convex_hull",

@@ -22,7 +22,10 @@ then puts it back as it found it. The command bodies make no reference
 cycles (``fit-map``'s indented ``json.dumps`` leaves the stdlib encoder's
 few), so reference counting frees all they make; the collector would
 only traverse, again and again, the containers a large input builds, such
-as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file.
+as the ~166k ``[x, y]`` lists of a 7.3 MB ``labelunc`` tracks file. Only
+``evaluate_tracks``'s one-pass fallback holds them all at once: a share
+builds each track as it decodes it, so it holds one track's lists at a
+time.
 
 ``import lkld.cli`` loads numpy, the stdlib modules that every command uses
 and ``lkld._util``, and none of the domain modules. Each command imports the

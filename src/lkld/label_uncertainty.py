@@ -341,18 +341,19 @@ def evaluate_tracks(
     whole ``_SHARE_CHARS`` characters and per CPU in the affinity mask (Linux
     only, and only while no other Python thread runs), and at least one. A
     share starts at the first ``{`` at or after its nominal point that
-    follows a ``,`` and decodes to an object holding ``"poses"``, decodes
+    follows a ``,`` and decodes to an object holding ``"poses"``. It decodes
     its elements up to the first one starting at or after the next share's
-    nominal point, and builds and evaluates them as above. This process
-    runs the first share, with no pipe and no fork when it is the only one,
-    and a forked child each other one (see ``_fork``). The split is kept
-    only if each share stopped where the next one started and the last at
-    the array's end, so that the shares cover the array exactly, once; its
-    records are then sorted stably by label id. If that check fails, a pipe
-    or a fork cannot be had, or any share fails (a decode error, a bad
-    track, a class with no mapping), or its child dies, and for any text of
-    another shape, the whole text is built by
-    ``tracks_from_json(json.loads(text))`` and evaluated in this process.
+    nominal point, building each into a track before it decodes the next, so
+    that it holds one element's JSON objects at a time, and evaluates its
+    tracks as above. This process runs the first share, with no pipe and no
+    fork when it is the only one, and a forked child each other one (see
+    ``_fork``). The split is kept only if each share stopped where the next
+    one started and the last at the array's end, so that the shares cover
+    the array exactly, once; its records are then sorted stably by label
+    id. If that check fails, a pipe or a fork cannot be had, or any share
+    fails (a decode error, a bad track, a class with no mapping), or its
+    child dies, and for any text of another shape, the whole text is built
+    by ``tracks_from_json(json.loads(text))`` and evaluated in this process.
     The records and every error are thus those of the whole text built and
     evaluated in one pass.
     """
@@ -389,7 +390,9 @@ def _evaluate_shares(
     """``evaluate_tracks`` of a tracks document's text in shares of its array,
     one per ``_SHARE_CHARS`` and CPU and at least one, or ``None`` if it is
     not shaped ``{"tracks": [...]}``, ``_fork.run_shares`` gives ``None``,
-    or the shares do not cover the array exactly."""
+    or the shares do not cover the array exactly. Each share hands the
+    tracks that ``_decode_elements`` built as it decoded them straight to
+    ``evaluate_tracks``; the whole document is never decoded here."""
     opened = _TRACKS_OPEN.match(text)
     close = text.rfind("]")  # the array's end, if the text ends "] }"
     if opened is None or close < opened.end() or not _TRACKS_CLOSE.match(text, close):
@@ -403,8 +406,8 @@ def _evaluate_shares(
     def run(k: int) -> tuple[int, int, list[LabelUncertaintyRecord]]:
         decoder = json.JSONDecoder()
         start = first if k == 0 else _element_start(text, points[k], close, decoder)
-        items, stop = _decode_elements(text, start, points[k + 1], close, decoder)
-        return start, stop, evaluate_tracks(tracks_from_json({"tracks": items}), mapping, per_class)
+        tracks, stop = _decode_elements(text, start, points[k + 1], close, decoder)
+        return start, stop, evaluate_tracks(tracks, mapping, per_class)
 
     parts = _fork.run_shares(run, n)
     # The chain check: share 0 starts at the first element, each share stops
@@ -434,25 +437,30 @@ def _element_start(text: str, pos: int, close: int, decoder: json.JSONDecoder) -
 
 def _decode_elements(
     text: str, start: int, limit: int, close: int, decoder: json.JSONDecoder
-) -> tuple[list, int]:
-    """The array elements from the one at ``start`` up to the first starting
-    at or after ``limit`` (at most ``close``, the array's end), and the
-    offset of that one or of ``close``. Each element must be followed by a
-    ``,`` and another element, or by the array's end; anything else raises
+) -> tuple[list[LabelTrack], int]:
+    """The tracks of the array elements from the one at ``start`` up to the
+    first starting at or after ``limit`` (at most ``close``, the array's end),
+    and the offset of that one or of ``close``. Each element goes to
+    ``_track_from_json`` as soon as it is decoded and its JSON objects are
+    dropped before the next one is decoded, so only one element's tree
+    exists at a time. An element that is not a valid track raises what
+    ``_track_from_json`` raises; each must be followed by a ``,`` and
+    another element, or by the array's end, and anything else raises
     ``ValueError``."""
-    items, pos = [], start
+    tracks, pos = [], start
     while pos < limit:
-        item, end = decoder.raw_decode(text, pos)
-        items.append(item)
+        raw, end = decoder.raw_decode(text, pos)
+        tracks.append(_track_from_json(raw))
+        del raw
         end = _WHITESPACE.match(text, end).end()
         if end == close:
-            return items, close
+            return tracks, close
         if text[end] != ",":
             raise ValueError(f"expected ',' at character {end}")
         pos = _WHITESPACE.match(text, end + 1).end()
         if pos == close:
             raise ValueError(f"trailing ',' at character {end}")
-    return items, pos
+    return tracks, pos
 
 
 def _track_from_json(raw: dict) -> LabelTrack:

@@ -112,6 +112,24 @@ lkld labelunc --tracks "$RUNNER_TEMP/big-tracks.json" --anchors 2.0,0.05,0.01 -o
 taskset -c 0 lkld labelunc --tracks "$RUNNER_TEMP/big-tracks.json" --anchors 2.0,0.05,0.01 \
   -o "$RUNNER_TEMP/big-records.serial.csv"
 diff "$RUNNER_TEMP/big-records.csv" "$RUNNER_TEMP/big-records.serial.csv"
+# The same file with a string coordinate in tracks[450], in the second
+# share: the child fails as it builds that track, and both runs exit 1,
+# write nothing and print the one pass's error.
+python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["tracks"][450]["points"][1]["xy"][7][0] = "1.5"; json.dump(doc, sys.stdout)' \
+  "$RUNNER_TEMP/big-tracks.json" > "$RUNNER_TEMP/big-string.json"
+test "$(stat -c %s "$RUNNER_TEMP/big-string.json")" -ge 2097152
+echo 'error: malformed track at tracks[450]: point coordinates must be numbers' > "$RUNNER_TEMP/big-string.expected"
+status=0
+lkld labelunc --tracks "$RUNNER_TEMP/big-string.json" --anchors 2.0,0.05,0.01 \
+  -o "$RUNNER_TEMP/big-string.csv" 2> "$RUNNER_TEMP/big-string.err" || status=$?
+test "$status" -eq 1
+status=0
+taskset -c 0 lkld labelunc --tracks "$RUNNER_TEMP/big-string.json" --anchors 2.0,0.05,0.01 \
+  -o "$RUNNER_TEMP/big-string.csv" 2> "$RUNNER_TEMP/big-string.serial.err" || status=$?
+test "$status" -eq 1
+diff "$RUNNER_TEMP/big-string.expected" "$RUNNER_TEMP/big-string.err"
+diff "$RUNNER_TEMP/big-string.expected" "$RUNNER_TEMP/big-string.serial.err"
+test ! -e "$RUNNER_TEMP/big-string.csv"
 # The pinned tracks of tests/test_cli.py with every length times 2**-530 and
 # 2**505: scaling by a power of two is exact, so the records must be those of
 # the unscaled document, byte for byte.

@@ -623,18 +623,18 @@ class TestLabelUncCommands:
 
 
     # Runs ``lkld.cli.main(argv)`` with a two-CPU mask, so a large tracks file
-    # is evaluated in two shares, and ends the child building the second
-    # share's tracks with exit status 3. Prints how many children it forked.
+    # is evaluated in two shares, and ends the child with exit status 3 as it
+    # builds the second share's first track. Prints how many children it forked.
     DYING_SHARE_PROBE = """
 import os, sys
 from lkld import cli, label_uncertainty
 
-parent, real_build, real_fork, forks = os.getpid(), label_uncertainty.tracks_from_json, os.fork, []
+parent, real_build, real_fork, forks = os.getpid(), label_uncertainty._track_from_json, os.fork, []
 
-def build(doc):
+def build(raw):
     if os.getpid() != parent:
         os._exit(3)
-    return real_build(doc)
+    return real_build(raw)
 
 def fork():
     forks.append(None)
@@ -642,7 +642,7 @@ def fork():
 
 os.sched_getaffinity = lambda pid: {0, 1}
 os.fork = fork
-label_uncertainty.tracks_from_json = build
+label_uncertainty._track_from_json = build
 code = cli.main(sys.argv[1:])
 print(f"forks={len(forks)}")
 sys.exit(code)

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -930,16 +931,18 @@ class TestSplitEvaluate:
         path = tmp_path / "tracks.json"
         size = write_tracks(path, 30)
         forks, built = [], []
-        real_fork, real_build = os.fork, label_uncertainty.tracks_from_json
+        real_fork, real_build = os.fork, label_uncertainty._track_from_json
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
-        monkeypatch.setattr(label_uncertainty, "tracks_from_json", lambda doc: built.append(doc) or real_build(doc))
+        monkeypatch.setattr(label_uncertainty, "_track_from_json",
+                            lambda raw: built.append(raw["label_id"]) or real_build(raw))
         monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
         monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size // 3)
         records = evaluated(path)
-        # Two children, and this process built only the first share's tracks.
-        assert len(forks) == 2 and len(built) == 1 and 0 < len(built[0]["tracks"]) < 30
+        # Two children, and this process built only the first share's tracks, once each.
+        assert len(forks) == 2 and 0 < len(built) < 30
+        assert built == [f"t{30 - i:05d}" for i in range(len(built))]
         assert [r.label_id for r in records] == [f"t{i:05d}" for i in range(1, 31)]
-        monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
+        monkeypatch.setattr(label_uncertainty, "_track_from_json", real_build)
         assert records == evaluated(str(path))
         assert_all_children_reaped()
 
@@ -979,11 +982,11 @@ class TestSplitEvaluate:
         monkeypatch.setattr(os, "sched_getaffinity", cpus(1 if case == "one-cpu" else 2))
         monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size if case == "small" else 64)
         forks, shares, built = [], [], []
-        real_decode, real_build = label_uncertainty._decode_elements, label_uncertainty.tracks_from_json
+        real_decode, real_build = label_uncertainty._decode_elements, label_uncertainty._track_from_json
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or pytest.fail("forked"))
         monkeypatch.setattr(label_uncertainty, "_decode_elements", lambda *args: shares.append(None)
                             or real_decode(*args))
-        monkeypatch.setattr(label_uncertainty, "tracks_from_json", lambda doc: built.append(None) or real_build(doc))
+        monkeypatch.setattr(label_uncertainty, "_track_from_json", lambda raw: built.append(None) or real_build(raw))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if case == "thread":
@@ -994,10 +997,30 @@ class TestSplitEvaluate:
             stop.set()
             if case == "thread":
                 thread.join(timeout=60)
-        # One share, decoded and built here; the whole document was never built.
-        assert (forks, len(shares), len(built)) == ([], 1, 1)
-        monkeypatch.setattr(label_uncertainty, "tracks_from_json", real_build)
+        # One share, decoded and built here, each track once; the whole document was never built again.
+        assert (forks, len(shares), len(built)) == ([], 1, 20)
+        monkeypatch.setattr(label_uncertainty, "_track_from_json", real_build)
         assert got == evaluated(str(path))
+
+    def test_a_share_holds_one_tracks_json_at_a_time(self, tmp_path, monkeypatch):
+        # One share of 50 and of 500 tracks of 60 points, run in this process: its
+        # tracemalloc peak less the text read (the bytes and the str) grows by less
+        # than 64 B a point. A share that decoded its whole slice before building
+        # its tracks would hold each point's [x, y] list and two floats at once,
+        # over 200 B a point.
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        excess = {}
+        for n in (50, 500):
+            path = tmp_path / f"tracks{n}.json"
+            path.write_text(json.dumps({"tracks": track_objects(n)}), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                evaluate_tracks(path, MAPPING)
+                excess[n * 60] = tracemalloc.get_traced_memory()[1] - 2 * path.stat().st_size
+            finally:
+                tracemalloc.stop()
+        (few, few_excess), (many, many_excess) = excess.items()
+        assert (many_excess - few_excess) / (many - few) < 64
 
     @pytest.mark.parametrize("failure", SHARE_FAILURES)
     def test_a_failing_share_gives_the_one_pass_records(self, tmp_path, monkeypatch, failure):
@@ -1005,11 +1028,17 @@ class TestSplitEvaluate:
         size = write_tracks(path, 40)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
         monkeypatch.setattr(label_uncertainty, "_SHARE_CHARS", size // 2)
-        with share_failure(failure, label_uncertainty, "tracks_from_json") as built:
+        with share_failure(failure, label_uncertainty, "_track_from_json") as built:
             got = evaluated(path)
-        # With no pipe or fork to be had, the whole document is built here, once;
-        # a failed share has it built again after the first share. Where SIGCHLD
-        # is ignored the child's complete records are kept.
-        assert len(built) == (2 if failure in ("exit", "kill", "raise", "truncated") else 1)
+        # With no pipe or fork to be had, the 40 tracks are built here, once each;
+        # a failed share has them all built again after the first share's. Where
+        # SIGCHLD is ignored the child's complete records are kept, and this
+        # process builds the first share's tracks only.
+        if failure in ("exit", "kill", "raise", "truncated"):
+            assert 40 < len(built) < 80
+        elif failure == "SIGCHLD ignored":
+            assert 0 < len(built) < 40
+        else:
+            assert len(built) == 40
         assert got == evaluated(str(path))
         assert_all_children_reaped()

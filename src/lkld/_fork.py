@@ -1,11 +1,10 @@
 """Forked shares of one job: the worker-count rule and a pipe per child.
 
 ``synth_trainer.compare`` trains its modes this way,
-``calibration.records_from_csv`` parses a records file,
-``calibration.reports_from_csv`` parses and counts one (each share sends a
-per-class count table, not its columns) and
+``calibration.reports_from_csv`` parses and counts a records file (each
+share sends a per-class count table, not its columns) and
 ``label_uncertainty.evaluate_tracks`` decodes, gates and evaluates a tracks
-document. The last three run every file through ``run_shares``, with one
+document. The last two run every file through ``run_shares``, with one
 share (run here, with no pipe and no fork) where the file is small or
 there is one CPU. All three keep one failure policy: ``run_shares`` gives
 every share's value or ``None``, and on ``None`` the caller does the whole

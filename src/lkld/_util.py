@@ -49,9 +49,10 @@ def csv_table(lines: Iterable[str], what: str) -> Iterator[tuple[list[str], Any]
 
     Blank rows before the header are skipped; callers skip later ones with ``filter(None, reader)``
     and name a row by ``reader.line_num``. A ``csv.Error`` in the block becomes ``line N: ...``.
+    A ``str`` or a path in place of the lines raises ``TypeError``.
     """
-    if isinstance(lines, str):
-        raise TypeError(f"the {what} CSV reader takes an iterable of lines, such as an open file, not a str")
+    if isinstance(lines, (str, os.PathLike)):
+        raise TypeError(f"the {what} CSV reader takes an iterable of lines, such as an open file, not a str or a path")
     reader = csv.reader(lines)
     try:
         header = next(filter(None, reader), None)

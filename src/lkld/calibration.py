@@ -16,7 +16,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -198,82 +198,14 @@ class PredictionColumns:
         return len(self.codes)
 
 
-def records_from_csv(lines: Iterable[str] | os.PathLike) -> PredictionColumns:
-    """Parse ``residual,scale,class_name`` rows (header required).
+def records_from_csv(lines: Iterable[str]) -> PredictionColumns:
+    """Parse ``residual,scale,class_name`` rows (header required) in one stream.
 
     ``lines`` is an iterable of text lines, such as a file opened with
-    ``newline=""``, read once in the ``_util.csv_table`` dialect, or the path
-    of a file, which is opened that way (UTF-8, ``newline=""``); only the
+    ``newline=""``, read once in the ``_util.csv_table`` dialect; only the
     columns are kept. Each row is checked once: three columns, a finite
     residual and a positive finite scale. Errors name the row's file line.
-
-    A path is converted in byte-range shares (``_parse_shares``): one per
-    whole ``_SHARE_BYTES`` of the file and per CPU in the affinity mask
-    (Linux only, and only while no other Python thread runs), and at least
-    one. Each cut falls just after a newline. This process converts the
-    first share, with no pipe and no fork when it is the only one, and a
-    forked child each other one (see ``_fork``), which pipes its columns
-    back; they are joined in file order with the classes in first-seen
-    order. A share converts its bytes a chunk at a time, without ``csv``,
-    so it fails on any chunk that ``csv`` might read otherwise than as plain
-    lines of comma-separated cells: one with a ``"`` (a quoted cell may also
-    run across a cut), a NUL or a ``\\r`` outside ``\\r\\n``. It also fails if
-    it cannot be read or decoded, holds a bad row or no header (the first
-    share), or its child dies. If a pipe or a fork cannot be had, or any
-    share fails, the whole file is parsed in one stream, as an iterable is.
-    The columns and every error are thus those of the one-stream parse of
-    the open file. ``reports_from_csv`` runs the same shares.
     """
-    if not isinstance(lines, os.PathLike):
-        return _parse(lines)
-    with open(lines, "r", encoding="utf-8", newline="") as handle:
-        parts = _parse_shares(handle.fileno(), lambda columns: columns)
-        return _parse(handle) if parts is None else _joined(parts)
-
-
-def reports_from_csv(
-    lines: Iterable[str] | os.PathLike, grid: Sequence[float] = DEFAULT_GRID
-) -> tuple[CalibrationReport, dict[str, CalibrationReport]]:
-    """The pooled report of the rows ``records_from_csv`` reads, and one
-    report per class, keyed by class name in first-seen order.
-
-    The grid is checked first. A path is read in the shares of
-    ``records_from_csv``, but each share counts its own rows in
-    ``_count_table``, so a forked child sends its class names and a count
-    table, not its columns; the tables are added with the classes in
-    first-seen order, and the pooled counts are the sum of the class rows.
-    A share whose standard score overflows fails like any other, and then
-    the whole file is parsed in one stream and counted here. The reports
-    are those of ``calibration_report`` on all the records and on each
-    class's, and every error is that of the one-stream parse and count: an
-    overflow names its record's 1-based position in the file, and no rows
-    raise ``ValueError``.
-    """
-    grid_arr = _grid_array(grid)
-
-    def counted(columns: PredictionColumns) -> tuple[tuple[str, ...], np.ndarray]:
-        return columns.classes, _count_table(columns, grid_arr)
-
-    if not isinstance(lines, os.PathLike):
-        parts = [counted(_parse(lines))]
-    else:
-        with open(lines, "r", encoding="utf-8", newline="") as handle:
-            parts = _parse_shares(handle.fileno(), counted)
-            if parts is None:
-                parts = [counted(_parse(handle))]
-    index: dict[str, int] = {}
-    remaps = [[index.setdefault(name, len(index)) for name in classes] for classes, _ in parts]
-    counts = np.zeros((len(index), grid_arr.size + 1), dtype=np.int64)
-    for remap, (_, table) in zip(remaps, parts):
-        counts[remap] += table
-    pooled = counts.sum(axis=0)
-    if not pooled[-1]:
-        raise ValueError("records must be non-empty")
-    return _report(pooled, grid_arr), {name: _report(row, grid_arr) for name, row in zip(index, counts)}
-
-
-def _parse(lines: Iterable[str]) -> PredictionColumns:
-    """``records_from_csv`` of an iterable of lines: one stream, one pass."""
     residuals = array("d")
     scales = array("d")
     codes = array("q")
@@ -298,6 +230,59 @@ def _parse(lines: Iterable[str]) -> PredictionColumns:
     return _columns(residuals, scales, index, codes)
 
 
+def reports_from_csv(
+    lines: Iterable[str] | os.PathLike, grid: Sequence[float] = DEFAULT_GRID
+) -> tuple[CalibrationReport, dict[str, CalibrationReport]]:
+    """The pooled report of the rows ``records_from_csv`` reads, and one
+    report per class, keyed by class name in first-seen order.
+
+    ``lines`` is an iterable of lines, parsed by ``records_from_csv``, or
+    the path of a file, opened the same way (UTF-8, ``newline=""``). The
+    grid is checked first. A path is converted in byte-range shares
+    (``_count_shares``): one per whole ``_SHARE_BYTES`` of the file and per
+    CPU in the affinity mask (Linux only, and only while no other Python
+    thread runs), and at least one. Each cut falls just after a newline.
+    This process converts the first share, with no pipe and no fork when it
+    is the only one, and a forked child each other one (see ``_fork``).
+    Each share counts its own rows in ``_count_table``, so a child sends its
+    class names and a count table, not its columns; the tables are added
+    with the classes in first-seen order, and the pooled counts are the sum
+    of the class rows. A share converts its bytes a chunk at a time, without
+    ``csv``, so it fails on any chunk that ``csv`` might read otherwise than
+    as plain lines of comma-separated cells: one with a ``"`` (a quoted cell
+    may also run across a cut), a NUL or a ``\\r`` outside ``\\r\\n``. It
+    also fails if it cannot be read or decoded, holds a bad row or no header
+    (the first share), a standard score that overflows, or its child dies.
+    If a pipe or a fork cannot be had, or any share fails, the open file is
+    parsed by ``records_from_csv`` in one stream and counted here. The
+    reports are those of ``calibration_report`` on all the records and on
+    each class's, and every error is that of the one-stream parse and
+    count: an overflow names its record's 1-based position in the file, and
+    no rows raise ``ValueError``.
+    """
+    grid_arr = _grid_array(grid)
+    if not isinstance(lines, os.PathLike):
+        parts = [_counted(records_from_csv(lines), grid_arr)]
+    else:
+        with open(lines, "r", encoding="utf-8", newline="") as handle:
+            # perfbench/tracing.py wraps records_from_csv by name, so the fallback calls the module's.
+            parts = _count_shares(handle.fileno(), grid_arr) or [_counted(records_from_csv(handle), grid_arr)]
+    index: dict[str, int] = {}
+    remaps = [[index.setdefault(name, len(index)) for name in classes] for classes, _ in parts]
+    counts = np.zeros((len(index), grid_arr.size + 1), dtype=np.int64)
+    for remap, (_, table) in zip(remaps, parts):
+        counts[remap] += table
+    pooled = counts.sum(axis=0)
+    if not pooled[-1]:
+        raise ValueError("records must be non-empty")
+    return _report(pooled, grid_arr), {name: _report(row, grid_arr) for name, row in zip(index, counts)}
+
+
+def _counted(columns: PredictionColumns, grid_arr: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The class names of some records and their ``_count_table``."""
+    return columns.classes, _count_table(columns, grid_arr)
+
+
 def _columns(residuals: array, scales: array, index: dict[str, int], codes: array) -> PredictionColumns:
     """The parsed arrays as ``PredictionColumns``, sharing their buffers."""
     return PredictionColumns(
@@ -315,8 +300,8 @@ _SHARE_BYTES = 1 << 20
 _CHUNK_BYTES = 1 << 16
 
 
-def _parse_shares(fd: int, reduce: Callable[[PredictionColumns], object]) -> list | None:
-    """``reduce`` of the open file's columns in each byte-range share, one
+def _count_shares(fd: int, grid_arr: np.ndarray) -> list[tuple[tuple[str, ...], np.ndarray]] | None:
+    """``_counted`` of the open file's columns in each byte-range share, one
     per ``_SHARE_BYTES`` and CPU and at least one, in file order, or
     ``None`` if ``_fork.run_shares`` gives ``None``."""
     from . import _fork
@@ -327,7 +312,7 @@ def _parse_shares(fd: int, reduce: Callable[[PredictionColumns], object]) -> lis
     for k in range(1, n):
         cuts.append(_line_end(fd, max(cuts[-1], k * size // n), size))
     cuts.append(size)
-    return _fork.run_shares(lambda k: reduce(_share_columns(fd, cuts[k], cuts[k + 1], header=k == 0)), n)
+    return _fork.run_shares(lambda k: _counted(_share_columns(fd, cuts[k], cuts[k + 1], header=k == 0), grid_arr), n)
 
 
 def _line_end(fd: int, pos: int, size: int) -> int:
@@ -398,23 +383,3 @@ def _share_columns(fd: int, start: int, stop: int, header: bool) -> PredictionCo
         raise ValueError("prediction CSV is empty")
     return _columns(residuals, scales, index, codes)
 
-
-def _joined(parts: list[PredictionColumns]) -> PredictionColumns:
-    """The shares' columns end to end, each share's codes mapped into the
-    first-seen order of all classes. Empties ``parts``, so that each column
-    of the shares is freed as soon as it is copied."""
-    index: dict[str, int] = {}
-    remaps = [np.array([index.setdefault(name, len(index)) for name in part.classes], dtype=np.int64)
-              for part in parts]
-    residuals = [part.residuals for part in parts]
-    scales = [part.scales for part in parts]
-    codes = [part.codes for part in parts]
-    parts.clear()
-    residuals = np.concatenate(residuals)
-    scales = np.concatenate(scales)
-    joined = np.empty(len(residuals), dtype=np.int64)
-    start = 0
-    for remap, piece in zip(remaps, codes):
-        np.take(remap, piece, out=joined[start:start + len(piece)])
-        start += len(piece)
-    return PredictionColumns(residuals, scales, tuple(index), joined)

@@ -359,6 +359,13 @@ def evaluate_tracks(
     """
     if isinstance(tracks, os.PathLike):
         with open(tracks, "r", encoding="utf-8") as handle:
+            # Read whole on purpose: freeing this buffer raises glibc's dynamic
+            # mmap threshold, so the prefilter's run temporaries (about 0.5 MB)
+            # come from the heap and not from fresh mmaps. An mmap or a streamed
+            # read loses that: with the threshold held at 128 KiB, a fresh run on
+            # the 7.3 MB labelunc_mixed input on a 2-vCPU Xeon takes about 34k
+            # minor faults in place of 16k and 1.12x the CPU (BENCH_34.json,
+            # mmap_threshold).
             text = handle.read()
         split = _evaluate_shares(text, mapping, per_class)
         if split is not None:

@@ -101,6 +101,19 @@ test "$status" -eq 1
 diff "$RUNNER_TEMP/big-overflow.expected" "$RUNNER_TEMP/big-overflow.err"
 diff "$RUNNER_TEMP/big-overflow.expected" "$RUNNER_TEMP/big-overflow.serial.err"
 test ! -e "$RUNNER_TEMP/big-overflow.csv.out"
+# A records file above the share floor whose class names are quoted ("a,b")
+# only past its midpoint: with more than one CPU the first share converts
+# and the second fails on the '"', so calib parses the whole open file in
+# one stream with csv; pinned to one CPU, its one share fails the same way.
+# The two runs must write the same files, byte for byte.
+python -c 'import math, sys; names = ["car", "bike", "car"], ["car", "bike", "\"a,b\""]; sys.stdout.write("residual,scale,class_name\n" + "".join(f"{math.sin(i)!r},{1 + i % 97 / 7!r},{names[i >= 32000][i % 3]}\n" for i in range(60000)))' \
+  > "$RUNNER_TEMP/quoted.csv"
+test "$(stat -c %s "$RUNNER_TEMP/quoted.csv")" -ge 2097152
+mkdir "$RUNNER_TEMP/quoted" "$RUNNER_TEMP/quoted.serial"
+lkld calib --records "$RUNNER_TEMP/quoted.csv" --per-class -o "$RUNNER_TEMP/quoted/calib.csv"
+taskset -c 0 lkld calib --records "$RUNNER_TEMP/quoted.csv" --per-class -o "$RUNNER_TEMP/quoted.serial/calib.csv"
+test -s "$RUNNER_TEMP/quoted/calib.a%2Cb.csv"
+diff -r "$RUNNER_TEMP/quoted" "$RUNNER_TEMP/quoted.serial"
 # A tracks file above labelunc's share floor (2 MiB): with more than
 # one CPU labelunc decodes and evaluates it in shares, all but the first in
 # forked children; pinned to one CPU, in one share run in process. The two

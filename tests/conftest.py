@@ -5,7 +5,7 @@ for each failure, so a failure seen in a CI log can be replayed locally with
 ``@reproduce_failure``. Select it with ``HYPOTHESIS_PROFILE=ci``; without it
 the default profile applies.
 
-The tests of ``compare()``, ``records_from_csv`` and ``evaluate_tracks``,
+The tests of ``compare()``, ``reports_from_csv`` and ``evaluate_tracks``,
 which fork, import their helpers from here. Each suite checks the one
 failure policy of a forked split on the same seven ``SHARE_FAILURES``,
 injected by ``share_failure``: whatever fails (a child that exits, is

@@ -235,10 +235,6 @@ class TestCsv:
         assert preds.classes == ("car", "", "a\x00", "a", "x\ry", "x\ny", "\u00e9")
         assert preds.residuals.tolist() == [i * 0.25 - 1.0 for i in range(len(names))]
 
-    def test_str_argument_is_a_type_error(self):
-        with pytest.raises(TypeError, match="not a str"):
-            records_from_csv("residual,scale,class_name\n0.5,0.2,a\n")
-
     def test_blank_rows_before_the_header_are_skipped(self):
         preds = records_from_csv(io.StringIO("\n\r\n\nresidual,scale,class_name\n\n0.5,0.2,a\n"))
         assert preds.residuals.tolist() == [0.5]
@@ -294,18 +290,18 @@ class TestCsv:
             records_from_csv(io.StringIO("residual,scale,class_name\nabc,1.0,x\n"))
 
 
-def parsed(source):
-    """records_from_csv of a path, or of the open file at a ``str`` path: the
-    columns as bytes and names, or the type and message of the error."""
+def counted(source, grid=DEFAULT_GRID):
+    """reports_from_csv of a path, or of the open file at a ``str`` path: the
+    reports' repr, or the type and message of the error."""
     try:
         if isinstance(source, Path):
-            preds = records_from_csv(source)
+            reports = reports_from_csv(source, grid)
         else:
             with open(source, "r", encoding="utf-8", newline="") as handle:
-                preds = records_from_csv(handle)
+                reports = reports_from_csv(handle, grid)
     except ValueError as exc:
         return type(exc), str(exc)
-    return preds.residuals.tobytes(), preds.scales.tobytes(), preds.classes, preds.codes.tobytes()
+    return repr(reports)
 
 
 def write_records(path, n, names=("car", "pedestrian", "cyclist", "truck", "")):
@@ -318,12 +314,10 @@ def write_records(path, n, names=("car", "pedestrian", "cyclist", "truck", "")):
 def check_a_failing_share(tmp_path, monkeypatch, failure, result):
     """Inject ``failure`` into the second of two shares of a 20k-row file:
     ``result`` of its path must equal ``result`` of the open file."""
-    # 20k rows: the second share's columns are some 240 kB, far above PIPE_BUF
-    # (its count table is far below).
     path = tmp_path / "records.csv"
     write_records(path, 20_000)
     parses, waits = [], []
-    real_parse, real_waitpid = calibration._parse, os.waitpid
+    real_parse, real_waitpid = calibration.records_from_csv, os.waitpid
 
     def parse(lines):
         parses.append(lines.tell())
@@ -336,7 +330,7 @@ def check_a_failing_share(tmp_path, monkeypatch, failure, result):
             waits.append(pid)
             raise
 
-    monkeypatch.setattr(calibration, "_parse", parse)
+    monkeypatch.setattr(calibration, "records_from_csv", parse)
     monkeypatch.setattr(os, "waitpid", waitpid)
     monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
     monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
@@ -389,8 +383,9 @@ ODD_LINES = st.sampled_from([
 
 
 class TestSplitParse:
-    """A path of a large file is parsed in forked byte-range shares: the columns
-    and errors are those of the one-stream parse, and no child outlives the call."""
+    """A path of a large file is converted in forked byte-range shares: the
+    reports and errors are those of the one-stream parse of the open file,
+    and no child outlives the call."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -452,8 +447,8 @@ class TestSplitParse:
                 patch.setattr(os, "sched_getaffinity", cpus(n_cpus))
                 patch.setattr(calibration, "_SHARE_BYTES", share_bytes)
                 patch.setattr(calibration, "_CHUNK_BYTES", chunk_bytes)
-                split = parsed(path)
-            assert split == parsed(str(path))
+                split = counted(path)
+            assert split == counted(str(path))
         assert_all_children_reaped()
 
     def test_shares_join_in_file_order(self, tmp_path, monkeypatch):
@@ -464,21 +459,22 @@ class TestSplitParse:
             handle.write("residual,scale,class_name\n")
             handle.writelines(f"{i / 7!r},{1 + i / 3!r},{name}\n" for i, name in enumerate(names))
         forks, shares, parses = [], [], []
-        real_fork, real_share, real_parse = os.fork, calibration._share_columns, calibration._parse
+        real_fork, real_share, real_parse = os.fork, calibration._share_columns, calibration.records_from_csv
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
         monkeypatch.setattr(calibration, "_share_columns", lambda fd, start, *rest, **kwargs: shares.append(start)
                             or real_share(fd, start, *rest, **kwargs))
-        monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
+        monkeypatch.setattr(calibration, "records_from_csv", lambda lines: parses.append(None) or real_parse(lines))
         monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
         monkeypatch.setattr(calibration, "_SHARE_BYTES", 256)
-        preds = records_from_csv(path)
+        reports = reports_from_csv(path)
         # Two children, this process converted only the first share, and the one-stream parse never ran.
         assert len(forks) == 2 and shares == [0] and parses == []
-        assert preds.classes == ("a", "c", "b", "", "d")
-        assert [preds.classes[k] for k in preds.codes] == names
-        assert preds.residuals.tolist() == [i / 7 for i in range(len(names))]
+        per_class = reports[1]
+        assert list(per_class) == ["a", "c", "b", "", "d"]
+        assert [report.n for report in per_class.values()] == [names.count(name) for name in per_class]
+        assert repr(reports) == counted(str(path))
         monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
-        assert parsed(path) == parsed(str(path))
+        assert counted(path) == counted(str(path))
         assert_all_children_reaped()
 
     @pytest.mark.parametrize("case", ["small", "one-cpu", "thread"])
@@ -489,64 +485,25 @@ class TestSplitParse:
         size = path.stat().st_size
         monkeypatch.setattr(calibration, "_SHARE_BYTES", size if case == "small" else 64)
         forks, shares, parses = [], [], []
-        real_share, real_parse = calibration._share_columns, calibration._parse
+        real_share, real_parse = calibration._share_columns, calibration.records_from_csv
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or pytest.fail("forked"))
         monkeypatch.setattr(calibration, "_share_columns", lambda *args, **kwargs: shares.append(None)
                             or real_share(*args, **kwargs))
-        monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
+        monkeypatch.setattr(calibration, "records_from_csv", lambda lines: parses.append(None) or real_parse(lines))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if case == "thread":
             thread.start()
         try:
-            got = parsed(path)
+            got = counted(path)
         finally:
             stop.set()
             if case == "thread":
                 thread.join(timeout=60)
         # One share, converted here; the one-stream parse never ran.
         assert (forks, len(shares), parses) == ([], 1, [])
-        monkeypatch.setattr(calibration, "_parse", real_parse)
-        assert got == parsed(str(path))
-
-    @pytest.mark.parametrize("failure", SHARE_FAILURES)
-    def test_a_failing_share_gives_the_one_stream_columns(self, tmp_path, monkeypatch, failure):
-        check_a_failing_share(tmp_path, monkeypatch, failure, parsed)
-
-    def test_split_parse_memory_per_row_is_bounded(self, tmp_path, monkeypatch):
-        """The split parse keeps the columns only, and copies each share's once."""
-        n = 50_000
-        path = tmp_path / "records.csv"
-        write_records(path, n)
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
-        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
-        tracemalloc.start()
-        try:
-            preds = records_from_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(forks) == 1
-        assert len(preds) == n
-        assert peak / n < 60.0  # bytes per row; the columns alone take 24
-        assert_all_children_reaped()
-
-
-def counted(source, grid=DEFAULT_GRID):
-    """reports_from_csv of a path, or of the open file at a ``str`` path: the
-    reports' repr, or the type and message of the error."""
-    try:
-        if isinstance(source, Path):
-            reports = reports_from_csv(source, grid)
-        else:
-            with open(source, "r", encoding="utf-8", newline="") as handle:
-                reports = reports_from_csv(handle, grid)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return repr(reports)
+        monkeypatch.setattr(calibration, "records_from_csv", real_parse)
+        assert got == counted(str(path))
 
 
 def oracle_reports(path, grid=DEFAULT_GRID):
@@ -611,12 +568,11 @@ class TestReportsFromCsv:
         check_a_failing_share(tmp_path, monkeypatch, failure, counted)
 
     def test_what_a_child_sends_does_not_grow_with_the_rows(self, tmp_path, monkeypatch):
-        sent = {"reports": [], "records": []}
-        entry = "reports"
+        sent = []
 
         def load(pipe):
             data = pipe.read()
-            sent[entry].append(len(data))
+            sent.append(len(data))
             return pickle.loads(data)
 
         monkeypatch.setattr(pickle, "load", load)
@@ -625,16 +581,10 @@ class TestReportsFromCsv:
         for n in (2_000, 40_000):
             path = tmp_path / f"{n}.csv"
             write_records(path, n)
-            entry = "reports"
             assert counted(path) == oracle_reports(path)
-            entry = "records"
-            records_from_csv(path)
-        # Five class names and a (5, 100) table of counts, whatever the rows;
-        # the columns records_from_csv sends grow with them.
-        small, large = sent["reports"]
+        # Five class names and a (5, 100) table of counts, whatever the rows.
+        small, large = sent
         assert small == large < 5 * 100 * 8 + 500
-        small, large = sent["records"]
-        assert large > 15 * small
         assert_all_children_reaped()
 
     def test_an_overflow_in_a_share_names_its_record_in_the_file(self, tmp_path, monkeypatch):

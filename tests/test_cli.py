@@ -756,16 +756,15 @@ class TestCalibCommand:
     # Runs ``lkld.cli.main(argv)`` with a two-CPU mask, so a large records file
     # is converted and counted in two shares by ``reports_from_csv``, and ends
     # the child converting the second share with exit status 3. Prints how
-    # many children it forked, how many times this process ran the one-stream
-    # parse, and how many times ``reports_from_csv`` and ``records_from_csv``
-    # were called.
+    # many children it forked and how many times ``reports_from_csv`` and
+    # ``records_from_csv``, the one-stream parse, were called.
     DYING_SHARE_PROBE = """
 import os, sys
 from lkld import calibration, cli
 
-parent, real_share, real_parse, real_fork = os.getpid(), calibration._share_columns, calibration._parse, os.fork
+parent, real_share, real_fork = os.getpid(), calibration._share_columns, os.fork
 real_reports, real_records = calibration.reports_from_csv, calibration.records_from_csv
-forks, parses, calls = [], [], {"reports": 0, "records": 0}
+forks, calls = [], {"reports": 0, "records": 0}
 
 def reports(*args, **kwargs):
     calls["reports"] += 1
@@ -780,10 +779,6 @@ def share(*args, **kwargs):
         os._exit(3)
     return real_share(*args, **kwargs)
 
-def parse(lines):
-    parses.append(None)
-    return real_parse(lines)
-
 def fork():
     forks.append(None)
     return real_fork()
@@ -791,11 +786,10 @@ def fork():
 os.sched_getaffinity = lambda pid: {0, 1}
 os.fork = fork
 calibration._share_columns = share
-calibration._parse = parse
 calibration.reports_from_csv = reports
 calibration.records_from_csv = records
 code = cli.main(sys.argv[1:])
-print(f"forks={len(forks)} parses={len(parses)} reports={calls['reports']} records={calls['records']}")
+print(f"forks={len(forks)} reports={calls['reports']} records={calls['records']}")
 sys.exit(code)
 """
 
@@ -815,7 +809,7 @@ sys.exit(code)
              "-o", str(tmp_path / "split.csv")],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1 parses=1 reports=1 records=0\n", "")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "forks=1 reports=1 records=1\n", "")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert main(["calib", "--records", str(csv_in), "--per-class", "-o", str(tmp_path / "serial.csv")]) == 0
         split = {p.name.removeprefix("split"): p.read_bytes() for p in tmp_path.glob("split*.csv")}
@@ -834,9 +828,9 @@ sys.exit(code)
         csv_in.write_bytes((ending.join(["residual,scale,class_name", *rows]) + last).encode("utf-8"))
         assert csv_in.stat().st_size >= 2 * calibration._SHARE_BYTES
         forks, parses, reports = [], [], []
-        real_fork, real_parse, real_reports = os.fork, calibration._parse, calibration.reports_from_csv
+        real_fork, real_parse, real_reports = os.fork, calibration.records_from_csv, calibration.reports_from_csv
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
-        monkeypatch.setattr(calibration, "_parse", lambda lines: parses.append(None) or real_parse(lines))
+        monkeypatch.setattr(calibration, "records_from_csv", lambda lines: parses.append(None) or real_parse(lines))
         monkeypatch.setattr(calibration, "reports_from_csv", lambda lines, grid: reports.append(
                             real_reports(lines, grid)) or reports[-1])
         outputs = {}
@@ -852,7 +846,7 @@ sys.exit(code)
         # Both runs' reports are those of the csv one-stream parse of the open
         # file, computed from its whole columns.
         with open(csv_in, "r", encoding="utf-8", newline="") as handle:
-            streamed = reference_calibration_reports(calibration.records_from_csv(handle), calibration.DEFAULT_GRID)
+            streamed = reference_calibration_reports(real_parse(handle), calibration.DEFAULT_GRID)
         assert [repr(got) for got in reports] == [repr(streamed)] * 2
 
     def test_two_thousand_classes_in_shares_write_the_oracle_bytes(self, tmp_path, monkeypatch):

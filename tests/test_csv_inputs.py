@@ -2,6 +2,7 @@
 
 import csv
 import io
+import pathlib
 import re
 
 import pytest
@@ -63,13 +64,17 @@ class TestSharedDialect:
         with pytest.raises(ValueError, match=r"^line 5: field larger than field limit \(131072\)$"):
             reader(io.StringIO(text, newline=""))
 
+    @pytest.mark.parametrize("kind", [str, pathlib.Path])
+    def test_a_str_or_a_path_is_a_type_error(self, name, kind, tmp_path):
+        reader, what, header, row = READERS[name][:4]
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row.format(cell='x')}\n", encoding="utf-8")
+        argument = path.read_text(encoding="utf-8") if kind is str else path
+        message = f"the {what} CSV reader takes an iterable of lines, such as an open file, not a str or a path"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            reader(argument)
+
     def test_header_cells_are_stripped(self, name):
         reader, _, header, row = READERS[name][:4]
         spaced = ",".join(f" {cell} " for cell in header.split(","))
         assert len(reader(io.StringIO(f"{spaced}\n{row.format(cell='x')}\n", newline=""))) == 1
-
-
-def test_ious_from_csv_takes_lines_not_a_str():
-    # records_from_csv has the same check in test_calibration.py.
-    with pytest.raises(TypeError, match="not a str"):
-        ious_from_csv("label_id,class_name,iou\na,car,0.5\n")

@@ -263,6 +263,31 @@ class TestCsv:
         assert len(preds) == n
         assert peak / n < 60.0  # bytes per row; the columns alone take 24
 
+    @pytest.mark.parametrize("kind", ["list", "generator", "StringIO", "open file"])
+    def test_any_iterable_of_lines_is_read_in_one_stream(self, tmp_path, kind):
+        """Any iterable of lines reads as the open file does; a quoted cell may span two of them."""
+        text = 'residual,scale,class_name\r\n0.5,0.2,"a,b"\r\n\r\n-0.1,1.5,"x\ny"\r\n0.25,2.0,a\r\n'
+        path = tmp_path / "records.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def lines(text):
+            if kind == "list":
+                return text.splitlines(keepends=True)
+            if kind == "generator":
+                return (line for line in text.splitlines(keepends=True))
+            if kind == "StringIO":
+                return io.StringIO(text, newline="")
+            return open(path, "r", encoding="utf-8", newline="")
+
+        preds = records_from_csv(lines(text))
+        assert preds.classes == ("a,b", "x\ny", "a")
+        assert preds.codes.tolist() == [0, 1, 2]
+        assert preds.residuals.tolist() == [0.5, -0.1, 0.25]
+        assert repr(reports_from_csv(lines(text))) == repr(reports_from_csv(path))
+        path.write_text(text + "abc,1.0,x\r\n", encoding="utf-8", newline="")
+        with pytest.raises(ValueError, match="^line 7: could not convert string to float: 'abc'$"):
+            records_from_csv(lines(text + "abc,1.0,x\r\n"))
+
     @pytest.mark.parametrize(
         "body, message",
         [
@@ -586,6 +611,40 @@ class TestReportsFromCsv:
         small, large = sent
         assert small == large < 5 * 100 * 8 + 500
         assert_all_children_reaped()
+
+    def test_split_count_memory_per_row_is_bounded(self, tmp_path, monkeypatch):
+        """A child's columns stay in the child: with two shares this process
+        holds the columns of its own share only, about half of the file's."""
+        n = 50_000
+        path = tmp_path / "records.csv"
+        write_records(path, n)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        monkeypatch.setattr(calibration, "_SHARE_BYTES", 1 << 16)
+        peaks = []
+        for n_cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(n_cpus))
+            tracemalloc.start()
+            try:
+                reports = reports_from_csv(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert reports[0].n == n
+            peaks.append(peak / n)
+        whole, split = peaks
+        assert len(forks) == 1
+        assert whole < 70.0  # bytes per row; the columns alone take 24
+        assert split < 0.6 * whole
+        assert_all_children_reaped()
+
+    def test_a_str_is_not_taken_for_a_path(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(path, 10)
+        message = "the prediction CSV reader takes an iterable of lines, such as an open file, not a str or a path"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            reports_from_csv(str(path))
 
     def test_an_overflow_in_a_share_names_its_record_in_the_file(self, tmp_path, monkeypatch):
         path = tmp_path / "records.csv"
